@@ -99,11 +99,6 @@ class CommAlgebra:
     def basis_product(self, a: str, b: str) -> Vec:
         return dict(self._table.get((a, b), {}))
 
-    @staticmethod
-    def star(x: Vec) -> Vec:
-        # every basis symbol is self-adjoint and scalars are rational
-        return dict(x)
-
     # ------------------------------------------------------------ validation
 
     def validate(self) -> Report:

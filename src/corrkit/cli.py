@@ -199,7 +199,7 @@ def build_parser() -> argparse.ArgumentParser:
     vs.add_argument("--trunc", type=int, default=4, metavar="N",
                     help="index truncation for the infinite presentations")
     vs.add_argument("--jobs", type=int, default=1,
-                    help="accepted for uniform automation; instances run in a fixed order")
+                    help="accepted for uniform automation; the suite runs serially")
     _add_format(vs)
     vs.set_defaults(func=cmd_verify_sphere)
 
@@ -210,7 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
     ob.add_argument("--wide", action="store_true",
                     help="also vary the tested unit-decomposition pattern")
     ob.add_argument("--jobs", type=int, default=1,
-                    help="worker threads over independent candidates")
+                    help="accepted for uniform automation; candidates are checked serially")
     _add_format(ob)
     ob.set_defaults(func=cmd_obstruction)
 

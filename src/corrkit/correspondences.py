@@ -23,12 +23,28 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .algebra import CommAlgebra, diagonal_algebra
-from .exactlinalg import (SpanSolver, express, frac, is_psd, nullspace,
+from .exactlinalg import (SpanSolver, _axpy, express, frac, is_psd, nullspace,
                           same_span, solve, sort_key, vadd, vclean, vec_repr,
                           vscale)
 from .reports import Report
 
 Vec = dict
+
+
+def _table_apply(table: dict, x: Vec, y: Vec | None = None) -> Vec:
+    """Sum of c * table[k] over the terms c*k of `x` (linear, every key
+    must be in the table), or of c*d * table[(k, l)] over the terms of
+    `x` and `y` (bilinear, a missing entry is zero).  Accumulates in
+    place with exact cancellation, so no zero coefficient is kept."""
+    if y is None:
+        terms = ((c, table[k]) for k, c in x.items())
+    else:
+        terms = ((c * d, table.get((k, l))) for k, c in x.items() for l, d in y.items())
+    out: Vec = {}
+    for c, entry in terms:
+        if c and entry:
+            _axpy(out, frac(c), entry)
+    return out
 
 
 def _pairs(syms):
@@ -92,31 +108,13 @@ class Correspondence:
         return {sym: Fraction(1)}
 
     def inner_product(self, x: Vec, y: Vec) -> Vec:
-        out: Vec = {}
-        for g, c in x.items():
-            for h, d in y.items():
-                entry = self._inner.get((g, h))
-                if entry:
-                    out = vadd(out, vscale(c * d, entry))
-        return vclean(out)
+        return _table_apply(self._inner, x, y)
 
     def right_action(self, x: Vec, a: Vec) -> Vec:
-        out: Vec = {}
-        for g, c in x.items():
-            for b, d in a.items():
-                entry = self._right.get((g, b))
-                if entry:
-                    out = vadd(out, vscale(c * d, entry))
-        return vclean(out)
+        return _table_apply(self._right, x, a)
 
     def left_action(self, a: Vec, x: Vec) -> Vec:
-        out: Vec = {}
-        for b, d in a.items():
-            for g, c in x.items():
-                entry = self._left.get((b, g))
-                if entry:
-                    out = vadd(out, vscale(c * d, entry))
-        return vclean(out)
+        return _table_apply(self._left, a, x)
 
     def atoms(self) -> list:
         """(name, element) pairs for the algebra's orthogonal atoms."""
@@ -350,16 +348,10 @@ class Morphism:
     mod_map: dict
 
     def apply_alg(self, x: Vec) -> Vec:
-        out: Vec = {}
-        for sym, c in x.items():
-            out = vadd(out, vscale(c, self.alg_map[sym]))
-        return vclean(out)
+        return _table_apply(self.alg_map, x)
 
     def apply_mod(self, x: Vec) -> Vec:
-        out: Vec = {}
-        for sym, c in x.items():
-            out = vadd(out, vscale(c, self.mod_map[sym]))
-        return vclean(out)
+        return _table_apply(self.mod_map, x)
 
 
 def identity_morphism(corr: Correspondence) -> Morphism:
@@ -740,10 +732,12 @@ def restricted_direct_sum(mx: Morphism, my: Morphism, name: str = "pullback") ->
             raise AssertionError("pair element escapes the pair atom span")
         return vclean(out)
 
+    gen_solver = SpanSolver(gen_coords)
+
     def pair_mod_vec(x_part: Vec, y_part: Vec) -> Vec:
         target = {("X", k): frac(v) for k, v in x_part.items()}
         target.update({("Y", k): frac(v) for k, v in y_part.items()})
-        coeffs = express(target, gen_coords)
+        coeffs = gen_solver.express(target)
         if coeffs is None:
             raise AssertionError("componentwise action left the pair module")
         return vclean({gname: c for (gname, _, _), c in zip(gen_table, coeffs)})

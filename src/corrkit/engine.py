@@ -349,50 +349,6 @@ class Engine:
             d = self.expand_once(d)
             joint_rounds += 1
 
-    # --------------------------------------------------------- coordinates
-
-    def joint_coordinates(self, elements: list):
-        """Vectors for a family of elements over shared cell coordinates.
-
-        Terms are grouped by word pair across all elements; within each
-        group the distinct sets are refined into membership cells, and
-        the coordinate of (word pair, cell) is the summed coefficient.
-        Linear relations between the returned vectors are exactly the
-        relations the zero test can certify.
-        """
-        groups: dict = {}
-        for el in elements:
-            for (a, s, b) in el.terms:
-                groups.setdefault((a, b), set()).add(s)
-        cell_keys: dict = {}
-        keys = []
-        for (a, b) in sorted(groups, key=lambda ab: (_word_key(ab[0]), _word_key(ab[1]))):
-            sets = sorted(groups[(a, b)], key=lambda s: s.sort_key())
-            for mask, cell in self._cells(sets):
-                key = (a, b, cell.sort_key())
-                cell_keys[(a, b, mask)] = key
-                keys.append(key)
-            groups[(a, b)] = sets
-        rows = []
-        for el in elements:
-            row: dict = {}
-            staged: dict = {}
-            for (a, s, b), c in el.terms.items():
-                staged.setdefault((a, b), {})
-                staged[(a, b)][s] = staged[(a, b)].get(s, Fraction(0)) + c
-            for (a, b), by_set in staged.items():
-                sets = groups[(a, b)]
-                for (ga, gb, mask), key in cell_keys.items():
-                    if (ga, gb) != (a, b):
-                        continue
-                    total = sum((by_set.get(sets[i], Fraction(0))
-                                 for i in range(len(sets)) if mask >> i & 1), Fraction(0))
-                    if total:
-                        row[key] = row.get(key, Fraction(0)) + total
-            rows.append({k: v for k, v in row.items() if v})
-        return rows, keys
-
-
 # -------------------------------------------------- homomorphism checking
 
 
@@ -413,11 +369,6 @@ def substitute(x: Element, dst: Engine, s_images: dict, p_images: dict) -> Eleme
             acc = acc * s_images[lab].adj()
         out = out + c * acc
     return out
-
-
-def singleton_images(engine: Engine, vertex_images: dict) -> dict:
-    """Convenience: vertex -> element table keyed by singleton sets."""
-    return {atom_set(v): el for v, el in vertex_images.items()}
 
 
 def check_graph_hom(graph_vertices, edges, dst: Engine, s_images: dict,

@@ -1,10 +1,12 @@
 """Exact linear algebra over rationals.
 
 Everything here works with `fractions.Fraction` and plain lists/dicts;
-there is no floating point anywhere.  Two views are provided: dense
-matrices (lists of rows) for solving and nullspaces, and sparse vectors
-(dicts keyed by arbitrary hashable symbols) with an incremental span
-solver used for module and ideal membership questions.
+there is no floating point anywhere.  Sparse vectors are dicts keyed by
+arbitrary hashable symbols.  `SpanSolver`, an incremental sparse row
+reduction, is the one elimination routine for rational systems:
+membership, `express` over generators, and the dense-matrix `solve` and
+`nullspace` (which feed it the matrix columns) all go through it.
+Dense helpers remain for `mat_mul`, `det` and the LDL^T test `is_psd`.
 """
 from __future__ import annotations
 
@@ -35,8 +37,16 @@ def vadd(u: Vec, v: Vec) -> Vec:
             out.pop(k, None)
     return out
 
-def vsub(u: Vec, v: Vec) -> Vec:
-    return vadd(u, vscale(Fraction(-1), v))
+
+def _axpy(out: dict, c, v: dict) -> None:
+    """out += c * v in place; entries that cancel are removed, so key
+    order is the one `vadd` would give."""
+    for k, x in v.items():
+        nx = out.get(k, Fraction(0)) + c * x
+        if nx:
+            out[k] = nx
+        else:
+            out.pop(k, None)
 
 
 def vscale(c, v: Vec) -> Vec:
@@ -44,12 +54,6 @@ def vscale(c, v: Vec) -> Vec:
     if c == 0:
         return {}
     return {k: c * x for k, x in v.items()}
-
-
-def vdot_keys(u: Vec, v: Vec) -> bool:
-    """True when the supports intersect."""
-    small, big = (u, v) if len(u) <= len(v) else (v, u)
-    return any(k in big for k in small)
 
 
 def sort_key(x: Any):
@@ -86,14 +90,21 @@ class SpanSolver:
 
     Keys are discovered as vectors arrive and are assigned column
     positions in first-seen order, so behaviour is deterministic for a
-    deterministic insertion sequence.
+    deterministic insertion sequence.  Each stored row also records the
+    combination of added vectors it equals, so `express` can write a
+    vector over the inputs.  The inputs that grew the span are the
+    greedy independent prefix of the insertion sequence; every other
+    input gets coefficient 0, which makes those coefficients unique.
     """
 
     def __init__(self, vectors: Iterable[Vec] = ()):  # optional bulk init
         self._cols: dict[Hashable, int] = {}
-        self._rows: list[dict[int, Fraction]] = []
-        self._pivot_of_row: list[int] = []
+        # (row, combination over input positions); a row's pivot is its
+        # least column
+        self._rows: list[tuple[dict[int, Fraction], dict[int, Fraction]]] = []
         self._row_of_pivot: dict[int, int] = {}
+        # encoded input per add() call; None for inputs already in the span
+        self._inputs: list[dict[int, Fraction] | None] = []
         for v in vectors:
             self.add(v)
 
@@ -116,40 +127,64 @@ class SpanSolver:
             enc[idx] = c
         return enc
 
-    def _reduce(self, enc: dict[int, Fraction]) -> tuple[dict[int, Fraction], int | None]:
+    def _reduce(self, enc: dict[int, Fraction],
+                taken: dict[int, Fraction] | None = None) -> int | None:
+        """Subtract rows from `enc` in place until its least column has no
+        row; return that column, or None once `enc` is zero.  `taken`,
+        if given, accumulates the subtracted combination of inputs."""
         while enc:
             p = min(enc)
             row_i = self._row_of_pivot.get(p)
             if row_i is None:
-                return enc, p
+                return p
             c = enc[p]
-            for j, v in self._rows[row_i].items():
-                nv = enc.get(j, Fraction(0)) - c * v
-                if nv:
-                    enc[j] = nv
-                else:
-                    enc.pop(j, None)
-        return enc, None
+            row, comb = self._rows[row_i]
+            _axpy(enc, -c, row)
+            if taken is not None:
+                _axpy(taken, c, comb)
+        return None
 
     def add(self, vec: Vec) -> bool:
         """Add a vector to the span; True if the dimension grew."""
         enc = self._encode(vec, register=True)
-        enc, p = self._reduce(enc)
+        pos = len(self._inputs)
+        self._inputs.append(None)
+        orig = dict(enc)
+        taken: dict[int, Fraction] = {}
+        p = self._reduce(enc, taken)
         if p is None:
             return False
         c = enc[p]
-        row = {j: v / c for j, v in enc.items()}
+        comb = {i: -v / c for i, v in taken.items()}
+        comb[pos] = 1 / c
         self._row_of_pivot[p] = len(self._rows)
-        self._rows.append(row)
-        self._pivot_of_row.append(p)
+        self._rows.append(({j: v / c for j, v in enc.items()}, comb))
+        self._inputs[pos] = orig
         return True
 
     def contains(self, vec: Vec) -> bool:
         enc = self._encode(vec, register=False)
         if enc is None:
             return False
-        _, p = self._reduce(enc)
-        return p is None
+        return self._reduce(enc) is None
+
+    def express(self, vec: Vec) -> list[Fraction] | None:
+        """Coefficients over the added vectors, in insertion order, whose
+        combination is `vec`; None when `vec` is outside the span."""
+        enc = self._encode(vec, register=False)
+        if enc is None:
+            return None
+        want = dict(enc)
+        taken: dict[int, Fraction] = {}
+        if self._reduce(enc, taken) is not None:
+            return None
+        # verify by recombining the inputs (insurance against slips)
+        got: dict[int, Fraction] = {}
+        for i, c in taken.items():
+            _axpy(got, c, self._inputs[i])
+        if got != want:
+            raise AssertionError("internal: SpanSolver.express verification failed")
+        return [taken.get(i, Fraction(0)) for i in range(len(self._inputs))]
 
 
 def same_span(vs: Sequence[Vec], ws: Sequence[Vec]) -> bool:
@@ -158,11 +193,39 @@ def same_span(vs: Sequence[Vec], ws: Sequence[Vec]) -> bool:
     return all(a.contains(w) for w in ws) and all(b.contains(v) for v in vs)
 
 
+def solve(a: Sequence[Sequence], b: Sequence) -> list[Fraction] | None:
+    """One exact solution of A x = b, or None.
+
+    The columns of A enter a `SpanSolver` in order; variables of columns
+    in the span of earlier ones (the free variables) are set to 0.
+    """
+    ncols = len(a[0]) if a else 0
+    solver = SpanSolver({i: row[j] for i, row in enumerate(a)} for j in range(ncols))
+    return solver.express(dict(enumerate(b)))
+
+
+def nullspace(a: Sequence[Sequence]) -> list[list[Fraction]]:
+    """Basis of the right nullspace of A, one vector per free column in
+    column order: 1 on that column, 0 on the other free columns."""
+    ncols = len(a[0]) if a else 0
+    solver = SpanSolver()
+    basis = []
+    for j in range(ncols):
+        col = {i: row[j] for i, row in enumerate(a)}
+        if solver.add(col):
+            continue
+        v = [-c for c in solver.express(col)] + [Fraction(0)] * (ncols - j - 1)
+        v[j] = Fraction(1)
+        basis.append(v)
+    return basis
+
+
+def express(target: Vec, gens: Sequence[Vec]) -> list[Fraction] | None:
+    """Coefficients c with sum c_i * gens[i] == target, or None."""
+    return SpanSolver(gens).express(target)
+
+
 # ------------------------------------------------------------- dense matrices
-
-
-def identity_matrix(n: int) -> list[list[Fraction]]:
-    return [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
 
 
 def mat_mul(a: Sequence[Sequence], b: Sequence[Sequence]) -> list[list[Fraction]]:
@@ -181,90 +244,6 @@ def mat_mul(a: Sequence[Sequence], b: Sequence[Sequence]) -> list[list[Fraction]
                 if bt[j]:
                     oi[j] += c * frac(bt[j])
     return out
-
-
-def rref(rows: Sequence[Sequence]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form; returns (matrix, pivot column indices)."""
-    m = [[frac(x) for x in row] for row in rows]
-    nrows = len(m)
-    ncols = len(m[0]) if nrows else 0
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pr = next((i for i in range(r, nrows) if m[i][c] != 0), None)
-        if pr is None:
-            continue
-        m[r], m[pr] = m[pr], m[r]
-        pv = m[r][c]
-        m[r] = [x / pv for x in m[r]]
-        for i in range(nrows):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return m, pivots
-
-
-def rank(rows: Sequence[Sequence]) -> int:
-    return len(rref(rows)[1])
-
-
-def solve(a: Sequence[Sequence], b: Sequence) -> list[Fraction] | None:
-    """One exact solution of A x = b (free variables set to 0), or None."""
-    nrows = len(a)
-    ncols = len(a[0]) if nrows else 0
-    aug = [[frac(x) for x in row] + [frac(b[i])] for i, row in enumerate(a)]
-    if nrows == 0:
-        return [Fraction(0)] * ncols if all(frac(x) == 0 for x in b) else None
-    red, pivots = rref(aug)
-    if ncols in pivots:
-        return None  # inconsistent: pivot in the rhs column
-    x = [Fraction(0)] * ncols
-    for r, c in enumerate(pivots):
-        x[c] = red[r][ncols]
-    # verify (cheap insurance against indexing slips)
-    for i in range(nrows):
-        s = sum((frac(a[i][j]) * x[j] for j in range(ncols)), Fraction(0))
-        if s != frac(b[i]):
-            raise AssertionError("internal: solve() verification failed")
-    return x
-
-
-def nullspace(a: Sequence[Sequence]) -> list[list[Fraction]]:
-    """Basis of the right nullspace of A, deterministic order."""
-    nrows = len(a)
-    ncols = len(a[0]) if nrows else 0
-    if ncols == 0:
-        return []
-    if nrows == 0:
-        return [[Fraction(1) if i == j else Fraction(0) for j in range(ncols)] for i in range(ncols)]
-    red, pivots = rref(a)
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for f in free:
-        v = [Fraction(0)] * ncols
-        v[f] = Fraction(1)
-        for r, c in enumerate(pivots):
-            v[c] = -red[r][f]
-        basis.append(v)
-    return basis
-
-
-def express(target: Vec, gens: Sequence[Vec]) -> list[Fraction] | None:
-    """Coefficients c with sum c_i * gens[i] == target, or None."""
-    keys: list[Hashable] = []
-    seen = set()
-    for v in list(gens) + [target]:
-        for k in v:
-            if k not in seen:
-                seen.add(k)
-                keys.append(k)
-    a = [[frac(g.get(k, 0)) for g in gens] for k in keys]
-    b = [frac(target.get(k, 0)) for k in keys]
-    return solve(a, b)
 
 
 def is_psd(g: Sequence[Sequence]) -> bool:

@@ -1,7 +1,7 @@
 """Finite directed graphs with named vertices and edges."""
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from .exactlinalg import sort_key
 from .reports import Report

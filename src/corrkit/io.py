@@ -38,12 +38,6 @@ def load_json(path: str):
         raise ParseError(f"{path}: {exc}") from exc
 
 
-def dump_json(doc, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=False)
-        fh.write("\n")
-
-
 def parse_rational(s) -> Fraction:
     if isinstance(s, bool) or isinstance(s, float):
         raise ValidationError(f"scalar {s!r} must be a rational string or integer")
@@ -78,6 +72,20 @@ def parse_vec(out, where: str) -> dict:
 
 def vec_json(vec: dict) -> list:
     return [[k, str(Fraction(v))] for k, v in sorted(vec.items(), key=lambda kv: sort_key(kv[0]))]
+
+
+def _int(value, where: str) -> int:
+    """An integer field; bools, non-integral numbers and non-scalars are
+    rejected with ValidationError."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, str)):
+        raise ValidationError(f"{where}: {value!r} is not an integer")
+    try:
+        out = int(value)
+    except (ValueError, OverflowError):
+        raise ValidationError(f"{where}: {value!r} is not an integer") from None
+    if isinstance(value, float) and out != value:
+        raise ValidationError(f"{where}: {value!r} is not an integer")
+    return out
 
 
 def _need(doc, key: str, kind, where: str):
@@ -147,10 +155,7 @@ def vertex_from_json(v, where: str):
     if isinstance(v, str):
         return v
     if isinstance(v, (list, tuple)) and len(v) == 2 and isinstance(v[0], str):
-        try:
-            return (v[0], int(v[1]))
-        except (TypeError, ValueError):
-            pass
+        return (v[0], _int(v[1], f"{where}: bad vertex key {v!r}"))
     raise ValidationError(f"{where}: bad vertex key {v!r}")
 
 
@@ -173,7 +178,7 @@ def _endpoint_from_json(spec, where: str) -> tuple:
         return (CONST, vertex_from_json(v, where))
     if kind == "indexed":
         base = _need(spec, "base", str, where)
-        return (IDX, base, int(spec.get("offset", 0)))
+        return (IDX, base, _int(spec.get("offset", 0), f"{where}: offset"))
     raise ValidationError(f"{where}: unknown endpoint kind {kind!r}")
 
 
@@ -189,7 +194,8 @@ def _label_from_json(spec, default, where: str) -> tuple:
     if isinstance(spec, str):
         return (CONST, spec)
     if isinstance(spec, dict) and "base" in spec:
-        return (IDX, _need(spec, "base", str, where), int(spec.get("offset", 0)))
+        return (IDX, _need(spec, "base", str, where),
+                _int(spec.get("offset", 0), f"{where}: label offset"))
     raise ValidationError(f"{where}: bad label spec {spec!r}")
 
 
@@ -213,7 +219,7 @@ def _seed_from_json(rec, bases, where: str) -> SetExpr:
             base = next(iter(bases))
         if base not in bases:
             raise ValidationError(f"{where}: unknown tail base {base!r}")
-        out = out.union(tail(base, int(k)))
+        out = out.union(tail(base, _int(k, f"{where}: tail")))
     if out is EMPTY and ("atoms" in rec or "tail" in rec):
         raise ValidationError(f"{where}: empty family seed")
     if "atoms" not in rec and "tail" not in rec:
@@ -260,7 +266,7 @@ def labelled_graph_from_json(doc):
         for spec in (rec.get("src"), rec.get("dst")):
             if start is None and isinstance(spec, dict):
                 start = spec.get("from")
-        start = 1 if start is None else int(start)
+        start = 1 if start is None else _int(start, f"{where}: from")
         lab = _label_from_json(rec.get("label"), base, where)
         families.append(EdgeFamily(base, start, src, dst, lab))
 
@@ -281,7 +287,7 @@ def labelled_graph_from_json(doc):
     seeds = tuple(_seed_from_json(rec, bases, "B") for rec in doc.get("B", []))
     horizon = doc.get("horizon")
     if horizon is not None:
-        horizon = int(horizon)
+        horizon = _int(horizon, "labelled space: horizon")
     return g, seeds, horizon
 
 
@@ -411,13 +417,6 @@ def morphism_from_json(doc, src: Correspondence, dst: Correspondence) -> Morphis
         if key not in src.gens:
             raise ValidationError(f"module_map: {key!r} is not a source generator")
     return Morphism(src, dst, alg_map, mod_map)
-
-
-def to_morphism_json(m: Morphism) -> dict:
-    return {
-        "algebra_map": {b: vec_json(v) for b, v in sorted(m.alg_map.items(), key=lambda kv: sort_key(kv[0]))},
-        "module_map": {g: vec_json(v) for g, v in sorted(m.mod_map.items(), key=lambda kv: sort_key(kv[0]))},
-    }
 
 
 def corr_check_from_json(doc):

@@ -27,7 +27,7 @@ from fractions import Fraction
 
 from .errors import BudgetError, UnsupportedSpaceError
 from .exactlinalg import express, sort_key, vadd, vclean, vscale
-from .setexpr import EMPTY, SetExpr, atoms as atom_set, tail, union_all
+from .setexpr import SetExpr, atoms as atom_set, tail, union_all
 
 CONST = "const"
 IDX = "idx"
@@ -135,13 +135,6 @@ def full_set(g: LabelledGraph) -> SetExpr:
     out = SetExpr(g.named_vertices)
     for b in sorted(g.vertex_bases):
         out = out.union(tail(b, 1))
-    return out
-
-
-def vertices_up_to(g: LabelledGraph, n: int) -> list:
-    out = sorted(g.named_vertices, key=sort_key)
-    for b in sorted(g.vertex_bases):
-        out.extend((b, i) for i in range(1, n + 1))
     return out
 
 
@@ -284,9 +277,6 @@ class LabelledSpace:
     def in_lattice(self, b: SetExpr) -> bool:
         inside = [c for c in self.core if c.is_subset(b)]
         return union_all(inside) == b
-
-    def member_index(self) -> dict:
-        return {c: i for i, c in enumerate(self.core)}
 
 
 def build_space(g: LabelledGraph, generators=(), horizon: int = 8,
@@ -600,12 +590,6 @@ class CorrespondenceModel:
     labels: tuple
     member_coeffs: dict = field(repr=False)
     label_range_cells: dict = field(repr=False)
-
-    def cell_of(self, vertex) -> str:
-        for name, cell in zip(self.cell_names, self.cells):
-            if vertex in cell:
-                return name
-        raise KeyError(vertex)
 
     def algebra_vector(self, vertices) -> dict:
         """Characteristic vector over cells; the set must be a union of

@@ -22,7 +22,7 @@ outside the narrow class.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations_with_replacement, permutations, product
+from itertools import combinations_with_replacement, islice, permutations, product
 
 from .errors import BudgetError
 from .graphs import Graph, canonical_encoding, hereditary_closure, is_acyclic_among
@@ -44,11 +44,8 @@ class Candidate:
 
 
 def _structural_ok(g: Graph, wide: bool) -> tuple[bool, str]:
-    """Check the filters that define the enumeration class.
-
-    Used both as an internal assertion on enumerated candidates and as
-    a public classifier for externally supplied graphs.
-    """
+    """Check the filters that define the enumeration class; `sweep`
+    asserts them on every enumerated candidate."""
     vs = set(g.vertices)
     if LOOP_VERTEX not in vs or not set(SINKS) <= vs:
         return False, "missing w0/w1/w2"
@@ -78,6 +75,31 @@ def _structural_ok(g: Graph, wide: bool) -> tuple[bool, str]:
         if len(loop_feed) != 1:
             return False, "w0 receives more than its loop"
     return True, ""
+
+
+def _canonical(pairs, movable: tuple, forward: bool = False) -> tuple:
+    """Least sorted edge tuple over the renamings of the interchangeable
+    `movable` vertices; all other vertices stay fixed.  With `forward`,
+    renamings that turn an edge between movable vertices against their
+    listed order are skipped."""
+    order = {v: i for i, v in enumerate(movable)}
+    # the identity renaming gives the given pairs; keeping their tuple
+    # objects when nothing is smaller lets candidates share them (fresh
+    # tuples cost about 2 MB of peak memory at 6 vertices)
+    best = tuple(sorted(pairs))
+    for perm in islice(permutations(movable), 1, None):
+        rename = dict(zip(movable, perm))
+        renamed = []
+        for a, b in pairs:
+            a, b = rename.get(a, a), rename.get(b, b)
+            if forward and a in order and b in order and order[a] >= order[b]:
+                break
+            renamed.append((a, b))
+        else:
+            cand = tuple(sorted(renamed))
+            if cand < best:
+                best = cand
+    return best
 
 
 def _arborescences(extra: tuple) -> list[tuple]:
@@ -115,18 +137,7 @@ def _arborescences(extra: tuple) -> list[tuple]:
                 children[parent[v]] += 1
         if any(c == 0 for c in children.values()):
             continue
-        edges = tuple(sorted((parent[v], v) for v in nodes))
-        # canonical under permuting the interchangeable extra vertices
-        best = edges
-        for perm in permutations(extra):
-            rename = dict(zip(extra, perm))
-            rename[LOOP_VERTEX] = LOOP_VERTEX
-            for s in SINKS:
-                rename[s] = s
-            cand = tuple(sorted((rename[a], rename[b]) for a, b in edges))
-            if cand < best:
-                best = cand
-        out.add(best)
+        out.add(_canonical(tuple((parent[v], v) for v in nodes), extra))
     return sorted(out)
 
 
@@ -148,16 +159,7 @@ def _v_parts_wide(extra: tuple, budget: int) -> list[tuple]:
                 continue
             if not is_acyclic_among(g, frozenset(v_nodes) - {LOOP_VERTEX}):
                 continue
-            best = tuple(sorted(pairs))
-            for perm in permutations(extra):
-                rename = dict(zip(extra, perm))
-                rename[LOOP_VERTEX] = LOOP_VERTEX
-                for s in SINKS:
-                    rename[s] = s
-                cand = tuple(sorted((rename[a], rename[b]) for a, b in pairs))
-                if cand < best:
-                    best = cand
-            out.add(best)
+            out.add(_canonical(pairs, extra))
     return sorted(out)
 
 
@@ -178,24 +180,7 @@ def _h_parts(h_nodes: tuple, v_targets: tuple, budget: int) -> list[tuple]:
             srcs = {s for s, _ in combo}
             if len(srcs) != len(h_nodes):
                 continue  # some h-vertex emits nothing
-            best = tuple(sorted(combo))
-            for perm in permutations(h_nodes):
-                rename = dict(zip(h_nodes, perm))
-                renamed = []
-                ok = True
-                order = {h: i for i, h in enumerate(h_nodes)}
-                for a, b in combo:
-                    na = rename.get(a, a)
-                    nb = rename.get(b, b)
-                    if nb in order and order[na] >= order[nb]:
-                        ok = False
-                        break
-                    renamed.append((na, nb))
-                if ok:
-                    cand = tuple(sorted(renamed))
-                    if cand < best:
-                        best = cand
-            out.add(best)
+            out.add(_canonical(combo, h_nodes, forward=True))
     return sorted(out)
 
 
@@ -246,43 +231,22 @@ class SweepResult:
     report: Report
 
 
-def check_candidate(g: Graph, wide: bool = False) -> tuple[bool, str]:
-    """Classify a graph and, if it is in class, test the K0 membership.
-
-    Returns (violation, detail): violation is True when the graph lies
-    in the requested class but [p_w1]+[p_w2] is NOT zero in K0.
-    """
-    ok, why = _structural_ok(g, wide)
-    if not ok:
-        return False, f"outside class: {why}"
-    member, cert = k0_class_membership(g, {SINKS[0]: 1, SINKS[1]: 1})
-    if member:
-        return False, f"member, certificate {cert}"
-    return True, "in class but [p_w1]+[p_w2] != 0 in K0"
-
-
 def sweep(max_vertices: int, max_edges: int = 10, wide: bool = False, jobs: int = 1) -> SweepResult:
+    """Check [p_w1]+[p_w2] = 0 in K0 on every enumerated candidate.
+
+    Candidates are checked serially whatever `jobs` says: the work holds
+    the GIL, so worker threads only slowed it down.
+    """
     cands = enumerate_candidates(max_vertices, max_edges, wide)
     rep = Report(f"obstruction sweep ({'wide' if wide else 'default'} class, "
                  f"<= {max_vertices} vertices, <= {max_edges} edges)")
     violations = []
-
-    def work(c: Candidate):
+    for c in cands:
         g = c.graph()
         ok, why = _structural_ok(g, wide)
         if not ok:
             raise AssertionError(f"enumerator produced out-of-class candidate: {why}: {c.pairs}")
         member, _ = k0_class_membership(g, {SINKS[0]: 1, SINKS[1]: 1})
-        return c, member
-
-    if jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(work, cands))
-    else:
-        results = [work(c) for c in cands]
-    for c, member in results:
         if not member:
             violations.append(c)
     rep.add("candidates enumerated", True, str(len(cands)))

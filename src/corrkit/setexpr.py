@@ -130,9 +130,6 @@ class SetExpr:
             out.update((b, j) for j in range(k, n + 1))
         return frozenset(out)
 
-    def named_atoms(self) -> frozenset:
-        return frozenset(a for a in self.atoms if not _is_indexed(a))
-
     def indexed_atoms(self, base: str) -> list[int]:
         return sorted(a[1] for a in self.atoms if _is_indexed(a) and a[0] == base)
 

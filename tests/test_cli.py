@@ -69,6 +69,25 @@ def test_exit_validation_error(tmp_path):
     run("ktheory", doc, expect=3)
 
 
+@pytest.mark.parametrize("path, value", [
+    (("families", 0, "dst", "offset"), "x"),
+    (("horizon",), "deep"),
+    (("families", 0, "from"), "one"),
+    (("B", 2, "tail"), [1]),
+], ids=["offset", "horizon", "from", "tail"])
+def test_malformed_integer_field_exits_3(tmp_path, path, value):
+    doc = json.loads((DATA / "en_labelled_n2.json").read_text())
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    proc = run("labelled-check", bad, expect=3)
+    assert "Traceback" not in proc.stderr
+    assert "is not an integer" in proc.stderr
+
+
 def test_exit_budget_error():
     run("labelled-check", DATA / "en_labelled_n2.json", "--budget", 2, expect=4)
 

@@ -1,11 +1,12 @@
 """Exact rational linear algebra: solvers, spans, and the PSD test."""
+import random
 from fractions import Fraction
 
 import pytest
 
 from corrkit.exactlinalg import (SpanSolver, det, express, frac, is_psd,
-                                 nullspace, rank, rref, same_span, solve,
-                                 sort_key, vadd, vclean, vec_repr, vscale)
+                                 nullspace, same_span, solve, sort_key, vadd,
+                                 vclean, vec_repr)
 
 
 def test_frac_accepts_strings_and_ints():
@@ -40,11 +41,12 @@ def test_vec_repr_deterministic():
     assert vec_repr(v) == "(-2)*a + b" or vec_repr(v).count("a") == 1
 
 
-def test_rref_identifies_pivots():
+def test_span_solver_identifies_pivots():
     rows = [[1, 2, 3], [2, 4, 6], [0, 1, 1]]
-    _, pivots = rref(rows)
-    assert pivots == [0, 1]
-    assert rank(rows) == 2
+    assert SpanSolver(dict(enumerate(row)) for row in rows).dim == 2
+    cols = SpanSolver()
+    assert [cols.add({i: row[j] for i, row in enumerate(rows)})
+            for j in range(3)] == [True, True, False]
 
 
 def test_solve_consistent_and_inconsistent():
@@ -66,6 +68,16 @@ def test_express_in_terms_of_generators():
     coeffs = express({"y": Fraction(2)}, gens)
     assert coeffs == [Fraction(-2), Fraction(2)]
     assert express({"z": Fraction(1)}, gens) is None
+
+
+def test_span_solver_express_over_inputs():
+    s = SpanSolver([{"x": 1}, {"x": 2}, {"x": 1, "y": 1}])
+    # the dependent second input gets coefficient 0
+    assert s.express({"x": 3, "y": 2}) == [Fraction(1), Fraction(0), Fraction(2)]
+    assert s.express({}) == [Fraction(0)] * 3
+    assert s.express({"z": 1}) is None
+    s.add({"z": 1})
+    assert s.express({"z": 1}) == [0, 0, 0, 1]
 
 
 def test_span_solver_incremental():
@@ -101,3 +113,66 @@ def test_det_small():
 def test_is_psd(g, expect):
     gm = [[Fraction(x) for x in row] for row in g]
     assert is_psd(gm) is expect
+
+
+# ---------------------------------------------------------- sympy oracle
+
+
+def _random_matrix(rng, nrows, ncols):
+    density = rng.choice((0.3, 0.6, 1.0))
+    rows = [[Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+             if rng.random() < density else Fraction(0) for _ in range(ncols)]
+            for _ in range(nrows)]
+    if nrows > 1 and rng.random() < 0.4:  # rank deficient: a row combination
+        i, j = rng.sample(range(nrows), 2)
+        rows[i] = [2 * x - y for x, y in zip(rows[j], rows[i - 1])]
+    if ncols > 1 and rng.random() < 0.4:  # a column repeated with a factor
+        i, j = rng.sample(range(ncols), 2)
+        for row in rows:
+            row[i] = Fraction(-3, 2) * row[j]
+    if ncols and rng.random() < 0.3:  # a zero column
+        j = rng.randrange(ncols)
+        for row in rows:
+            row[j] = Fraction(0)
+    return rows
+
+
+def _oracle_cases():
+    rng = random.Random(20240)
+    cases = [([], []), ([[]], [Fraction(0)]), ([[], []], [Fraction(0), Fraction(1)]),
+             ([[0, 0, 0]], [Fraction(0)]), ([[0, 0], [0, 0]], [Fraction(1), Fraction(0)])]
+    for _ in range(80):
+        nrows, ncols = rng.randint(1, 5), rng.randint(0, 5)
+        a = _random_matrix(rng, nrows, ncols)
+        if rng.random() < 0.5:  # consistent by construction
+            x = [Fraction(rng.randint(-3, 3)) for _ in range(ncols)]
+            b = [sum((r * v for r, v in zip(row, x)), Fraction(0)) for row in a]
+        else:
+            b = [Fraction(rng.randint(-3, 3)) for _ in range(nrows)]
+        cases.append((a, b))
+    return cases
+
+
+def _to_fractions(column) -> list:
+    return [Fraction(int(x.p), int(x.q)) for x in column]
+
+
+def _sympy_matrix(sympy, a):
+    ncols = len(a[0]) if a else 0
+    return sympy.Matrix(len(a), ncols, [sympy.Rational(x.numerator, x.denominator)
+                                        for row in a for x in map(Fraction, row)])
+
+
+@pytest.mark.parametrize("a, b", _oracle_cases())
+def test_solve_and_nullspace_match_sympy(a, b):
+    sympy = pytest.importorskip("sympy")
+    m = _sympy_matrix(sympy, a)
+    assert nullspace(a) == [_to_fractions(v) for v in m.nullspace()]
+    rhs = sympy.Matrix(len(b), 1, [sympy.Rational(x.numerator, x.denominator) for x in b])
+    try:
+        sol, params = m.gauss_jordan_solve(rhs)
+    except ValueError:
+        assert solve(a, b) is None
+        return
+    want = _to_fractions(sol.subs({p: 0 for p in params}))
+    assert solve(a, b) == want

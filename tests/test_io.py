@@ -90,6 +90,21 @@ def test_labelled_file_matches_builder():
     assert space.graph.named_vertices == built.graph.named_vertices
 
 
+@pytest.mark.parametrize("horizon", [True, 2.5, "deep", [3], {"n": 3}])
+def test_labelled_horizon_must_be_an_integer(horizon):
+    doc = load_json(DATA / "en_labelled_n2.json")
+    doc["horizon"] = horizon
+    with pytest.raises(ValidationError, match="is not an integer"):
+        labelled_space_from_json(doc)
+
+
+@pytest.mark.parametrize("horizon", [6, 6.0, "6"])
+def test_labelled_horizon_accepts_integral_values(horizon):
+    doc = load_json(DATA / "en_labelled_n2.json")
+    doc["horizon"] = horizon
+    assert labelled_space_from_json(doc).horizon == 6
+
+
 def test_labelled_round_trip():
     built = build_En_space(SphereConfig(2))
     seeds = [c for c in built.core if built.provenance.get(c, "").startswith("given")]

@@ -1,18 +1,22 @@
 """Labelled graphs, relative ranges, and generated set families."""
 import pytest
 
+from corrkit.correspondences import check_morphism
 from corrkit.errors import BudgetError, UnsupportedSpaceError
 from corrkit.labelled import (
     EdgeFamily,
     LabelledGraph,
     build_space,
+    check_labelled_morphism,
     concrete_graph,
     desingularize,
+    induced_morphism,
     is_left_resolving,
     is_weakly_left_resolving,
     label_set,
     relative_range,
     sink_set,
+    to_correspondence,
     truncate_space,
 )
 from corrkit.setexpr import atoms, tail
@@ -103,3 +107,40 @@ def test_concrete_graph_roundtrip():
     assert relative_range(g, atoms("x"), "b") == atoms("x")
     sp = build_space(g)
     assert sp.in_lattice(atoms("y"))
+
+
+# ------------------------------------- functor to correspondences
+
+
+@pytest.fixture(scope="module")
+def e2_trunc():
+    space = truncate_space(build_En_space(SphereConfig(2)), 3)
+    identity_vertices = {v: v for v in space.graph.named_vertices}
+    identity_edges = {e.name: e for e in space.graph.edges}
+    return space, to_correspondence(space), identity_vertices, identity_edges
+
+
+def test_model_correspondence_validates(e2_trunc):
+    _, model, _, _ = e2_trunc
+    rep = model.corr.validate()
+    assert rep.ok and len(rep.checks) == 6, rep.render()
+
+
+def test_identity_labelled_morphism_passes(e2_trunc):
+    space, _, verts, edges = e2_trunc
+    rep = check_labelled_morphism(space, space, verts, edges)
+    assert rep.ok and len(rep.checks) == 6, rep.render()
+
+
+def test_induced_identity_morphism_passes(e2_trunc):
+    _, model, verts, edges = e2_trunc
+    rep = check_morphism(induced_morphism(model, model, verts, edges))
+    assert rep.ok, rep.render()
+
+
+def test_collapsing_vertex_map_fails_injectivity(e2_trunc):
+    space, _, verts, edges = e2_trunc
+    rep = check_labelled_morphism(space, space, {**verts, ("v", 2): ("v", 1)}, edges)
+    failed = {c.name: c.detail for c in rep.failures()}
+    assert "injective on surviving vertices" in failed
+    assert "('v', 2)" in failed["injective on surviving vertices"]
