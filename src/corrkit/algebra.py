@@ -16,7 +16,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .exactlinalg import SpanSolver, Vec, frac, sort_key, vadd, vclean, vec_repr, vscale
+from .exactlinalg import (SpanSolver, Vec, _axpy, _table_apply, frac, sort_key, vclean,
+                          vec_repr)
 from .reports import Report
 
 
@@ -88,13 +89,7 @@ class CommAlgebra:
         return out
 
     def mul(self, x: Vec, y: Vec) -> Vec:
-        out: Vec = {}
-        for a, ca in x.items():
-            for b, cb in y.items():
-                prod = self._table.get((a, b))
-                if prod:
-                    out = vadd(out, vscale(ca * cb, prod))
-        return out
+        return _table_apply(self._table, x, y)
 
     def basis_product(self, a: str, b: str) -> Vec:
         return dict(self._table.get((a, b), {}))
@@ -179,8 +174,7 @@ class CommAlgebra:
                     raise PresentationError(
                         f"{self.name}: orthogonal atoms need depth <= 2 (symbol {b} sits over {c})"
                     )
-                residual = vadd(residual, vscale(-1, self.element(c)))
-            residual = vclean(residual)
+                _axpy(residual, -1, self.element(c))
             if residual:
                 atoms.append(residual)
         # verification

@@ -19,31 +19,21 @@ atoms in a deeper truncation where they are interior.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import CommAlgebra, diagonal_algebra
-from .exactlinalg import (SpanSolver, _axpy, express, frac, is_psd, nullspace,
-                          same_span, solve, sort_key, vadd, vclean, vec_repr,
-                          vscale)
+from .exactlinalg import (SpanSolver, _axpy, _table_apply, express, frac, is_psd,
+                          nullspace, same_span, solve, sort_key, vclean, vec_repr)
 from .reports import Report
 
 Vec = dict
 
 
-def _table_apply(table: dict, x: Vec, y: Vec | None = None) -> Vec:
-    """Sum of c * table[k] over the terms c*k of `x` (linear, every key
-    must be in the table), or of c*d * table[(k, l)] over the terms of
-    `x` and `y` (bilinear, a missing entry is zero).  Accumulates in
-    place with exact cancellation, so no zero coefficient is kept."""
-    if y is None:
-        terms = ((c, table[k]) for k, c in x.items())
-    else:
-        terms = ((c * d, table.get((k, l))) for k, c in x.items() for l, d in y.items())
-    out: Vec = {}
-    for c, entry in terms:
-        if c and entry:
-            _axpy(out, frac(c), entry)
+def _tagged(u: Vec, v: Vec, tags=("X", "Y")) -> Vec:
+    """The pair (u, v) as one vector over tagged keys (tag, key)."""
+    out = {(tags[0], k): c for k, c in u.items()}
+    out.update({(tags[1], k): c for k, c in v.items()})
     return out
 
 
@@ -210,8 +200,8 @@ class FiniteRankOp:
     def apply(self, corr: Correspondence, z: Vec) -> Vec:
         out: Vec = {}
         for c, x, y in self.terms:
-            out = vadd(out, vscale(c, corr.right_action(x, corr.inner_product(y, z))))
-        return vclean(out)
+            _axpy(out, c, corr.right_action(x, corr.inner_product(y, z)))
+        return out
 
     def adjoint(self) -> "FiniteRankOp":
         return FiniteRankOp(tuple((c, y, x) for c, x, y in self.terms))
@@ -307,12 +297,17 @@ class IdealData:
     verdict depends on clipped table rows and must be settled in a
     deeper truncation.  `noncompact` holds unguarded atoms with no
     rank-one decomposition (genuinely outside the ideal).
+    `decompositions` maps the name of each `katsura` atom to the
+    verified rank-one decomposition of its left action that put it
+    there, so the covariance checks (C4) reuse it instead of solving
+    again.
     """
 
     kernel: list
     katsura: list
     deferred: list
     noncompact: list
+    decompositions: dict
 
     def katsura_names(self) -> set:
         return {n for n, _ in self.katsura}
@@ -323,16 +318,18 @@ def kernel_and_jx(corr: Correspondence, guards=frozenset()) -> IdealData:
     katsura = []
     deferred = []
     noncompact = []
+    decompositions = {}
     for name, atom in corr.atoms():
         if all(not corr.left_action(atom, corr.gen(g)) for g in corr.gens):
             kernel.append((name, atom))
         elif any(sym in guards for sym in atom):
             deferred.append((name, atom))
-        elif compact_decomposition(corr, atom) is not None:
+        elif (op := compact_decomposition(corr, atom)) is not None:
             katsura.append((name, atom))
+            decompositions[name] = op
         else:
             noncompact.append((name, atom))
-    return IdealData(kernel, katsura, deferred, noncompact)
+    return IdealData(kernel, katsura, deferred, noncompact, decompositions)
 
 
 # -------------------------------------------------------------- morphisms
@@ -449,12 +446,7 @@ def check_morphism(m: Morphism, src_guards=frozenset(), dst_guards=frozenset()) 
     ok = True
     skipped = []
     for name, atom in src_ideals.katsura:
-        dec = compact_decomposition(src, atom)
-        if dec is None:
-            ok = False
-            rep.add(f"(C4) at {name}", False, "no rank-one decomposition")
-            continue
-        pushed = plus_map(m, dec)
+        pushed = plus_map(m, src_ideals.decompositions[name])
         target_action = {g: dst.left_action(m.apply_alg(atom), dst.gen(g))
                          for g in dst.gens}
         for g in sorted(dst.gens, key=sort_key):
@@ -462,7 +454,7 @@ def check_morphism(m: Morphism, src_guards=frozenset(), dst_guards=frozenset()) 
             if got != target_action[g]:
                 ok = False
                 dst_dec = compact_decomposition(dst, m.apply_alg(atom))
-                detail = f"pushed {plus_map(m, dec).render()}"
+                detail = f"pushed {pushed.render()}"
                 if dst_dec is not None:
                     detail += f" vs {dst_dec.render()}"
                 detail += f"; first mismatch on {g}: {vec_repr(got)} != {vec_repr(target_action[g])}"
@@ -551,13 +543,8 @@ def check_covariant_rep(corr: Correspondence, mod_images: dict, alg_images: dict
     ideals = kernel_and_jx(corr, guards)
     ok = True
     for name, atom in ideals.katsura:
-        dec = compact_decomposition(corr, atom)
-        if dec is None:
-            ok = False
-            rep.add(f"(C4) at {name}", False, "no rank-one decomposition")
-            continue
         total = engine.zero()
-        for c, x, y in dec.terms:
+        for c, x, y in ideals.decompositions[name].terms:
             total = total + c * (eng_mod(x) * eng_mod(y).adj())
         if not engine.equals(total, eng_alg(atom)):
             ok = False
@@ -583,30 +570,24 @@ class RestrictedSum:
     corr: Correspondence
     gen_table: list
     atom_table: list
-    _gen_coords: list = field(repr=False, default_factory=list)
 
     def gen_coords(self, x_part: Vec, y_part: Vec):
         """Express a matched pair in the pair-generator basis."""
-        target = {("X", k): v for k, v in x_part.items()}
-        target.update({("Y", k): v for k, v in y_part.items()})
-        coeffs = express(target, self._gen_coords)
-        if coeffs is None:
-            return None
-        return vclean({name: c for (name, _, _), c in zip(self.gen_table, coeffs)})
+        gens = [_tagged(vx, vy) for _, vx, vy in self.gen_table]
+        return _by_name(self.gen_table, express(_tagged(x_part, y_part), gens))
 
     def atom_coords(self, a_part: Vec, b_part: Vec):
         """Express a matched algebra pair over the pair atoms."""
-        vecs = []
-        for _, va, vb in self.atom_table:
-            v = {("A", k): c for k, c in va.items()}
-            v.update({("B", k): c for k, c in vb.items()})
-            vecs.append(v)
-        target = {("A", k): frac(v) for k, v in a_part.items()}
-        target.update({("B", k): frac(v) for k, v in b_part.items()})
-        coeffs = express(target, vecs)
-        if coeffs is None:
-            return None
-        return vclean({name: c for (name, _, _), c in zip(self.atom_table, coeffs)})
+        atoms = [_tagged(va, vb, ("A", "B")) for _, va, vb in self.atom_table]
+        return _by_name(self.atom_table, express(_tagged(a_part, b_part, ("A", "B")), atoms))
+
+
+def _by_name(table: list, coeffs) -> Vec | None:
+    """Coefficients over the rows of a (name, part, part) table as a
+    vector keyed by row name; None (no expression) passes through."""
+    if coeffs is None:
+        return None
+    return vclean({name: c for (name, _, _), c in zip(table, coeffs)})
 
 
 def _part_name(vec: Vec) -> str:
@@ -626,8 +607,12 @@ def restricted_direct_sum(mx: Morphism, my: Morphism, name: str = "pullback") ->
     the two algebra maps, re-expressed on its orthogonal atoms (found by
     clustering product atoms along the evaluation profile of the
     nullspace); the pair module is the nullspace of the difference of
-    the two module maps.  All tables are componentwise and re-expressed
-    in the computed bases; every expression step is exact and verified.
+    the two module maps.  All tables are componentwise.  The pair atoms
+    and the pair generators, as tagged vectors (see `_tagged`), are each
+    factored once in a `SpanSolver`, and every table entry is written
+    over them by `SpanSolver.express`, which verifies its answer.  Pair
+    atoms are nonzero orthogonal idempotents, so their coefficients are
+    unique; an entry outside either span raises AssertionError.
     """
     if mx.dst is not my.dst:
         raise ValueError("restricted direct sum needs one common target")
@@ -663,11 +648,7 @@ def restricted_direct_sum(mx: Morphism, my: Morphism, name: str = "pullback") ->
         va: Vec = {}
         vb: Vec = {}
         for side, atom in profiles[prof]:
-            if side == "A":
-                va = vadd(va, atom)
-            else:
-                vb = vadd(vb, atom)
-        va, vb = vclean(va), vclean(vb)
+            _axpy(va if side == "A" else vb, 1, atom)
         if mx.apply_alg(va) != my.apply_alg(vb):
             raise AssertionError("pair atom escaped the pullback")
         atom_table.append((f"{_part_name(va)}|{_part_name(vb)}", va, vb))
@@ -693,54 +674,23 @@ def restricted_direct_sum(mx: Morphism, my: Morphism, name: str = "pullback") ->
             raise AssertionError("pair generator escaped the pullback")
         gen_table.append([f"{_part_name(vx)}|{_part_name(vy)}", vx, vy])
     gen_table.sort(key=lambda row: sort_key(row[0]))
-    gen_coords = []
-    for gname, vx, vy in gen_table:
-        coord = {("X", k): c for k, c in vx.items()}
-        coord.update({("Y", k): c for k, c in vy.items()})
-        gen_coords.append(coord)
     if len({n for n, _, _ in gen_table}) != len(gen_table):
         raise AssertionError("pair generator names collide")
 
-    def pair_alg_vec(a_part: Vec, b_part: Vec) -> Vec:
-        out: Vec = {}
-        for pname, va, vb in atom_table:
-            # coefficient on a pair atom: evaluate on any product atom of
-            # the class; verify constancy across the class
-            coeff = None
-            for side, atoms_list, alg, vec in (("A", a_atoms, x_corr.algebra, a_part),
-                                               ("B", b_atoms, y_corr.algebra, b_part)):
-                comp = va if side == "A" else vb
-                for _, atom in atoms_list:
-                    if alg.eval_at_atom(comp, atom):
-                        val = alg.eval_at_atom(vec, atom)
-                        if coeff is None:
-                            coeff = val
-                        elif coeff != val:
-                            raise AssertionError(
-                                "pair element is not constant on a pair atom")
-            if coeff:
-                out[pname] = coeff
-        # verify nothing lives outside the clusters
-        residual_a = dict(a_part)
-        residual_b = dict(b_part)
-        for pname, va, vb in atom_table:
-            c = out.get(pname, Fraction(0))
-            if c:
-                residual_a = vadd(residual_a, vscale(-c, va))
-                residual_b = vadd(residual_b, vscale(-c, vb))
-        if vclean(residual_a) or vclean(residual_b):
-            raise AssertionError("pair element escapes the pair atom span")
-        return vclean(out)
+    atom_solver = SpanSolver(_tagged(va, vb, ("A", "B")) for _, va, vb in atom_table)
+    gen_solver = SpanSolver(_tagged(vx, vy) for _, vx, vy in gen_table)
 
-    gen_solver = SpanSolver(gen_coords)
+    def pair_alg_vec(a_part: Vec, b_part: Vec) -> Vec:
+        out = _by_name(atom_table, atom_solver.express(_tagged(a_part, b_part, ("A", "B"))))
+        if out is None:
+            raise AssertionError("pair element escapes the pair atom span")
+        return out
 
     def pair_mod_vec(x_part: Vec, y_part: Vec) -> Vec:
-        target = {("X", k): frac(v) for k, v in x_part.items()}
-        target.update({("Y", k): frac(v) for k, v in y_part.items()})
-        coeffs = gen_solver.express(target)
-        if coeffs is None:
+        out = _by_name(gen_table, gen_solver.express(_tagged(x_part, y_part)))
+        if out is None:
             raise AssertionError("componentwise action left the pair module")
-        return vclean({gname: c for (gname, _, _), c in zip(gen_table, coeffs)})
+        return out
 
     algebra = diagonal_algebra(f"{name}.algebra", [n for n, _, _ in atom_table])
     inner = {}
@@ -759,7 +709,7 @@ def restricted_direct_sum(mx: Morphism, my: Morphism, name: str = "pullback") ->
             if l:
                 left[(pname, gname)] = l
     corr = Correspondence(name, algebra, [n for n, _, _ in gen_table], inner, right, left)
-    return RestrictedSum(corr, [tuple(r) for r in gen_table], atom_table, gen_coords)
+    return RestrictedSum(corr, [tuple(r) for r in gen_table], atom_table)
 
 
 def check_pullback_hypotheses(mx: Morphism, my: Morphism,
@@ -803,8 +753,7 @@ def check_pullback_hypotheses(mx: Morphism, my: Morphism,
 
     ok = True
     deferred = []
-    for label, corr, guards in (("first", mx.src, x_guards), ("second", my.src, y_guards)):
-        data = kernel_and_jx(corr, guards)
+    for label, data in (("first", ideal_x), ("second", ideal_y)):
         deferred += [f"{label}:{n}" for n, _ in data.deferred]
         for n, _ in data.noncompact:
             ok = False

@@ -7,6 +7,12 @@ reduction, is the one elimination routine for rational systems:
 membership, `express` over generators, and the dense-matrix `solve` and
 `nullspace` (which feed it the matrix columns) all go through it.
 Dense helpers remain for `mat_mul`, `det` and the LDL^T test `is_psd`.
+
+Sparse sums have one accumulation primitive, the in-place `_axpy`;
+`_table_apply` folds it over a linear or bilinear table and is the one
+loop behind algebra products, inner products, module actions and
+morphism maps.  Both are private: they run hundreds of thousands of
+times per suite, too often to wrap for tracing.
 """
 from __future__ import annotations
 
@@ -27,20 +33,10 @@ def vclean(v: Vec) -> Vec:
     return {k: c for k, c in v.items() if c != 0}
 
 
-def vadd(u: Vec, v: Vec) -> Vec:
-    out = dict(u)
-    for k, c in v.items():
-        nc = out.get(k, Fraction(0)) + c
-        if nc:
-            out[k] = nc
-        else:
-            out.pop(k, None)
-    return out
-
-
 def _axpy(out: dict, c, v: dict) -> None:
-    """out += c * v in place; entries that cancel are removed, so key
-    order is the one `vadd` would give."""
+    """out += c * v in place.  Entries that cancel are removed and new
+    keys are appended, so the key order is deterministic in the order
+    of the terms."""
     for k, x in v.items():
         nx = out.get(k, Fraction(0)) + c * x
         if nx:
@@ -49,11 +45,20 @@ def _axpy(out: dict, c, v: dict) -> None:
             out.pop(k, None)
 
 
-def vscale(c, v: Vec) -> Vec:
-    c = frac(c)
-    if c == 0:
-        return {}
-    return {k: c * x for k, x in v.items()}
+def _table_apply(table: dict, x: Vec, y: Vec | None = None) -> Vec:
+    """Sum of c * table[k] over the terms c*k of `x` (linear, every key
+    must be in the table), or of c*d * table[(k, l)] over the terms of
+    `x` and `y` (bilinear, a missing entry is zero).  Accumulates in
+    place through `_axpy`."""
+    if y is None:
+        terms = ((c, table[k]) for k, c in x.items())
+    else:
+        terms = ((c * d, table.get((k, l))) for k, c in x.items() for l, d in y.items())
+    out: Vec = {}
+    for c, entry in terms:
+        if c and entry:
+            _axpy(out, frac(c), entry)
+    return out
 
 
 def sort_key(x: Any):

@@ -97,6 +97,14 @@ def _need(doc, key: str, kind, where: str):
     return val
 
 
+def _opt_list(doc: dict, key: str, where: str) -> list:
+    """An optional list field; a missing key reads as the empty list."""
+    val = doc.get(key, [])
+    if not isinstance(val, list):
+        raise ValidationError(f"{where}: key {key!r} has type {type(val).__name__}")
+    return val
+
+
 # ---------------------------------------------------------------- graphs
 
 def graph_from_json(doc) -> Graph:
@@ -239,7 +247,7 @@ def labelled_graph_from_json(doc):
         raise ValidationError("labelled space: labels must map edge names to labels")
 
     edges = []
-    for e in doc.get("edges", []):
+    for e in _opt_list(doc, "edges", "labelled space"):
         if not isinstance(e, dict) or "name" not in e:
             raise ValidationError(f"edge record {e!r} needs a name")
         name = e["name"]
@@ -257,7 +265,7 @@ def labelled_graph_from_json(doc):
         edges.append(Edge(name, src, dst, lab))
 
     families = []
-    for rec in doc.get("families", []):
+    for rec in _opt_list(doc, "families", "labelled space"):
         base = _need(rec, "edge", str, "family")
         where = f"family {base}"
         src = _endpoint_from_json(_need(rec, "src", (dict, str, list), where), where)
@@ -270,12 +278,17 @@ def labelled_graph_from_json(doc):
         lab = _label_from_json(rec.get("label"), base, where)
         families.append(EdgeFamily(base, start, src, dst, lab))
 
-    bases = set(doc.get("vertex_bases", []))
+    bases = set()
+    for base in _opt_list(doc, "vertex_bases", "labelled space"):
+        if not isinstance(base, str):
+            raise ValidationError(f"labelled space: vertex base {base!r} is not a string")
+        bases.add(base)
     for fam in families:
         for spec in (fam.src, fam.dst):
             if spec[0] == IDX:
                 bases.add(spec[1])
-    for rec in doc.get("B", []):
+    seed_recs = _opt_list(doc, "B", "labelled space")
+    for rec in seed_recs:
         if isinstance(rec, dict) and isinstance(rec.get("base"), str):
             bases.add(rec["base"])
 
@@ -284,7 +297,7 @@ def labelled_graph_from_json(doc):
     if not rep.ok:
         raise ValidationError("labelled space: " + "; ".join(c.line() for c in rep.failures()))
 
-    seeds = tuple(_seed_from_json(rec, bases, "B") for rec in doc.get("B", []))
+    seeds = tuple(_seed_from_json(rec, bases, "B") for rec in seed_recs)
     horizon = doc.get("horizon")
     if horizon is not None:
         horizon = _int(horizon, "labelled space: horizon")
@@ -341,23 +354,25 @@ def _seed_json(s: SetExpr) -> dict:
 # -------------------------------------------------------- correspondences
 
 def correspondence_from_json(doc) -> Correspondence:
+    if not isinstance(doc, dict):
+        raise ValidationError(f"correspondence: {doc!r} is not an object")
     name = doc.get("name", "X")
     alg = algebra_from_json(_need(doc, "algebra", dict, f"correspondence {name}"))
     gens = _need(doc, "generators", list, f"correspondence {name}")
     inner = {}
-    for rec in doc.get("inner", []):
+    for rec in _opt_list(doc, "inner", f"correspondence {name}"):
         g = _need(rec, "left", str, "inner")
         h = _need(rec, "right", str, "inner")
         inner[(g, h)] = parse_vec(_need(rec, "out", (list, dict), f"inner ({g},{h})"),
                                   f"inner ({g},{h})")
     right = {}
-    for rec in doc.get("right", []):
+    for rec in _opt_list(doc, "right", f"correspondence {name}"):
         g = _need(rec, "gen", str, "right")
         b = _need(rec, "alg", str, "right")
         right[(g, b)] = parse_vec(_need(rec, "out", (list, dict), f"right ({g},{b})"),
                                   f"right ({g},{b})")
     left = {}
-    for rec in doc.get("left", []):
+    for rec in _opt_list(doc, "left", f"correspondence {name}"):
         b = _need(rec, "alg", str, "left")
         g = _need(rec, "gen", str, "left")
         left[(b, g)] = parse_vec(_need(rec, "out", (list, dict), f"left ({b},{g})"),

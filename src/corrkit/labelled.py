@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import BudgetError, UnsupportedSpaceError
-from .exactlinalg import express, sort_key, vadd, vclean, vscale
+from .exactlinalg import _axpy, express, sort_key
 from .setexpr import SetExpr, atoms as atom_set, tail, union_all
 
 CONST = "const"
@@ -717,8 +717,8 @@ def induced_morphism(model_e: CorrespondenceModel, model_f: CorrespondenceModel,
         vec: dict = {}
         for c, img in zip(coeffs, member_images):
             if c:
-                vec = vadd(vec, vscale(c, model_f.algebra_vector(img)))
-        alg_map[cn] = vclean(vec)
+                _axpy(vec, c, model_f.algebra_vector(img))
+        alg_map[cn] = vec
     for lab in model_e.labels:
         rl = render_label(lab)
         ilab = lmap.get(lab)
@@ -732,6 +732,6 @@ def induced_morphism(model_e: CorrespondenceModel, model_f: CorrespondenceModel,
             vec = {}
             for c, img in zip(model_e.member_coeffs[cn], member_images):
                 if c:
-                    vec = vadd(vec, vscale(c, model_f.module_vector(ilab, img)))
-            mod_map[gen] = vclean(vec)
+                    _axpy(vec, c, model_f.module_vector(ilab, img))
+            mod_map[gen] = vec
     return Morphism(model_e.corr, model_f.corr, alg_map, mod_map)

@@ -16,7 +16,7 @@ from random import Random
 from .engine import Engine
 from .exactlinalg import det
 from .labelled import (LabelledGraph, build_space, concrete_graph,
-                       relative_range)
+                       label_instances, relative_range)
 from .reports import Report
 from .setexpr import SetExpr, atoms as atom_set, tail
 from .smith import smith_normal_form
@@ -27,18 +27,6 @@ DEFAULT_CASES = 1000
 
 _MATERIALIZE_TO = 14
 _COMPARE_TO = 8
-
-
-def _alphabet(g: LabelledGraph) -> list:
-    labs = []
-    for e in g.edges:
-        if e.label not in labs:
-            labs.append(e.label)
-    for fam in g.families:
-        lab = fam.label_at(fam.start)
-        if lab not in labs:
-            labs.append(lab)
-    return sorted(labs)
 
 
 def _branchy_graph():
@@ -56,9 +44,10 @@ def _engines():
     eng1 = Engine(build_space(cg, generators=[atom_set(v)
                                               for v in "abcd"]))
     eng2 = Engine(build_En_space(SphereConfig(2, 4)))
-    return [(eng1, _alphabet(cg),
+    return [(eng1, sorted(label_instances(cg, eng1.space.horizon)),
              [atom_set(v) for v in "abcd"]),
-            (eng2, _alphabet(build_En_graph(SphereConfig(2, 4))),
+            (eng2, sorted(label_instances(build_En_graph(SphereConfig(2, 4)),
+                                          eng2.space.horizon)),
              [atom_set("u1"), atom_set("w1"), tail("v", 1), tail("v", 3),
               atom_set("w2").union(tail("v", 1))])]
 
@@ -208,7 +197,7 @@ def range_cocycle_suite(cases: int = DEFAULT_CASES,
                 atom_set("w2").union(tail("v", 1))])]
     bad_union = bad_mono = bad_meet = bad_walk = ""
     for g, pool in graphs:
-        labels = _alphabet(g)
+        labels = sorted(label_instances(g, _MATERIALIZE_TO))
         edges = _finite_edges(g, _MATERIALIZE_TO)
         for _ in range(cases // 2):
             a = pool[rng.randrange(len(pool))]

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import CommAlgebra, diagonal_algebra
-from .correspondences import (Correspondence, Morphism, check_covariant_rep,
+from .correspondences import (Correspondence, Morphism, _tagged, check_covariant_rep,
                               check_morphism, check_pullback_hypotheses,
                               kernel_and_jx, restricted_direct_sum, theta)
 from .engine import Engine, check_graph_hom, substitute
@@ -703,12 +703,6 @@ def expected_pair_projections(cfg: SphereConfig) -> list:
     out.append(({f"P{n + 1}": ONE}, {}))
     out.append(({}, {f"R{n + 1}": ONE}))
     out.extend(({}, {f"Q{j}": ONE}) for j in range(1, N + 1))
-    return out
-
-
-def _tagged(u: dict, v: dict, tags=("X", "Y")) -> dict:
-    out = {(tags[0], k): c for k, c in u.items()}
-    out.update({(tags[1], k): c for k, c in v.items()})
     return out
 
 

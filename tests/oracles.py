@@ -111,6 +111,18 @@ def _vscale(c, x: dict) -> dict:
     return {t: c * d for t, d in x.items() if c * d}
 
 
+def recombine_pair(table, coeffs: dict) -> tuple:
+    """The pair sum of c * (u, v) over the rows (name, u, v) of a pair
+    table, with c = coeffs[name] (absent names count as zero)."""
+    left: dict = {}
+    right: dict = {}
+    for name, u, v in table:
+        c = coeffs.get(name, 0)
+        left = _vadd(left, _vscale(c, u))
+        right = _vadd(right, _vscale(c, v))
+    return left, right
+
+
 class NaiveCalc:
     """Normal-term arithmetic on a finite concrete labelled graph.
 

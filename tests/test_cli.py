@@ -1,4 +1,5 @@
 """Command-line interface: phrases, formats, exit codes."""
+import hashlib
 import json
 import pathlib
 import subprocess
@@ -69,6 +70,18 @@ def test_exit_validation_error(tmp_path):
     run("ktheory", doc, expect=3)
 
 
+def _mutated(tmp_path, source, path, value):
+    """A copy of a data file with the field at `path` set to `value`."""
+    doc = json.loads((DATA / source).read_text())
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    return bad
+
+
 @pytest.mark.parametrize("path, value", [
     (("families", 0, "dst", "offset"), "x"),
     (("horizon",), "deep"),
@@ -76,16 +89,34 @@ def test_exit_validation_error(tmp_path):
     (("B", 2, "tail"), [1]),
 ], ids=["offset", "horizon", "from", "tail"])
 def test_malformed_integer_field_exits_3(tmp_path, path, value):
-    doc = json.loads((DATA / "en_labelled_n2.json").read_text())
-    target = doc
-    for key in path[:-1]:
-        target = target[key]
-    target[path[-1]] = value
-    bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps(doc))
+    bad = _mutated(tmp_path, "en_labelled_n2.json", path, value)
     proc = run("labelled-check", bad, expect=3)
     assert "Traceback" not in proc.stderr
     assert "is not an integer" in proc.stderr
+
+
+@pytest.mark.parametrize("command, source, path, value, message", [
+    ("labelled-check", "en_labelled_n2.json", ("edges",), 5, "key 'edges' has type int"),
+    ("labelled-check", "en_labelled_n2.json", ("families",), 5, "key 'families' has type int"),
+    ("labelled-check", "en_labelled_n2.json", ("B",), 5, "key 'B' has type int"),
+    ("labelled-check", "en_labelled_n2.json", ("vertex_bases",), 5,
+     "key 'vertex_bases' has type int"),
+    ("labelled-check", "en_labelled_n2.json", ("vertex_bases",), [["v"]],
+     "vertex base ['v'] is not a string"),
+    ("corr-check", "hilbert_1dim.json", ("correspondence", "inner"), 5,
+     "key 'inner' has type int"),
+    ("corr-check", "hilbert_1dim.json", ("correspondence", "right"), 5,
+     "key 'right' has type int"),
+    ("corr-check", "hilbert_1dim.json", ("correspondence", "left"), 5,
+     "key 'left' has type int"),
+    ("corr-check", "hilbert_1dim.json", ("correspondence",), 5, "5 is not an object"),
+], ids=["edges", "families", "B", "vertex_bases", "vertex_base", "inner", "right", "left",
+        "correspondence"])
+def test_malformed_list_field_exits_3(tmp_path, command, source, path, value, message):
+    bad = _mutated(tmp_path, source, path, value)
+    proc = run(command, bad, expect=3)
+    assert "Traceback" not in proc.stderr
+    assert message in proc.stderr
 
 
 def test_exit_budget_error():
@@ -98,6 +129,21 @@ def test_json_deterministic_across_jobs():
     assert a == b
     for line in a.splitlines():
         json.loads(line)
+
+
+# sha256 of the `verify-sphere --trunc 4 --format json` stream, recorded at
+# commit 7cef42b.  Refactors of the exact layers must keep every verdict
+# and every detail string byte-identical, so any change here is deliberate.
+VERIFY_SPHERE_JSON_SHA256 = {
+    1: "de360f1d7b41030bd11941fa28e9cc1bed4b128c31070b6f0f9d934d50b92deb",
+    2: "33043b1771824eb4e3fb7e05c44d4ab0a786c647387ae3d9f2894e85c69127dd",
+}
+
+
+@pytest.mark.parametrize("n", sorted(VERIFY_SPHERE_JSON_SHA256))
+def test_verify_sphere_json_stream_is_pinned(n):
+    out = run("verify-sphere", "--n", n, "--trunc", 4, "--format", "json").stdout
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_SPHERE_JSON_SHA256[n]
 
 
 def test_properties_subcommand_seeded():

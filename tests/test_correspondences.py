@@ -17,6 +17,8 @@ from corrkit.correspondences import (
 )
 from corrkit.spheres import SphereConfig, build_X_A, build_mirror_sum, y_guard_symbols
 
+from oracles import recombine_pair
+
 
 def _hilbert(name, gens):
     """A correspondence over the one-dimensional algebra: plain inner
@@ -64,6 +66,11 @@ def test_kernel_and_katsura_ideal_frozen():
         assert [name for name, _ in data.kernel] == [f"P{n + 1}"]
         assert [name for name, _ in data.katsura] == [f"P{i}" for i in range(1, n + 1)]
         assert data.deferred == [] and data.noncompact == []
+        assert list(data.decompositions) == [name for name, _ in data.katsura]
+        for name, atom in data.katsura:
+            op = data.decompositions[name]
+            for g in x.gens:
+                assert op.apply(x, x.gen(g)) == x.left_action(atom, x.gen(g))
 
 
 def test_compact_decomposition_witnesses():
@@ -99,6 +106,24 @@ def test_restricted_sum_and_pullback_hypotheses():
     assert rep.ok, rep.render()
     assert rsum.corr.validate().ok
     assert rsum.corr.gens
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_restricted_sum_tables_recombine_componentwise(n):
+    """Every glued table entry, recombined through the pair atoms or the
+    pair generators, is the pair of componentwise X and Y values."""
+    rsum, psi, omega = build_mirror_sum(SphereConfig(n))
+    x, y, glued = psi.src, omega.src, rsum.corr
+    for g, gx, gy in rsum.gen_table:
+        for h, hx, hy in rsum.gen_table:
+            got = recombine_pair(rsum.atom_table,
+                                 glued.inner_product(glued.gen(g), glued.gen(h)))
+            assert got == (x.inner_product(gx, hx), y.inner_product(gy, hy)), (g, h)
+        for p, pa, pb in rsum.atom_table:
+            got = recombine_pair(rsum.gen_table, glued.right_action(glued.gen(g), {p: 1}))
+            assert got == (x.right_action(gx, pa), y.right_action(gy, pb)), (g, p)
+            got = recombine_pair(rsum.gen_table, glued.left_action({p: 1}, glued.gen(g)))
+            assert got == (x.left_action(pa, gx), y.left_action(pb, gy)), (p, g)
 
 
 def test_pullback_rejects_mismatched_targets():

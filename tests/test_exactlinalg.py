@@ -4,9 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from corrkit.exactlinalg import (SpanSolver, det, express, frac, is_psd,
-                                 nullspace, same_span, solve, sort_key, vadd,
-                                 vclean, vec_repr)
+from corrkit.exactlinalg import (SpanSolver, _axpy, det, express, frac, is_psd,
+                                 nullspace, same_span, solve, sort_key, vclean,
+                                 vec_repr)
 
 
 def test_frac_accepts_strings_and_ints():
@@ -19,10 +19,13 @@ def test_vclean_drops_zeros():
     assert vclean({"a": Fraction(0), "b": Fraction(2)}) == {"b": Fraction(2)}
 
 
-def test_vadd_cancels():
-    u = {"a": Fraction(1), "b": Fraction(2)}
-    v = {"a": Fraction(-1), "c": Fraction(1)}
-    assert vadd(u, v) == {"b": Fraction(2), "c": Fraction(1)}
+def test_axpy_cancels_in_place_and_keeps_key_order():
+    out = {"a": Fraction(1), "b": Fraction(2)}
+    _axpy(out, Fraction(-1, 2), {"c": Fraction(2), "a": Fraction(2), "d": Fraction(4)})
+    assert out == {"b": Fraction(2), "c": Fraction(-1), "d": Fraction(-2)}
+    assert list(out) == ["b", "c", "d"]
+    _axpy(out, 2, {"a": Fraction(1), "c": Fraction(1, 2)})
+    assert list(out.items()) == [("b", Fraction(2)), ("d", Fraction(-2)), ("a", Fraction(2))]
 
 
 def test_sort_key_orders_mixed_types():
