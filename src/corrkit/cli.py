@@ -10,7 +10,9 @@ algebraic suites.
 
 Exit codes: 0 all checks passed, 1 at least one check legitimately
 failed, 2 unreadable input, 3 readable but inconsistent input, 4 a
-configured budget was exceeded.
+configured budget was exceeded, 5 an internal error (a self-check such
+as the Smith-form verification raised), reported as one
+`error: internal: ...` line on stderr.
 
 With --format json every check becomes one JSON line and a trailing
 summary line carries the counts; the stream is identical for identical
@@ -38,6 +40,7 @@ EXIT_FAIL = 1
 EXIT_PARSE = 2
 EXIT_VALIDATION = 3
 EXIT_BUDGET = 4
+EXIT_INTERNAL = 5
 
 
 def _add_format(sp) -> None:
@@ -242,6 +245,10 @@ def main(argv=None) -> int:
     except BudgetError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
+    except Exception as exc:
+        detail = " ".join(f"{type(exc).__name__}: {exc}".split())
+        print(f"error: internal: {detail}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -6,7 +6,10 @@ arbitrary hashable symbols.  `SpanSolver`, an incremental sparse row
 reduction, is the one elimination routine for rational systems:
 membership, `express` over generators, and the dense-matrix `solve` and
 `nullspace` (which feed it the matrix columns) all go through it.
-Dense helpers remain for `mat_mul`, `det` and the LDL^T test `is_psd`.
+Dense helpers remain for `mat_mul`, `det` and the LDL^T test `is_psd`;
+`mat_mul` keeps the entry type (integer matrices multiply in `int`s)
+and `det` is Bareiss's fraction-free elimination, so the Smith-form
+check that calls them never builds a `Fraction` on integer input.
 
 Sparse sums have one accumulation primitive, the in-place `_axpy`;
 `_table_apply` folds it over a linear or bilinear table and is the one
@@ -17,6 +20,7 @@ times per suite, too often to wrap for tracing.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Any, Hashable, Iterable, Sequence
 
 Vec = dict  # sparse vector: hashable key -> Fraction (zeros omitted)
@@ -233,21 +237,20 @@ def express(target: Vec, gens: Sequence[Vec]) -> list[Fraction] | None:
 # ------------------------------------------------------------- dense matrices
 
 
-def mat_mul(a: Sequence[Sequence], b: Sequence[Sequence]) -> list[list[Fraction]]:
-    n, k = len(a), len(b)
+def mat_mul(a: Sequence[Sequence], b: Sequence[Sequence]) -> list[list]:
+    """Exact matrix product that keeps the entry type: the accumulators
+    start at int 0 and the entries are multiplied as given, so `int`
+    matrices give `int` entries and `Fraction` entries stay exact."""
     m = len(b[0]) if b else 0
-    out = [[Fraction(0)] * m for _ in range(n)]
-    for i in range(n):
-        ai = a[i]
-        oi = out[i]
-        for t in range(k):
-            c = frac(ai[t])
-            if c == 0:
-                continue
-            bt = b[t]
-            for j in range(m):
-                if bt[j]:
-                    oi[j] += c * frac(bt[j])
+    out = []
+    for ai in a:
+        oi = [0] * m
+        for c, bt in zip(ai, b):
+            if c:
+                for j, x in enumerate(bt):
+                    if x:
+                        oi[j] += c * x
+        out.append(oi)
     return out
 
 
@@ -288,23 +291,36 @@ def is_psd(g: Sequence[Sequence]) -> bool:
 
 
 def det(a: Sequence[Sequence]) -> Fraction:
-    """Determinant by fraction-free elimination (exact)."""
+    """Exact determinant of a square matrix of `int`s and `Fraction`s.
+
+    Each row is scaled to integers by the lcm of its denominators (an
+    `int` has denominator 1, so integer rows are taken as they are), and
+    Bareiss's fraction-free elimination (Math. Comp. 22, 1968) runs on
+    the integer matrix: every division by the previous pivot is exact,
+    so no `Fraction` is formed until the result, the last pivot over the
+    product of the row scales.
+    """
     n = len(a)
-    m = [[frac(x) for x in row] for row in a]
-    sign = 1
-    out = Fraction(1)
+    m = []
+    scale = 1
+    for row in a:
+        d = lcm(*(x.denominator for x in row))
+        m.append([x.numerator * (d // x.denominator) for x in row])
+        scale *= d
+    sign, prev = 1, 1
     for c in range(n):
-        pr = next((i for i in range(c, n) if m[i][c] != 0), None)
+        pr = next((i for i in range(c, n) if m[i][c]), None)
         if pr is None:
             return Fraction(0)
         if pr != c:
             m[c], m[pr] = m[pr], m[c]
             sign = -sign
-        out *= m[c][c]
-        inv = m[c][c]
+        mc = m[c]
+        p = mc[c]
         for i in range(c + 1, n):
-            if m[i][c] != 0:
-                f = m[i][c] / inv
-                for j in range(c, n):
-                    m[i][j] -= f * m[c][j]
-    return sign * out
+            mi = m[i]
+            f = mi[c]
+            for j in range(c + 1, n):
+                mi[j] = (p * mi[j] - f * mc[j]) // prev
+        prev = p
+    return Fraction(sign * prev, scale)

@@ -1,19 +1,25 @@
 """Command-line interface: phrases, formats, exit codes."""
 import hashlib
 import json
+import os
 import pathlib
 import subprocess
 import sys
 
 import pytest
 
-DATA = pathlib.Path(__file__).resolve().parent.parent / "data"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+DATA = ROOT / "data"
+# the child interpreter finds the package the way the test process does,
+# with or without PYTHONPATH=src set by hand
+ENV = {**os.environ,
+       "PYTHONPATH": os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
 
 
 def run(*args, expect=0):
     proc = subprocess.run(
         [sys.executable, "-m", "corrkit", *map(str, args)],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=ENV)
     assert proc.returncode == expect, (proc.returncode, proc.stdout, proc.stderr)
     return proc
 
@@ -121,6 +127,20 @@ def test_malformed_list_field_exits_3(tmp_path, command, source, path, value, me
 
 def test_exit_budget_error():
     run("labelled-check", DATA / "en_labelled_n2.json", "--budget", 2, expect=4)
+
+
+def test_internal_error_exits_5_without_traceback(monkeypatch, capsys):
+    import corrkit.ktheory
+    from corrkit.cli import EXIT_INTERNAL, main
+
+    def broken_solve(m, b):
+        raise AssertionError("SNF verification: U*M*V != S")
+
+    monkeypatch.setattr(corrkit.ktheory, "integer_solve", broken_solve)
+    assert main(["obstruction", "--max-vertices", "3"]) == EXIT_INTERNAL == 5
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err == "error: internal: AssertionError: SNF verification: U*M*V != S\n"
 
 
 def test_json_deterministic_across_jobs():

@@ -5,8 +5,10 @@ from fractions import Fraction
 import pytest
 
 from corrkit.exactlinalg import (SpanSolver, _axpy, det, express, frac, is_psd,
-                                 nullspace, same_span, solve, sort_key, vclean,
-                                 vec_repr)
+                                 mat_mul, nullspace, same_span, solve, sort_key,
+                                 vclean, vec_repr)
+
+from oracles import int_det
 
 
 def test_frac_accepts_strings_and_ints():
@@ -104,6 +106,68 @@ def test_det_small():
     assert det([[2, 0], [0, 3]]) == 6
     assert det([[1, 2], [2, 4]]) == 0
     assert det([[0, 1], [1, 0]]) == -1
+
+
+def _square_cases(seed, entry):
+    """Seeded square matrices up to 6 x 6 (0 x 0 first) with entries from
+    `entry(rng)`, plus singular ones (a repeated row) and ones whose
+    (0, 0) entry is zero, so elimination must swap rows."""
+    rng = random.Random(seed)
+    cases = [[]]
+    for k in range(120):
+        n = rng.randint(1, 6)
+        m = [[entry(rng) for _ in range(n)] for _ in range(n)]
+        if k % 4 == 1 and n > 1:
+            m[-1] = list(m[0])
+        elif k % 4 == 2:
+            m[0][0] = 0
+        cases.append(m)
+    return cases
+
+
+def _int_entry(rng):
+    return rng.choice([0, rng.randint(-3, 3), rng.randint(-10**12, 10**12)])
+
+
+def _mixed_entry(rng):
+    if rng.random() < 0.5:
+        return _int_entry(rng)
+    return Fraction(rng.randint(-10**12, 10**12), rng.randint(1, 10**6))
+
+
+def test_det_matches_cofactor_oracle_on_integers():
+    for m in _square_cases(17, _int_entry):
+        d = det(m)
+        assert type(d) is Fraction and d == int_det(m), m
+
+
+def test_det_matches_sympy_on_rationals():
+    sympy = pytest.importorskip("sympy")
+    for m in _square_cases(18, _mixed_entry):
+        expect = sympy.Matrix(m).det() if m else 1
+        assert det(m) == Fraction(int(sympy.numer(expect)), int(sympy.denom(expect))), m
+
+
+def test_det_edge_cases():
+    assert det([]) == 1 and type(det([])) is Fraction
+    assert det([[1, 0], [2, 0]]) == Fraction(0)
+    assert det([[0, 1, 0], [1, 0, 0], [0, 0, 1]]) == -1
+    assert det([[Fraction(1, 2), 1], [3, Fraction(2, 3)]]) == Fraction(-8, 3)
+
+
+def test_mat_mul_keeps_ints_and_matches_fraction_product():
+    rng = random.Random(19)
+    for _ in range(150):
+        n, k, m = (rng.randint(0, 6) for _ in range(3))
+        a = [[_int_entry(rng) for _ in range(k)] for _ in range(n)]
+        b = [[_int_entry(rng) for _ in range(m)] for _ in range(k)]
+        prod = mat_mul(a, b)
+        assert all(type(x) is int for row in prod for x in row)
+        expect = [[sum((Fraction(a[i][t]) * Fraction(b[t][j]) for t in range(k)), Fraction(0))
+                   for j in range(m if k else 0)] for i in range(n)]
+        assert prod == expect, (a, b)
+        fa = [[Fraction(x, 7) for x in row] for row in a]
+        assert mat_mul(fa, b) == [[x / 7 for x in row] for row in expect]
 
 
 @pytest.mark.parametrize("g,expect", [

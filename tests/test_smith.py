@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from corrkit.smith import integer_solve, invariant_factors, smith_normal_form
+from corrkit.smith import _verify, integer_solve, invariant_factors, smith_normal_form
 
 from oracles import int_det, minor_gcd_invariant_factors
 
@@ -71,3 +71,87 @@ def test_torsion_detected():
 ])
 def test_oracle_agreement_fixed(m):
     assert invariant_factors(m) == minor_gcd_invariant_factors(m)
+
+
+def _broken_properties(m, u, s, v):
+    """The Smith-form properties that (u, s, v) breaks for m, judged
+    independently of `smith._verify`."""
+    rows, cols = len(s), len(s[0])
+    diag = [s[i][i] for i in range(min(rows, cols))]
+    broken = set()
+    if any(s[i][j] for i in range(rows) for j in range(cols) if i != j):
+        broken.add("not diagonal")
+    if any(a == 0 and b != 0 for a, b in zip(diag, diag[1:])):
+        broken.add("zero before nonzero")
+    if any(a != 0 and b % a for a, b in zip(diag, diag[1:])):
+        broken.add("divisibility")
+    if any(d < 0 for d in diag):
+        broken.add("negative")
+    if abs(int_det(u)) != 1:
+        broken.add("U")
+    if abs(int_det(v)) != 1:
+        broken.add("V")
+    if _matmul(_matmul(u, m), v) != s:
+        broken.add("product")
+    return broken
+
+
+_I2 = [[1, 0], [0, 1]]
+_SWAP = [[0, 1], [1, 0]]
+
+# Each case is a factorisation (m, u, s, v) of a valid shape with exactly
+# one property broken: the refusal it must raise and that property.
+_TAMPERED = {
+    # u adds row 2 to row 1, so U M V keeps an off-diagonal entry
+    "off-diagonal": (([[1, 0], [0, 2]], [[1, 1], [0, 1]], [[1, 2], [0, 2]], _I2),
+                     "result not diagonal", "not diagonal"),
+    # the valid diag(1, 0) with its rows and columns swapped
+    "zero-first": (([[1, 0], [0, 0]], _SWAP, [[0, 0], [0, 1]], _SWAP),
+                   "zero before nonzero on diagonal", "zero before nonzero"),
+    "divisibility": (([[2, 0], [0, 3]], _I2, [[2, 0], [0, 3]], _I2),
+                     "divisibility chain broken", "divisibility"),
+    # u negates the second row
+    "negative": (([[1, 0], [0, 2]], [[1, 0], [0, -1]], [[1, 0], [0, -2]], _I2),
+                 "negative diagonal entry", "negative"),
+    "negative-1x1": (([[3]], [[-1]], [[-3]], [[1]]),
+                     "negative diagonal entry", "negative"),
+    "U-det-2": (([[1, 0], [0, 1]], [[1, 0], [0, 2]], [[1, 0], [0, 2]], _I2),
+                "U not unimodular", "U"),
+    "V-det-2": (([[1, 0], [0, 1]], _I2, [[1, 0], [0, 2]], [[1, 0], [0, 2]]),
+                "V not unimodular", "V"),
+    "product": (([[1, 0], [0, 2]], _I2, [[1, 0], [0, 1]], _I2),
+                "U\\*M\\*V != S", "product"),
+}
+
+
+@pytest.mark.parametrize("case", list(_TAMPERED), ids=list(_TAMPERED))
+def test_verify_refuses_each_broken_property(case):
+    (m, u, s, v), message, prop = _TAMPERED[case]
+    assert _broken_properties(m, u, s, v) == {prop}
+    with pytest.raises(AssertionError, match=f"^SNF verification: {message}$"):
+        _verify(m, u, s, v)
+
+
+def test_verify_accepts_computed_factorisations():
+    rng = random.Random(4)
+    for _ in range(50):
+        m = [[rng.randint(-9, 9) for _ in range(rng.randint(1, 4))]]
+        m += [[rng.randint(-9, 9) for _ in m[0]] for _ in range(rng.randint(0, 3))]
+        u, s, v = smith_normal_form(m)
+        assert _broken_properties(m, u, s, v) == set()
+        _verify(m, u, s, v)
+
+
+def test_against_sympy_invariant_factors():
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import invariant_factors as sympy_factors
+
+    rng = random.Random(20260)
+    shapes = [(0, 0), (2, 0), (0, 3), (3, 3), (1, 4), (4, 1)]
+    shapes += [(rng.randint(1, 5), rng.randint(0, 5)) for _ in range(194)]
+    for k, (rows, cols) in enumerate(shapes):
+        hi = 0 if k % 10 == 3 else rng.choice([2, 9, 1000])
+        m = [[rng.randint(-hi, hi) for _ in range(cols)] for _ in range(rows)]
+        mat = sympy.Matrix(m) if rows and cols else sympy.zeros(rows, cols)
+        expect = [abs(int(d)) for d in sympy_factors(mat) if d]
+        assert invariant_factors(m) == expect, m
