@@ -228,7 +228,7 @@ def ops_agree(corr: Correspondence, a: FiniteRankOp, b: FiniteRankOp) -> bool:
                for g in corr.gens)
 
 
-def compact_decomposition(corr: Correspondence, a, prune: bool = True):
+def compact_decomposition(corr: Correspondence, a):
     """Rank-one decomposition of the left action of `a`, or None.
 
     Solves for coefficients over generator-pair theta symbols so the
@@ -275,7 +275,7 @@ def compact_decomposition(corr: Correspondence, a, prune: bool = True):
                   if any(corr.inner_product(corr.gen(y), corr.gen(z))
                          for z in touched)]
     op = attempt(out_support, in_support)
-    if op is None and prune:
+    if op is None:
         allg = sorted(corr.gens, key=sort_key)
         op = attempt(allg, allg)
     if op is None:
@@ -468,8 +468,7 @@ def check_morphism(m: Morphism, src_guards=frozenset(), dst_guards=frozenset()) 
 
 
 def check_covariant_rep(corr: Correspondence, mod_images: dict, alg_images: dict,
-                        engine, guards=frozenset(), check_c4: bool = True,
-                        c1_defer=frozenset()) -> Report:
+                        engine, guards=frozenset(), c1_defer=frozenset()) -> Report:
     """Covariant-representation conditions for images inside an engine.
 
     `mod_images` maps generator symbols and `alg_images` algebra basis
@@ -484,19 +483,6 @@ def check_covariant_rep(corr: Correspondence, mod_images: dict, alg_images: dict
     expected to verify them against the exact value in the engine.
     """
     rep = Report(f"covariant representation of {corr.name}")
-
-    def eng_alg(vec: Vec):
-        out = engine.zero()
-        for sym, c in vec.items():
-            out = out + c * alg_images[sym]
-        return out
-
-    def eng_mod(vec: Vec):
-        out = engine.zero()
-        for sym, c in vec.items():
-            out = out + c * mod_images[sym]
-        return out
-
     deferred_pairs = {tuple(p) for p in c1_defer} | {(b, a) for a, b in c1_defer}
     ok = True
     skipped = []
@@ -505,7 +491,7 @@ def check_covariant_rep(corr: Correspondence, mod_images: dict, alg_images: dict
             skipped.append(f"({g},{h})")
             continue
         lhs = mod_images[g].adj() * mod_images[h]
-        rhs = eng_alg(corr.inner_product(corr.gen(g), corr.gen(h)))
+        rhs = engine.combine(corr.inner_product(corr.gen(g), corr.gen(h)), alg_images)
         if not engine.equals(lhs, rhs):
             ok = False
             rep.add(f"(C1) at ({g},{h})", False)
@@ -516,8 +502,8 @@ def check_covariant_rep(corr: Correspondence, mod_images: dict, alg_images: dict
     ok = True
     for a in basis:
         for b in basis:
-            lhs = eng_alg({a: Fraction(1)}) * eng_alg({b: Fraction(1)})
-            rhs = eng_alg(corr.algebra.basis_product(a, b))
+            lhs = alg_images[a] * alg_images[b]
+            rhs = engine.combine(corr.algebra.basis_product(a, b), alg_images)
             if not engine.equals(lhs, rhs):
                 ok = False
                 rep.add(f"algebra relations at ({a},{b})", False)
@@ -526,27 +512,26 @@ def check_covariant_rep(corr: Correspondence, mod_images: dict, alg_images: dict
     ok = True
     for b in basis:
         for g in sorted(corr.gens, key=sort_key):
-            lhs = eng_alg({b: Fraction(1)}) * mod_images[g]
-            rhs = eng_mod(corr.left_action({b: 1}, corr.gen(g)))
+            lhs = alg_images[b] * mod_images[g]
+            rhs = engine.combine(corr.left_action({b: 1}, corr.gen(g)), mod_images)
             if not engine.equals(lhs, rhs):
                 ok = False
                 rep.add(f"(C2) at ({b},{g})", False)
-            lhs = mod_images[g] * eng_alg({b: Fraction(1)})
-            rhs = eng_mod(corr.right_action(corr.gen(g), {b: 1}))
+            lhs = mod_images[g] * alg_images[b]
+            rhs = engine.combine(corr.right_action(corr.gen(g), {b: 1}), mod_images)
             if not engine.equals(lhs, rhs):
                 ok = False
                 rep.add(f"right action at ({g},{b})", False)
     rep.add("(C2) left actions realized (and right actions)", ok)
 
-    if not check_c4:
-        return rep
     ideals = kernel_and_jx(corr, guards)
     ok = True
     for name, atom in ideals.katsura:
         total = engine.zero()
         for c, x, y in ideals.decompositions[name].terms:
-            total = total + c * (eng_mod(x) * eng_mod(y).adj())
-        if not engine.equals(total, eng_alg(atom)):
+            total = total + c * (engine.combine(x, mod_images)
+                                 * engine.combine(y, mod_images).adj())
+        if not engine.equals(total, engine.combine(atom, alg_images)):
             ok = False
             rep.add(f"(C4) at {name}", False, "image sum differs from atom image")
     deferred = ", ".join(n for n, _ in ideals.deferred)

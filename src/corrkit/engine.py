@@ -33,11 +33,14 @@ from fractions import Fraction
 
 from .errors import BudgetError, UnsupportedSpaceError
 from .exactlinalg import frac, sort_key
-from .labelled import (LabelledSpace, full_set, label_set, relative_range,
-                       sink_set)
+from .labelled import (LabelledSpace, full_set, label_instances, label_set,
+                       relative_range, sink_set)
 from .setexpr import EMPTY, SetExpr, atoms as atom_set
 
 MAX_GROUP_SETS = 14
+TERM_BUDGET = 20000  # terms allowed in a product or an equality difference
+EQUALS_DEPTH = 3  # joint expansion rounds before a residual is a witness
+TAUTOLOGY_SETS = 40  # core sets sampled by `tautological_checks`
 
 
 def _word_key(word: tuple):
@@ -117,10 +120,9 @@ def render_term(alpha: tuple, s: SetExpr, beta: tuple) -> str:
 class Engine:
     """Term arithmetic and equality for one labelled space."""
 
-    def __init__(self, space: LabelledSpace, term_budget: int = 20000):
+    def __init__(self, space: LabelledSpace):
         self.space = space
         self.graph = space.graph
-        self.term_budget = term_budget
         self._full = full_set(space.graph)
         self._sinks = sink_set(space.graph)
         self._range_cache: dict[tuple, SetExpr] = {(): self._full}
@@ -157,6 +159,13 @@ class Engine:
 
     def s(self, label) -> Element:
         return self.element((label,), self._full, ())
+
+    def combine(self, vec: dict, images: dict) -> Element:
+        """The element sum of c * images[sym] over the entries of vec."""
+        out = self.zero()
+        for sym, c in vec.items():
+            out = out + c * images[sym]
+        return out
 
     def s_word(self, labels) -> Element:
         out = None
@@ -199,8 +208,8 @@ class Engine:
                     t = None
                 if t is not None:
                     out[t] = out.get(t, Fraction(0)) + coeff
-        if len(out) > self.term_budget:
-            raise BudgetError(f"product grew past {self.term_budget} terms")
+        if len(out) > TERM_BUDGET:
+            raise BudgetError(f"product grew past {TERM_BUDGET} terms")
         return Element(self, out)
 
     # ----------------------------------------------------------- expansion
@@ -306,14 +315,14 @@ class Engine:
 
     # ------------------------------------------------------------ equality
 
-    def equals(self, x: Element, y: Element, depth: int = 3) -> bool:
-        ok, _ = self.equals_detail(x, y, depth)
+    def equals(self, x: Element, y: Element) -> bool:
+        ok, _ = self.equals_detail(x, y)
         return ok
 
-    def equals_detail(self, x: Element, y: Element, depth: int = 3):
+    def equals_detail(self, x: Element, y: Element):
         """(equal, witness).  Expands below-top-level terms first; if a
         nonzero residual has no such terms left, expands everything
-        jointly up to `depth` extra levels before giving up."""
+        jointly up to `EQUALS_DEPTH` extra levels before giving up."""
         d = x - y
         joint_rounds = 0
         guard = 0
@@ -321,8 +330,8 @@ class Engine:
             guard += 1
             if guard > 64:
                 raise BudgetError("equality loop failed to settle")
-            if len(d.terms) > self.term_budget:
-                raise BudgetError(f"difference grew past {self.term_budget} terms")
+            if len(d.terms) > TERM_BUDGET:
+                raise BudgetError(f"difference grew past {TERM_BUDGET} terms")
             witness = self._nonzero_cell(d.terms)
             if witness is None:
                 return True, None
@@ -339,7 +348,7 @@ class Engine:
             if progressed:
                 d = Element(self, partial)
                 continue
-            if joint_rounds >= depth:
+            if joint_rounds >= EQUALS_DEPTH:
                 a, b, cell, total = witness
                 return False, f"residual ({total})*{render_term(a, cell, b)}"
             expandable = [t for t in d.terms if self._expandable(t)]
@@ -352,17 +361,19 @@ class Engine:
 # -------------------------------------------------- homomorphism checking
 
 
-def substitute(x: Element, dst: Engine, s_images: dict, p_images: dict) -> Element:
+def substitute(x: Element, dst: Engine, s_images: dict, v_images: dict) -> Element:
     """Rewrite x through generator images living in `dst`.
 
-    `s_images` maps labels to elements, `p_images` maps the exact
-    SetExprs appearing in x (typically singletons) to elements.
+    `s_images` maps labels to elements and `v_images` maps vertices to
+    elements.  The projection over a finite vertex set goes to the sum
+    of its vertex images, taken in `sort_key` order; a set with a tail,
+    or with a vertex that has no image, raises KeyError.
     """
     out = dst.zero()
     for (alpha, s, beta), c in x.terms.items():
-        if s not in p_images:
+        if not s.is_finite() or any(v not in v_images for v in s.atoms):
             raise KeyError(f"no image supplied for projection over {s!r}")
-        acc = p_images[s]
+        acc = dst.combine(dict.fromkeys(sorted(s.atoms, key=sort_key), 1), v_images)
         for lab in reversed(alpha):
             acc = s_images[lab] * acc
         for lab in beta:
@@ -446,7 +457,7 @@ def check_graph_hom(graph_vertices, edges, dst: Engine, s_images: dict,
     return rep
 
 
-def tautological_checks(engine: Engine, sample_sets=None, max_pairs: int = 40) -> "Report":
+def tautological_checks(engine: Engine) -> "Report":
     """Self-test: the engine's own generators satisfy the defining
     relations of the space (projection lattice additivity, commutation
     past the isometries, isometry products, and the summation relation
@@ -456,10 +467,7 @@ def tautological_checks(engine: Engine, sample_sets=None, max_pairs: int = 40) -
     rep = Report("representation relations")
     space = engine.space
     g = engine.graph
-    sets = list(sample_sets if sample_sets is not None else space.core)[:max_pairs]
-    labels = []
-    from .labelled import label_instances
-
+    sets = list(space.core)[:TAUTOLOGY_SETS]
     labels = label_instances(g, space.horizon)
 
     ok = True

@@ -323,8 +323,8 @@ def snf_selfcheck_suite(cases: int = DEFAULT_CASES,
         for x, y in zip(diag, diag[1:]):
             if x < 0 or (x == 0 and y != 0) or (x != 0 and y % x != 0):
                 bad = bad or f"diagonal {diag} for {m}"
-        du = det([[Fraction(e) for e in row] for row in u])
-        dv = det([[Fraction(e) for e in row] for row in v])
+        du = det(u)
+        dv = det(v)
         if abs(du) != 1 or abs(dv) != 1:
             bad = bad or f"transforms not unimodular for {m}"
     rep.add(f"decompositions verified on {cases} matrices", not bad, bad)

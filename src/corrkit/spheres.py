@@ -7,6 +7,8 @@ record a corner filtration.  Both project onto a common module Z over
 C, and the restricted direct sum of X and Y over Z is carried by the
 operator algebra of an indexed labelled space.  This module builds each
 piece and replays the defining identities inside exact term engines.
+Each tier builds the unvalidated tables it checks, and
+`verify_sphere_suite` validates X, Y and Z once each and reports them.
 
 B and Y are infinitely presented.  Builders cut the index set at a
 bound N; the cut clips exactly two inner-product rows at the boundary
@@ -64,31 +66,7 @@ def _single(vec) -> str | None:
     return None
 
 
-class _VertexSum:
-    """Projection images for `substitute`, generated by vertex images.
-
-    Decomposes any finite concrete set into the sum of its vertex
-    images, so one small table serves every projection a term can
-    carry.
-    """
-
-    __slots__ = ("engine", "images")
-
-    def __init__(self, engine: Engine, images: dict):
-        self.engine = engine
-        self.images = dict(images)
-
-    def __contains__(self, s) -> bool:
-        return s.is_finite() and all(v in self.images for v in s.atoms)
-
-    def __getitem__(self, s):
-        out = self.engine.zero()
-        for v in sorted(s.atoms, key=sort_key):
-            out = out + self.images[v]
-        return out
-
-
-# ----------------------------------------------------------- row graphs
+# ----------------------------------------------------------- row pattern
 
 
 def _row_edges(n: int, top: int) -> list[tuple[str, str, str]]:
@@ -96,18 +74,60 @@ def _row_edges(n: int, top: int) -> list[tuple[str, str, str]]:
             for i in range(1, n + 1) for j in range(i, top + 1)]
 
 
+def _add_row(tables: tuple, gen: str, proj: str, i: int, top: int) -> None:
+    """Append row i of the row pattern to (gens, inner, right, left): a
+    generator gen_{i,j} for each column j = i..top, whose inner product
+    and right action sit on the column projection proj{j} and whose left
+    action is by the row projection proj{i}."""
+    gens, inner, right, left = tables
+    for j in range(i, top + 1):
+        g = f"{gen}_{i}_{j}"
+        gens.append(g)
+        inner[(g, g)] = {f"{proj}{j}": ONE}
+        right[(g, f"{proj}{j}")] = {g: ONE}
+        left[(f"{proj}{i}", g)] = {g: ONE}
+
+
+def _row_module(name: str, alg_name: str, gen: str, proj: str, n: int,
+                top: int, validate: bool) -> Correspondence:
+    """The n-row pattern over the diagonal algebra on proj1..proj{top}."""
+    tables: tuple = ([], {}, {}, {})
+    for i in range(1, n + 1):
+        _add_row(tables, gen, proj, i, top)
+    algebra = diagonal_algebra(alg_name, [f"{proj}{j}" for j in range(1, top + 1)])
+    return Correspondence(name, algebra, *tables, validate=validate)
+
+
+def _row_graph(n: int, top: int) -> Graph:
+    return Graph([f"v{i}" for i in range(1, top + 1)], _row_edges(n, top))
+
+
+def _row_engine(n: int, top: int) -> Engine:
+    """Term engine of the row graph, one label per edge."""
+    g = _row_graph(n, top)
+    lg = concrete_graph(g.vertices, [(e, g.src[e], g.dst[e], e) for e in g.edges])
+    return Engine(build_space(lg, generators=[atom_set(v) for v in g.vertices]))
+
+
+def _row_images(eng: Engine, n: int, top: int, gen: str, proj: str):
+    """Canonical images of the row-pattern generators in the row engine:
+    gen_{i,j} goes to its edge and proj{i} to its vertex projection."""
+    mod = {f"{gen}_{i}_{j}": eng.s(f"e_{i}_{j}")
+           for i in range(1, n + 1) for j in range(i, top + 1)}
+    alg = {f"{proj}{i}": eng.p(f"v{i}") for i in range(1, top + 1)}
+    return mod, alg
+
+
 def build_disc_graph(cfg: SphereConfig) -> Graph:
     """Row graph of the quantum disc: a loop at each of the first n
     vertices, upward edges, and a sink in the last column."""
-    n = cfg.n
-    return Graph([f"v{i}" for i in range(1, n + 2)], _row_edges(n, n + 1))
+    return _row_graph(cfg.n, cfg.n + 1)
 
 
 def build_z_graph(cfg: SphereConfig) -> Graph:
     """The same row pattern without the sink column; every vertex is
     regular."""
-    n = cfg.n
-    return Graph([f"v{i}" for i in range(1, n + 1)], _row_edges(n, n))
+    return _row_graph(cfg.n, cfg.n)
 
 
 # -------------------------------------------------------- presentations
@@ -120,40 +140,12 @@ def build_X_A(cfg: SphereConfig, validate: bool = True) -> Correspondence:
     column projection, the right action selects the column and the left
     action the row.
     """
-    n = cfg.n
-    algebra = diagonal_algebra("A", [f"P{i}" for i in range(1, n + 2)])
-    gens: list[str] = []
-    inner: dict = {}
-    right: dict = {}
-    left: dict = {}
-    for i in range(1, n + 1):
-        for j in range(i, n + 2):
-            w = f"w_{i}_{j}"
-            gens.append(w)
-            inner[(w, w)] = {f"P{j}": ONE}
-            right[(w, f"P{j}")] = {w: ONE}
-            left[(f"P{i}", w)] = {w: ONE}
-    return Correspondence("X", algebra, gens, inner, right, left,
-                          validate=validate)
+    return _row_module("X", "A", "w", "P", cfg.n, cfg.n + 1, validate)
 
 
 def build_Z_C(cfg: SphereConfig, validate: bool = True) -> Correspondence:
     """Sphere module Z over C: the disc pattern without its sink column."""
-    n = cfg.n
-    algebra = diagonal_algebra("C", [f"S{i}" for i in range(1, n + 1)])
-    gens: list[str] = []
-    inner: dict = {}
-    right: dict = {}
-    left: dict = {}
-    for i in range(1, n + 1):
-        for j in range(i, n + 1):
-            z = f"z_{i}_{j}"
-            gens.append(z)
-            inner[(z, z)] = {f"S{j}": ONE}
-            right[(z, f"S{j}")] = {z: ONE}
-            left[(f"S{i}", z)] = {z: ONE}
-    return Correspondence("Z", algebra, gens, inner, right, left,
-                          validate=validate)
+    return _row_module("Z", "C", "z", "S", cfg.n, cfg.n, validate)
 
 
 def build_Y_B(cfg: SphereConfig, validate: bool = True,
@@ -179,17 +171,10 @@ def build_Y_B(cfg: SphereConfig, validate: bool = True,
         table[(f"R{n}", f"Q{j}")] = {f"Q{j}": ONE}
     algebra = CommAlgebra("B", basis, table)
 
-    gens: list[str] = []
-    inner: dict = {}
-    right: dict = {}
-    left: dict = {}
+    tables: tuple = ([], {}, {}, {})
+    gens, inner, right, left = tables
     for i in range(1, n):
-        for j in range(i, n + 2):
-            x = f"x_{i}_{j}"
-            gens.append(x)
-            inner[(x, x)] = {f"R{j}": ONE}
-            right[(x, f"R{j}")] = {x: ONE}
-            left[(f"R{i}", x)] = {x: ONE}
+        _add_row(tables, "x", "R", i, n + 1)
         for j in range(1, N + 1):
             xn = f"xn_{i}_{j}"
             gens.append(xn)
@@ -244,13 +229,11 @@ def y_boundary_pairs(cfg: SphereConfig) -> frozenset:
 # ------------------------------------------------------------ morphisms
 
 
-def build_psi(cfg: SphereConfig, x: Correspondence | None = None,
-              z: Correspondence | None = None) -> Morphism:
-    """Quotient morphism from the disc module onto the sphere module:
+def build_psi(cfg: SphereConfig, x: Correspondence,
+              z: Correspondence) -> Morphism:
+    """Quotient morphism from the disc module x onto the sphere module z:
     the sink column is crushed, everything else keeps its name."""
     n = cfg.n
-    x = x if x is not None else build_X_A(cfg)
-    z = z if z is not None else build_Z_C(cfg)
     alg = {f"P{i}": {f"S{i}": ONE} for i in range(1, n + 1)}
     alg[f"P{n + 1}"] = {}
     mod: dict = {}
@@ -260,14 +243,12 @@ def build_psi(cfg: SphereConfig, x: Correspondence | None = None,
     return Morphism(x, z, alg, mod)
 
 
-def build_omega(cfg: SphereConfig, y: Correspondence | None = None,
-                z: Correspondence | None = None) -> Morphism:
-    """Quotient morphism from the filtered module onto the sphere
-    module: the corner filtration is crushed and the boundary generator
-    y lands on the terminal loop."""
+def build_omega(cfg: SphereConfig, y: Correspondence,
+                z: Correspondence) -> Morphism:
+    """Quotient morphism from the filtered module y onto the sphere
+    module z: the corner filtration is crushed and the boundary
+    generator y lands on the terminal loop."""
     n, N = cfg.n, cfg.N
-    y = y if y is not None else build_Y_B(cfg)
-    z = z if z is not None else build_Z_C(cfg)
     alg = {f"R{i}": ({f"S{i}": ONE} if i <= n else {})
            for i in range(1, n + 2)}
     for j in range(1, N + 1):
@@ -285,47 +266,7 @@ def build_omega(cfg: SphereConfig, y: Correspondence | None = None,
     return Morphism(y, z, alg, mod)
 
 
-# --------------------------------------------------------- graph engines
-
-
-def _concrete_engine(vertices, edge_triples) -> Engine:
-    g = concrete_graph(vertices,
-                       [(name, s, d, name) for name, s, d in edge_triples])
-    return Engine(build_space(g, generators=[atom_set(v) for v in vertices]))
-
-
-def disc_engine(cfg: SphereConfig) -> Engine:
-    n = cfg.n
-    return _concrete_engine([f"v{i}" for i in range(1, n + 2)],
-                            _row_edges(n, n + 1))
-
-
-def z_sphere_engine(cfg: SphereConfig) -> Engine:
-    n = cfg.n
-    return _concrete_engine([f"v{i}" for i in range(1, n + 1)],
-                            _row_edges(n, n))
-
-
-def disc_images(cfg: SphereConfig, eng: Engine):
-    """Canonical generator images of the disc presentation inside its
-    own graph engine."""
-    n = cfg.n
-    w = {}
-    for i in range(1, n + 1):
-        for j in range(i, n + 2):
-            w[f"w_{i}_{j}"] = eng.s(f"e_{i}_{j}")
-    p = {f"P{i}": eng.p(f"v{i}") for i in range(1, n + 2)}
-    return w, p
-
-
-def z_images(cfg: SphereConfig, eng: Engine):
-    n = cfg.n
-    zt = {}
-    for i in range(1, n + 1):
-        for j in range(i, n + 1):
-            zt[f"z_{i}_{j}"] = eng.s(f"e_{i}_{j}")
-    s = {f"S{i}": eng.p(f"v{i}") for i in range(1, n + 1)}
-    return zt, s
+# ------------------------------------------------------ engine images
 
 
 def corner_elements(cfg: SphereConfig, w_img: dict, p_img: dict,
@@ -396,7 +337,7 @@ def build_beta(cfg: SphereConfig, engz: Engine | None = None):
     automorphism of order two.
     """
     n = cfg.n
-    engz = engz if engz is not None else z_sphere_engine(cfg)
+    engz = engz if engz is not None else _row_engine(n, n)
     triples = _row_edges(n, n)
     s_images = {name: engz.s(name) for name, _, _ in triples}
     s_images[f"e_{n}_{n}"] = engz.s(f"e_{n}_{n}").adj()
@@ -405,8 +346,7 @@ def build_beta(cfg: SphereConfig, engz: Engine | None = None):
     rep.merge(check_graph_hom([f"v{i}" for i in range(1, n + 1)], triples,
                               engz, s_images, p_images),
               prefix="relations")
-    vsum = _VertexSum(engz, p_images)
-    ok = all(engz.equals(substitute(s_images[name], engz, s_images, vsum),
+    ok = all(engz.equals(substitute(s_images[name], engz, s_images, p_images),
                          engz.s(name))
              for name, _, _ in triples)
     rep.add("applying the flip twice fixes the generators", ok)
@@ -432,42 +372,46 @@ def psi_hat_images(cfg: SphereConfig, engz: Engine):
 def check_omega_factorization(cfg: SphereConfig) -> Report:
     """Pushing the Y images through the sink-killing extension and then
     the flip must reproduce omega on every generator."""
+    n = cfg.n
     rep = Report("factorization of omega")
-    engm = disc_engine(cfg)
-    engz = z_sphere_engine(cfg)
-    w_img, p_img = disc_images(cfg, engm)
+    engz = _row_engine(n, n)
+    w_img, p_img = _row_images(_row_engine(n, n + 1), n, n + 1, "w", "P")
     mod, alg = rho_Y_images(cfg, w_img, p_img)
     beta_s, beta_p, beta_rep = build_beta(cfg, engz)
     rep.merge(beta_rep)
     hat_s, hat_p, hat_rep = psi_hat_images(cfg, engz)
     rep.merge(hat_rep, prefix="sink-killing extension")
-    z_img, s_alg = z_images(cfg, engz)
-    omega = build_omega(cfg)
-    hat_vs = _VertexSum(engz, hat_p)
-    flip_vs = _VertexSum(engz, beta_p)
+    z_img, s_alg = _row_images(engz, n, n, "z", "S")
+    omega = build_omega(cfg, build_Y_B(cfg, validate=False),
+                        build_Z_C(cfg, validate=False))
 
     def push(el):
-        return substitute(substitute(el, engz, hat_s, hat_vs),
-                          engz, beta_s, flip_vs)
-
-    def realize(vec, table):
-        out = engz.zero()
-        for sym, c in vec.items():
-            out = out + c * table[sym]
-        return out
+        return substitute(substitute(el, engz, hat_s, hat_p),
+                          engz, beta_s, beta_p)
 
     bad = [g for g in sorted(mod, key=sort_key)
-           if not engz.equals(push(mod[g]), realize(omega.mod_map[g], z_img))]
+           if not engz.equals(push(mod[g]), engz.combine(omega.mod_map[g], z_img))]
     rep.add("omega agrees on module generators", not bad,
             f"first mismatch at {bad[0]}" if bad else "")
     badb = [b for b in sorted(alg, key=sort_key)
-            if not engz.equals(push(alg[b]), realize(omega.alg_map[b], s_alg))]
+            if not engz.equals(push(alg[b]), engz.combine(omega.alg_map[b], s_alg))]
     rep.add("omega agrees on algebra generators", not badb,
             f"first mismatch at {badb[0]}" if badb else "")
     return rep
 
 
 # ----------------------------------------------------- isomorphism suite
+
+
+def _nonzero_orthogonal(eng: Engine, images: list) -> bool:
+    """Every image is nonzero and any two multiply to zero.  Nonzero
+    orthogonal idempotents are linearly independent, so for projection
+    images this certifies an embedding."""
+    zero = eng.zero()
+    if any(eng.equals(img, zero) for img in images):
+        return False
+    return all(eng.equals(a * b, zero)
+               for k, a in enumerate(images) for b in images[k + 1:])
 
 
 def verify_XY_isomorphism(cfg: SphereConfig) -> Report:
@@ -484,8 +428,8 @@ def verify_XY_isomorphism(cfg: SphereConfig) -> Report:
     rep = Report(f"sphere isomorphism (n={n}, N={N})")
     X = build_X_A(cfg, validate=False)
     Y = build_Y_B(cfg, validate=False)
-    eng = disc_engine(cfg)
-    w_img, p_img = disc_images(cfg, eng)
+    eng = _row_engine(n, n + 1)
+    w_img, p_img = _row_images(eng, n, n + 1, "w", "P")
     mod, alg = rho_Y_images(cfg, w_img, p_img)
     rep.merge(check_covariant_rep(Y, mod, alg, eng,
                                   guards=y_guard_symbols(cfg),
@@ -535,15 +479,11 @@ def verify_XY_isomorphism(cfg: SphereConfig) -> Report:
                       for b in sorted(alg, key=sort_key))
     rep.add("Y composite fixes the representation", oky)
 
-    zero = eng.zero()
     images = [alg[f"R{i}"] for i in range(1, n + 2) if i != n]
     images += [alg[f"Q{j}"] for j in range(1, N + 1)]
     images.append(resid)
-    oki = all(not eng.equals(img, zero) for img in images)
-    for a in range(len(images)):
-        for b in range(a + 1, len(images)):
-            oki = oki and eng.equals(images[a] * images[b], zero)
-    oki = oki and all(not eng.equals(mod[g], zero) for g in mod)
+    oki = (_nonzero_orthogonal(eng, images)
+           and not any(eng.equals(el, eng.zero()) for el in mod.values()))
     rep.add("atom images independent and module images nonzero", oki,
             "nonzero orthogonal idempotents are linearly independent")
     return rep
@@ -563,9 +503,10 @@ def _op_matches_action(corr: Correspondence, op, avec, gens=None):
     return True, None
 
 
-def _row_op(prefix, i, lo, hi):
+def _row_op(prefix, i, hi):
+    """Sum of theta[g, g] over row i of the pattern, columns i..hi."""
     op = None
-    for j in range(lo, hi + 1):
+    for j in range(i, hi + 1):
         t = theta({f"{prefix}_{i}_{j}": ONE}, {f"{prefix}_{i}_{j}": ONE})
         op = t if op is None else op + t
     return op
@@ -593,49 +534,26 @@ def lemma_suite(cfg: SphereConfig) -> Report:
     rep.add("disc module fully resolved",
             not data.deferred and not data.noncompact)
 
-    ok_rows = True
-    wit = ""
-    for i in range(1, n + 1):
-        good, g = _op_matches_action(X, _row_op("w", i, i, n + 1),
-                                     {f"P{i}": ONE})
-        if not good:
-            ok_rows = False
-            wit = f"row {i} fails at {g}"
-    rep.add("each ideal projection is its full row of rank-one terms",
-            ok_rows, wit)
-
-    refuted = True
-    detail = "no rows above the loop row for n = 1"
-    for i in range(1, n):
-        good, g = _op_matches_action(X, _row_op("w", i, i, n), {f"P{i}": ONE})
-        if good or g != f"w_{i}_{n + 1}":
-            refuted = False
-        detail = "dropping the sink column loses the action on it"
-    rep.add("rows truncated before the sink column are refuted",
-            refuted, detail)
-
     deep = build_Y_B(cfg, validate=False, bound=N + 1)
-    ok_rows = True
-    wit = ""
-    for i in range(1, n):
-        good, g = _op_matches_action(deep, _row_op("x", i, i, n + 1),
-                                     {f"R{i}": ONE})
-        if not good:
-            ok_rows = False
-            wit = f"row {i} fails at {g}"
-    rep.add("each leading filtered row decomposes over its x block",
-            ok_rows, wit or "corner translates resolve through the x_{i,n} column")
-
-    refuted = True
-    detail = "no leading rows for n = 1"
-    for i in range(1, n):
-        good, g = _op_matches_action(deep, _row_op("x", i, i, n),
-                                     {f"R{i}": ONE})
-        if good or g != f"x_{i}_{n + 1}":
-            refuted = False
-        detail = "dropping the last column loses the action on it"
-    rep.add("filtered rows truncated before the last column are refuted",
-            refuted, detail)
+    for corr, gen, proj, rows, full, full_detail, cut, cut_none, cut_detail in (
+            (X, "w", "P", n, "each ideal projection is its full row of rank-one terms",
+             "", "rows truncated before the sink column are refuted",
+             "no rows above the loop row for n = 1",
+             "dropping the sink column loses the action on it"),
+            (deep, "x", "R", n - 1, "each leading filtered row decomposes over its x block",
+             "corner translates resolve through the x_{i,n} column",
+             "filtered rows truncated before the last column are refuted",
+             "no leading rows for n = 1",
+             "dropping the last column loses the action on it")):
+        wit = ""
+        for i in range(1, rows + 1):
+            good, g = _op_matches_action(corr, _row_op(gen, i, n + 1), {f"{proj}{i}": ONE})
+            if not good:
+                wit = f"row {i} fails at {g}"
+        rep.add(full, not wit, wit or full_detail)
+        refuted = all(_op_matches_action(corr, _row_op(gen, i, n), {f"{proj}{i}": ONE})
+                      == (False, f"{gen}_{i}_{n + 1}") for i in range(1, n))
+        rep.add(cut, refuted, cut_detail if n > 1 else cut_none)
 
     interior = [g for g in deep.gens if g != f"y_{N + 1}"]
     op = theta({"y": ONE, "yp": -ONE}, {"y": ONE, "yp": -ONE})
@@ -672,8 +590,8 @@ def build_mirror_sum(cfg: SphereConfig):
     """Restricted direct sum of the disc and filtered modules over the
     sphere module.  Returns (sum, psi, omega)."""
     z = build_Z_C(cfg)
-    psi = build_psi(cfg, z=z)
-    omega = build_omega(cfg, z=z)
+    psi = build_psi(cfg, build_X_A(cfg), z)
+    omega = build_omega(cfg, build_Y_B(cfg), z)
     rsum = restricted_direct_sum(psi, omega, name=f"mirror(n={cfg.n})")
     return rsum, psi, omega
 
@@ -924,8 +842,7 @@ def rho_sum_images(cfg: SphereConfig, rsum, eng: Engine):
     return mod, alg, legend
 
 
-def verify_En_representation(cfg: SphereConfig, rsum=None, psi=None,
-                             omega=None) -> Report:
+def verify_En_representation(cfg: SphereConfig, rsum=None) -> Report:
     """The glued correspondence realized in the labelled-space algebra.
 
     Checks the space itself (weakly left resolving, not left
@@ -947,7 +864,7 @@ def verify_En_representation(cfg: SphereConfig, rsum=None, psi=None,
             else "no repeated incoming label found")
 
     if rsum is None:
-        rsum, psi, omega = build_mirror_sum(cfg)
+        rsum, _, _ = build_mirror_sum(cfg)
     eng = Engine(space)
     mod, alg, legend = rho_sum_images(cfg, rsum, eng)
     rep.merge(check_covariant_rep(rsum.corr, mod, alg, eng,
@@ -976,16 +893,11 @@ def verify_En_representation(cfg: SphereConfig, rsum=None, psi=None,
     rep.add("guarded ideal atoms realized exactly", okq and okqs and okr,
             "every corner projection and the loop remainder resolve as sums of rank-one images")
 
-    zero = eng.zero()
-    names = sorted(alg, key=sort_key)
-    oki = all(not eng.equals(alg[a], zero) for a in names)
-    for x in range(len(names)):
-        for y in range(x + 1, len(names)):
-            oki = oki and eng.equals(alg[names[x]] * alg[names[y]], zero)
-    rep.add("pair algebra embeds", oki,
+    rep.add("pair algebra embeds",
+            _nonzero_orthogonal(eng, [alg[a] for a in sorted(alg, key=sort_key)]),
             "atom images are nonzero and orthogonal")
     rep.add("module generator images nonzero",
-            all(not eng.equals(el, zero) for el in mod.values()))
+            not any(eng.equals(el, eng.zero()) for el in mod.values()))
 
     cov = True
     for i in range(1, n):
@@ -1037,8 +949,8 @@ def verify_sphere_suite(cfg: SphereConfig) -> Report:
     rep.merge(Z.validate(), prefix="sphere tables")
     rep.merge(Y.validate(), prefix="filtered tables")
     rep.merge(lemma_suite(cfg), prefix="lemmas")
-    psi = build_psi(cfg, x=X, z=Z)
-    omega = build_omega(cfg, y=Y, z=Z)
+    psi = build_psi(cfg, X, Z)
+    omega = build_omega(cfg, Y, Z)
     rep.merge(check_morphism(psi), prefix="psi")
     rep.merge(check_morphism(omega, src_guards=y_guard_symbols(cfg)),
               prefix="omega")
@@ -1059,7 +971,7 @@ def verify_sphere_suite(cfg: SphereConfig) -> Report:
 
     rsum = restricted_direct_sum(psi, omega, name=f"mirror(n={n})")
     rep.merge(mirror_span_report(cfg, rsum, psi, omega), prefix="glued span")
-    rep.merge(verify_En_representation(cfg, rsum=rsum, psi=psi, omega=omega),
+    rep.merge(verify_En_representation(cfg, rsum=rsum),
               prefix="labelled space")
 
     kd = k_theory(build_disc_graph(cfg))

@@ -152,11 +152,13 @@ def test_json_deterministic_across_jobs():
 
 
 # sha256 of the `verify-sphere --trunc 4 --format json` stream, recorded at
-# commit 7cef42b.  Refactors of the exact layers must keep every verdict
+# commit 7cef42b for n = 1, 2 and at 01bab16 for n = 3, the first size with
+# two leading filtered rows in the lemma suite.  Refactors of the exact layers must keep every verdict
 # and every detail string byte-identical, so any change here is deliberate.
 VERIFY_SPHERE_JSON_SHA256 = {
     1: "de360f1d7b41030bd11941fa28e9cc1bed4b128c31070b6f0f9d934d50b92deb",
     2: "33043b1771824eb4e3fb7e05c44d4ab0a786c647387ae3d9f2894e85c69127dd",
+    3: "e9df569875ee527dfb4b4f0cc2287edacf015a38b651ba3fa51a72043ffb26e4",
 }
 
 

@@ -1,9 +1,9 @@
 """Normal-form arithmetic for labelled-space representations."""
 import pytest
 
-from corrkit.engine import Engine, tautological_checks
+from corrkit.engine import Engine, substitute, tautological_checks
 from corrkit.errors import UnsupportedSpaceError
-from corrkit.labelled import relative_range
+from corrkit.labelled import build_space, concrete_graph, relative_range
 from corrkit.setexpr import atoms, tail
 from corrkit.spheres import SphereConfig, build_En_space
 
@@ -82,3 +82,37 @@ def test_adjoint_is_involutive(eng):
 def test_tautological_suite(eng):
     rep = tautological_checks(eng)
     assert rep.ok, rep.render()
+
+
+@pytest.fixture(scope="module")
+def edge_eng():
+    g = concrete_graph(["a", "b"], [("e", "a", "b", "e")])
+    return Engine(build_space(g, generators=[atoms("a"), atoms("b")]))
+
+
+def test_substitute_sums_vertex_images(edge_eng):
+    eng = edge_eng
+    pa, pb = eng.p(atoms("a")), eng.p(atoms("b"))
+    x = eng.p(atoms("a", "b"))
+    assert len(x.terms) == 1  # one term over the two-vertex set
+    got = substitute(x, eng, {}, {"a": pa, "b": 3 * pb})
+    assert eng.equals(got, pa + 3 * pb)
+    # labels go through s_images on both sides of the projection
+    y = eng.s("e") * x * eng.s("e").adj()
+    got = substitute(y, eng, {"e": eng.s("e")}, {"a": pa, "b": pb})
+    assert eng.equals(got, eng.s("e") * eng.s("e").adj())
+
+
+def test_substitute_refuses_missing_vertex_and_tail(edge_eng, eng):
+    with pytest.raises(KeyError):
+        substitute(edge_eng.p(atoms("a", "b")), edge_eng, {},
+                   {"a": edge_eng.p(atoms("a"))})
+    with pytest.raises(KeyError):
+        substitute(eng.p(tail("v", 1)), eng, {}, {("v", 1): eng.zero()})
+
+
+def test_combine_sums_images(edge_eng):
+    eng = edge_eng
+    pa, pb = eng.p(atoms("a")), eng.p(atoms("b"))
+    assert eng.combine({}, {"a": pa}).is_zero_syntactic()
+    assert eng.equals(eng.combine({"a": 2, "b": -1}, {"a": pa, "b": pb}), 2 * pa - pb)

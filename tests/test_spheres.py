@@ -3,6 +3,8 @@ import pytest
 
 from corrkit.spheres import (
     SphereConfig,
+    _nonzero_orthogonal,
+    _row_engine,
     build_beta,
     build_mirror_sum,
     check_omega_factorization,
@@ -82,3 +84,11 @@ def test_full_suite_smallest_case():
     names = [c.name for c in rep.checks]
     assert any("K-theory" in s for s in names)
     assert any("weakly left resolving" in s for s in names)
+
+
+def test_nonzero_orthogonal_refuses_zero_and_overlap():
+    eng = _row_engine(2, 3)
+    p1, p2, p3 = (eng.p(f"v{i}") for i in (1, 2, 3))
+    assert _nonzero_orthogonal(eng, [p1, p2, p3])
+    assert not _nonzero_orthogonal(eng, [p1, eng.zero(), p3])
+    assert not _nonzero_orthogonal(eng, [p1, p2 + p3, p3])
