@@ -12,7 +12,10 @@ Exit codes: 0 all checks passed, 1 at least one check legitimately
 failed, 2 unreadable input, 3 readable but inconsistent input, 4 a
 configured budget was exceeded, 5 an internal error (a self-check such
 as the Smith-form verification raised), reported as one
-`error: internal: ...` line on stderr.
+`error: internal: ...` line on stderr.  A reader that closes stdout
+before the report is written (`corrkit ... | head`) also gets exit 1,
+and nothing is printed: a report nobody received does not count as a
+pass.
 
 With --format json every check becomes one JSON line and a trailing
 summary line carries the counts; the stream is identical for identical
@@ -22,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import io as formats
@@ -235,7 +239,16 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        rc = args.func(args)
+        sys.stdout.flush()
+        return rc
+    except BrokenPipeError:
+        # Point stdout at devnull so the flush at interpreter exit cannot
+        # raise again (the recipe of the `signal` module documentation).
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_FAIL
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE

@@ -44,6 +44,40 @@ def _pairs(syms):
             yield a, b
 
 
+def _grouped(table: dict, i: int) -> dict:
+    """The nonzero entries of a pair-keyed table grouped by component
+    `i` of their key: symbol -> [(other component, entry)]."""
+    out = {}
+    for key, v in table.items():
+        if v:
+            out.setdefault(key[i], []).append((key[1 - i], v))
+    return out
+
+
+def _compose(table: dict, index: dict, key) -> dict:
+    """One side of a trilinear axiom as {index triple: vector}: for each
+    stored entry ((p, q), v) of `table`, each term x*k of v and each
+    entry (r, w) of `index[k]`, add x*w at key(p, q, r)."""
+    out = {}
+    for (p, q), v in table.items():
+        for k, x in v.items():
+            for r, w in index.get(k, ()):
+                _axpy(out.setdefault(key(p, q, r), {}), x, w)
+    return out
+
+
+def _report_axiom(rep: Report, summary: str, label: str, lhs: dict, rhs: dict,
+                  detail: bool) -> None:
+    """One failed check per index where the two sides differ (a missing
+    index is the zero vector), in the order of nested loops over sorted
+    symbols, then the summary check."""
+    bad = [k for k in lhs.keys() | rhs.keys() if lhs.get(k, {}) != rhs.get(k, {})]
+    for k in sorted(bad, key=lambda k: tuple(map(sort_key, k))):
+        rep.add(f"{label} at ({','.join(map(str, k))})", False,
+                f"{vec_repr(lhs.get(k, {}))} != {vec_repr(rhs.get(k, {}))}" if detail else "")
+    rep.add(summary, not bad)
+
+
 class Correspondence:
     """Right Hilbert module presentation with a left action.
 
@@ -53,7 +87,8 @@ class Correspondence:
     maps (algebra basis symbol, generator) to module elements.
     """
 
-    __slots__ = ("name", "algebra", "gens", "_inner", "_right", "_left", "_atoms")
+    __slots__ = ("name", "algebra", "gens", "_inner", "_right", "_left", "_atoms",
+                 "_ideals")
 
     def __init__(self, name: str, algebra: CommAlgebra, gens, inner: dict,
                  right: dict, left: dict, validate: bool = True):
@@ -61,6 +96,8 @@ class Correspondence:
         self.algebra = algebra
         self.gens = tuple(gens)
         gen_set = set(self.gens)
+        if len(gen_set) != len(self.gens):
+            raise ValueError(f"{name}: duplicate generators")
         basis_set = set(algebra.basis)
         self._inner = {}
         for (g, h), v in inner.items():
@@ -85,6 +122,7 @@ class Correspondence:
                 raise ValueError(f"{name}: left table uses unknown symbol ({b},{g})")
             self._left[(b, g)] = vclean({k: frac(c) for k, c in v.items()})
         self._atoms = None
+        self._ideals = {}
         if validate:
             rep = self.validate()
             if not rep.ok:
@@ -116,69 +154,55 @@ class Correspondence:
     # ------------------------------------------------------------ validation
 
     def validate(self) -> Report:
+        """Check the module axioms, the left action and positivity.
+
+        Sparse, per axiom: each side of each trilinear axiom is one map
+        from index triple to vector, built by walking only the stored
+        table entries and nonzero basis products (a missing triple is
+        zero), so the work follows the stored entries, not gens^2 x
+        basis.  Mismatches are reported in nested-loop order over the
+        sorted generators and basis.  Positivity is per-atom Gram PSD
+        over its support: the principal submatrix of the generators
+        whose Gram row is nonzero at the atom, which is PSD exactly
+        when the whole (otherwise zero) matrix is.
+        """
         rep = Report(f"correspondence {self.name}")
         basis = self.algebra.sorted_basis()
-        gens = sorted(self.gens, key=sort_key)
+        products = {(a, b): p for a in basis for b in basis
+                    if (p := self.algebra.basis_product(a, b))}
+        prod_by_first = _grouped(products, 0)
+        right_by_gen, right_by_basis = _grouped(self._right, 0), _grouped(self._right, 1)
+        left_by_basis, left_by_gen = _grouped(self._left, 0), _grouped(self._left, 1)
+        inner_by_row, inner_by_col = _grouped(self._inner, 0), _grouped(self._inner, 1)
 
-        ok = True
-        for g, h in _pairs(self.gens):
-            if self._inner.get((g, h), {}) != self._inner.get((h, g), {}):
-                ok = False
-                rep.add(f"inner symmetric at ({g},{h})", False)
-        rep.add("inner product symmetric", ok)
-
-        ok = True
-        for g in gens:
-            for a in basis:
-                for b in basis:
-                    lhs = self.right_action(self.right_action(self.gen(g), {a: 1}), {b: 1})
-                    rhs = self.right_action(self.gen(g), self.algebra.basis_product(a, b))
-                    if lhs != rhs:
-                        ok = False
-                        rep.add(f"right assoc at ({g},{a},{b})", False,
-                                f"{vec_repr(lhs)} != {vec_repr(rhs)}")
-        rep.add("right action is a module action", ok)
-
-        ok = True
-        for g in gens:
-            for h in gens:
-                for b in basis:
-                    lhs = self.inner_product(self.gen(g), self.right_action(self.gen(h), {b: 1}))
-                    rhs = self.algebra.mul(self._inner.get((g, h), {}), {b: Fraction(1)})
-                    if lhs != rhs:
-                        ok = False
-                        rep.add(f"compat at ({g},{h},{b})", False,
-                                f"{vec_repr(lhs)} != {vec_repr(rhs)}")
-        rep.add("inner product compatible with right action", ok)
-
-        ok = True
-        for a in basis:
-            for b in basis:
-                prod = self.algebra.basis_product(a, b)
-                for g in gens:
-                    lhs = self.left_action({a: 1}, self.left_action({b: 1}, self.gen(g)))
-                    rhs = self.left_action(prod, self.gen(g))
-                    if lhs != rhs:
-                        ok = False
-                        rep.add(f"left hom at ({a},{b},{g})", False)
-        rep.add("left action is a homomorphism", ok)
-
-        ok = True
-        for b in basis:
-            for g in gens:
-                for h in gens:
-                    lhs = self.inner_product(self.left_action({b: 1}, self.gen(g)), self.gen(h))
-                    rhs = self.inner_product(self.gen(g), self.left_action({b: 1}, self.gen(h)))
-                    if lhs != rhs:
-                        ok = False
-                        rep.add(f"adjointable at ({b},{g},{h})", False)
-        rep.add("left action adjointable", ok)
+        upper = {(g, h): v for (g, h), v in self._inner.items() if sort_key(g) <= sort_key(h)}
+        lower = {(h, g): v for (g, h), v in self._inner.items() if sort_key(h) <= sort_key(g)}
+        _report_axiom(rep, "inner product symmetric", "inner symmetric", upper, lower, False)
+        # (g a) b = g (ab)
+        _report_axiom(rep, "right action is a module action", "right assoc",
+                      _compose(self._right, right_by_gen, lambda g, a, b: (g, a, b)),
+                      _compose(products, right_by_basis, lambda a, b, g: (g, a, b)), True)
+        # <g, h b> = <g, h> b
+        _report_axiom(rep, "inner product compatible with right action", "compat",
+                      _compose(self._right, inner_by_col, lambda h, b, g: (g, h, b)),
+                      _compose(self._inner, prod_by_first, lambda g, h, b: (g, h, b)), True)
+        # a (b g) = (ab) g
+        _report_axiom(rep, "left action is a homomorphism", "left hom",
+                      _compose(self._left, left_by_gen, lambda b, g, a: (a, b, g)),
+                      _compose(products, left_by_basis, lambda a, b, g: (a, b, g)), False)
+        # <b g, h> = <g, b h>
+        _report_axiom(rep, "left action adjointable", "adjointable",
+                      _compose(self._left, inner_by_row, lambda b, g, h: (b, g, h)),
+                      _compose(self._left, inner_by_col, lambda b, h, g: (b, g, h)), False)
 
         ok = True
         for name, atom in self.atoms():
-            gram = [[self.algebra.eval_at_atom(
-                self._inner.get((g, h), {}), atom) for h in gens] for g in gens]
-            if not is_psd(gram):
+            gram = {}
+            for (g, h), v in upper.items():
+                if c := self.algebra.eval_at_atom(v, atom):
+                    gram[(g, h)] = gram[(h, g)] = c
+            support = sorted({g for g, _ in gram}, key=sort_key)
+            if not is_psd([[gram.get((g, h), 0) for h in support] for g in support]):
                 ok = False
                 rep.add(f"Gram PSD at atom {name}", False)
         rep.add("inner product positive (per-atom Gram)", ok)
@@ -301,6 +325,10 @@ class IdealData:
     verified rank-one decomposition of its left action that put it
     there, so the covariance checks (C4) reuse it instead of solving
     again.
+
+    `kernel_and_jx` memoises one instance per (correspondence, guards)
+    and hands the same object to every caller, so it is shared: callers
+    read it and never mutate it.
     """
 
     kernel: list
@@ -314,6 +342,9 @@ class IdealData:
 
 
 def kernel_and_jx(corr: Correspondence, guards=frozenset()) -> IdealData:
+    key = frozenset(guards)
+    if (data := corr._ideals.get(key)) is not None:
+        return data
     kernel = []
     katsura = []
     deferred = []
@@ -329,7 +360,9 @@ def kernel_and_jx(corr: Correspondence, guards=frozenset()) -> IdealData:
             decompositions[name] = op
         else:
             noncompact.append((name, atom))
-    return IdealData(kernel, katsura, deferred, noncompact, decompositions)
+    data = IdealData(kernel, katsura, deferred, noncompact, decompositions)
+    corr._ideals[key] = data
+    return data
 
 
 # -------------------------------------------------------------- morphisms

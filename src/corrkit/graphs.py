@@ -52,9 +52,6 @@ class Graph:
     def out_edges(self, v: str) -> list[str]:
         return [e for e in self.edges if self.src[e] == v]
 
-    def in_edges(self, v: str) -> list[str]:
-        return [e for e in self.edges if self.dst[e] == v]
-
     def sinks(self) -> list[str]:
         emitting = {self.src[e] for e in self.edges}
         return [v for v in self.vertices if v not in emitting]

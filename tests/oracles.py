@@ -3,7 +3,9 @@
 Each oracle recomputes a quantity by a different route than the library
 code under test: invariant factors through minor gcds instead of
 elimination, labelled-space arithmetic through a naive edge-walking
-calculator over frozensets instead of closed-form set expressions, and
+calculator over frozensets instead of closed-form set expressions,
+correspondence validation through dense loops over every generator and
+basis index instead of sparse walks over the stored table entries, and
 a handful of presentation matrices frozen from hand reduction.
 """
 from __future__ import annotations
@@ -14,6 +16,7 @@ from itertools import combinations
 from math import gcd
 
 from corrkit.engine import Engine
+from corrkit.exactlinalg import is_psd, sort_key, vec_repr
 from corrkit.labelled import (label_set, relative_range, sink_set,
                               truncate_space)
 from corrkit.reports import Report
@@ -95,6 +98,87 @@ HAND_SMITH = {
         "matrix": [[0, 0], [1, 0]], "diagonal": [1, 0], "pair": "K0 = Z, K1 = Z",
     },
 }
+
+
+# ------------------------------------------------ dense correspondence check
+
+def dense_validate_records(corr) -> list:
+    """(name, ok, detail) records of `Correspondence.validate`, computed
+    by the dense loops: every axiom at every index triple of sorted
+    generators and basis symbols, and the full Gram matrix per atom."""
+    rep = Report(f"correspondence {corr.name}")
+    alg = corr.algebra
+    basis = alg.sorted_basis()
+    gens = sorted(corr.gens, key=sort_key)
+    inner = corr._inner
+
+    def gen(g):
+        return {g: ONE}
+
+    ok = True
+    for i, g in enumerate(gens):
+        for h in gens[i:]:
+            if inner.get((g, h), {}) != inner.get((h, g), {}):
+                ok = False
+                rep.add(f"inner symmetric at ({g},{h})", False)
+    rep.add("inner product symmetric", ok)
+
+    ok = True
+    for g in gens:
+        for a in basis:
+            for b in basis:
+                lhs = corr.right_action(corr.right_action(gen(g), {a: 1}), {b: 1})
+                rhs = corr.right_action(gen(g), alg.basis_product(a, b))
+                if lhs != rhs:
+                    ok = False
+                    rep.add(f"right assoc at ({g},{a},{b})", False,
+                            f"{vec_repr(lhs)} != {vec_repr(rhs)}")
+    rep.add("right action is a module action", ok)
+
+    ok = True
+    for g in gens:
+        for h in gens:
+            for b in basis:
+                lhs = corr.inner_product(gen(g), corr.right_action(gen(h), {b: 1}))
+                rhs = alg.mul(inner.get((g, h), {}), {b: ONE})
+                if lhs != rhs:
+                    ok = False
+                    rep.add(f"compat at ({g},{h},{b})", False,
+                            f"{vec_repr(lhs)} != {vec_repr(rhs)}")
+    rep.add("inner product compatible with right action", ok)
+
+    ok = True
+    for a in basis:
+        for b in basis:
+            prod = alg.basis_product(a, b)
+            for g in gens:
+                lhs = corr.left_action({a: 1}, corr.left_action({b: 1}, gen(g)))
+                rhs = corr.left_action(prod, gen(g))
+                if lhs != rhs:
+                    ok = False
+                    rep.add(f"left hom at ({a},{b},{g})", False)
+    rep.add("left action is a homomorphism", ok)
+
+    ok = True
+    for b in basis:
+        for g in gens:
+            for h in gens:
+                lhs = corr.inner_product(corr.left_action({b: 1}, gen(g)), gen(h))
+                rhs = corr.inner_product(gen(g), corr.left_action({b: 1}, gen(h)))
+                if lhs != rhs:
+                    ok = False
+                    rep.add(f"adjointable at ({b},{g},{h})", False)
+    rep.add("left action adjointable", ok)
+
+    ok = True
+    for name, atom in corr.atoms():
+        gram = [[alg.eval_at_atom(inner.get((g, h), {}), atom) for h in gens]
+                for g in gens]
+        if not is_psd(gram):
+            ok = False
+            rep.add(f"Gram PSD at atom {name}", False)
+    rep.add("inner product positive (per-atom Gram)", ok)
+    return [(c.name, c.ok, c.detail) for c in rep.checks]
 
 
 # ------------------------------------------------- naive labelled calculator

@@ -116,8 +116,10 @@ def test_malformed_integer_field_exits_3(tmp_path, path, value):
     ("corr-check", "hilbert_1dim.json", ("correspondence", "left"), 5,
      "key 'left' has type int"),
     ("corr-check", "hilbert_1dim.json", ("correspondence",), 5, "5 is not an object"),
+    ("corr-check", "hilbert_2dim.json", ("correspondence", "generators"), ["f1", "f2", "f1"],
+     "hilbert2: duplicate generators"),
 ], ids=["edges", "families", "B", "vertex_bases", "vertex_base", "inner", "right", "left",
-        "correspondence"])
+        "correspondence", "generators"])
 def test_malformed_list_field_exits_3(tmp_path, command, source, path, value, message):
     bad = _mutated(tmp_path, source, path, value)
     proc = run(command, bad, expect=3)
@@ -151,21 +153,47 @@ def test_json_deterministic_across_jobs():
         json.loads(line)
 
 
-# sha256 of the `verify-sphere --trunc 4 --format json` stream, recorded at
-# commit 7cef42b for n = 1, 2 and at 01bab16 for n = 3, the first size with
-# two leading filtered rows in the lemma suite.  Refactors of the exact layers must keep every verdict
+# n -> (trunc, sha256 of the `verify-sphere --n n --trunc trunc --format json`
+# stream), recorded at commit 7cef42b for n = 1, 2, at 01bab16 for n = 3, the
+# first size with two leading filtered rows in the lemma suite, and at 4ff4e2b
+# for n = 4, the first size whose Y rows carry multi-entry vectors through the
+# sparse table sums.  Refactors of the exact layers must keep every verdict
 # and every detail string byte-identical, so any change here is deliberate.
 VERIFY_SPHERE_JSON_SHA256 = {
-    1: "de360f1d7b41030bd11941fa28e9cc1bed4b128c31070b6f0f9d934d50b92deb",
-    2: "33043b1771824eb4e3fb7e05c44d4ab0a786c647387ae3d9f2894e85c69127dd",
-    3: "e9df569875ee527dfb4b4f0cc2287edacf015a38b651ba3fa51a72043ffb26e4",
+    1: (4, "de360f1d7b41030bd11941fa28e9cc1bed4b128c31070b6f0f9d934d50b92deb"),
+    2: (4, "33043b1771824eb4e3fb7e05c44d4ab0a786c647387ae3d9f2894e85c69127dd"),
+    3: (4, "e9df569875ee527dfb4b4f0cc2287edacf015a38b651ba3fa51a72043ffb26e4"),
+    4: (6, "8051140d1588b23e107ca19a25b1c10ccada2cdfe2f622e563e0be6a88f33d88"),
 }
 
 
 @pytest.mark.parametrize("n", sorted(VERIFY_SPHERE_JSON_SHA256))
 def test_verify_sphere_json_stream_is_pinned(n):
-    out = run("verify-sphere", "--n", n, "--trunc", 4, "--format", "json").stdout
-    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_SPHERE_JSON_SHA256[n]
+    trunc, digest = VERIFY_SPHERE_JSON_SHA256[n]
+    out = run("verify-sphere", "--n", n, "--trunc", trunc, "--format", "json").stdout
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("args, unbuffered", [
+    (("ktheory", DATA / "m1_graph.json"), ""),
+    (("verify-sphere", "--n", 2, "--format", "json"), ""),
+    (("ktheory", DATA / "m1_graph.json"), "1"),
+], ids=["fails-at-final-flush", "fails-when-buffer-fills", "fails-at-first-print"])
+def test_closed_stdout_is_not_an_internal_error(args, unbuffered):
+    """A reader that closes the pipe before the report is written gets
+    exit 1 and an empty stderr, wherever the write fails: at the final
+    flush of a short buffered report, in `print` once a long report fills
+    the write buffer, or at the first `print` when stdout is unbuffered."""
+    env = {k: v for k, v in ENV.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = unbuffered
+    proc = subprocess.Popen([sys.executable, "-m", "corrkit", *map(str, args)],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert err == b""
 
 
 def test_properties_subcommand_seeded():

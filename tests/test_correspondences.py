@@ -1,4 +1,8 @@
 """Correspondence presentations, morphism conditions, and gluing."""
+import pathlib
+import random
+from fractions import Fraction
+
 import pytest
 
 from corrkit.algebra import diagonal_algebra
@@ -15,9 +19,13 @@ from corrkit.correspondences import (
     restricted_direct_sum,
     theta,
 )
+from corrkit.exactlinalg import sort_key
+from corrkit.io import corr_check_from_json, load_json
 from corrkit.spheres import SphereConfig, build_X_A, build_mirror_sum, y_guard_symbols
 
-from oracles import recombine_pair
+from oracles import dense_validate_records, recombine_pair
+
+DATA = pathlib.Path(__file__).resolve().parent.parent / "data"
 
 
 def _hilbert(name, gens):
@@ -71,6 +79,87 @@ def test_kernel_and_katsura_ideal_frozen():
             op = data.decompositions[name]
             for g in x.gens:
                 assert op.apply(x, x.gen(g)) == x.left_action(atom, x.gen(g))
+
+
+def test_kernel_and_jx_is_memoised_per_guard_set():
+    x = build_X_A(SphereConfig(2))
+    plain = kernel_and_jx(x)
+    assert kernel_and_jx(x) is plain
+    assert kernel_and_jx(x, frozenset()) is plain
+    guarded = kernel_and_jx(x, {"P1"})
+    assert guarded is not plain
+    assert kernel_and_jx(x, frozenset({"P1"})) is guarded
+    assert [name for name, _ in guarded.deferred] == ["P1"]
+    assert [name for name, _ in plain.katsura] == ["P1", "P2"]
+    assert kernel_and_jx(build_X_A(SphereConfig(2))) is not plain
+
+
+def _validation_sources() -> list:
+    out = []
+    for n in (2, 3):
+        rsum, psi, omega = build_mirror_sum(SphereConfig(n))
+        out += [psi.src, omega.src, psi.dst, rsum.corr]
+    for path in sorted(DATA.glob("hilbert_*.json")):
+        kind, obj = corr_check_from_json(load_json(path))
+        out += [obj] if kind == "single" else [obj.src, obj.dst]
+    return out
+
+
+def _mutated(corr, kind: str, rng: random.Random) -> Correspondence:
+    """An unvalidated copy of `corr` with one seeded table mutation."""
+    tables = {"inner": dict(corr._inner), "right": dict(corr._right),
+              "left": dict(corr._left)}
+    gens = sorted(corr.gens, key=sort_key)
+    basis = corr.algebra.sorted_basis()
+    which = "inner" if kind == "negative" else rng.choice(sorted(tables))
+    table = tables[which]
+
+    def put(key, v):
+        table[key] = v
+        if which == "inner":
+            table[key[::-1]] = v
+
+    key = rng.choice(sorted((k for k, v in table.items() if v), key=sort_key))
+    entry = table[key]
+    if kind == "drop":
+        table.pop(key)
+        if which == "inner":
+            table.pop(key[::-1], None)
+    elif kind == "flip":
+        put(key, {s: -c for s, c in entry.items()})
+    elif kind == "double":
+        s = rng.choice(sorted(entry, key=sort_key))
+        put(key, {**entry, s: 2 * entry[s]})
+    elif kind == "stray":
+        shape = {"inner": (gens, gens), "right": (gens, basis), "left": (basis, gens)}[which]
+        missing = [(p, q) for p in shape[0] for q in shape[1] if not table.get((p, q))]
+        if missing:
+            out = basis if which == "inner" else gens
+            put(rng.choice(missing),
+                {rng.choice(out): Fraction(rng.choice((-2, -1, 1, 2)))})
+    else:
+        g = rng.choice(gens)
+        put((g, g), {rng.choice(basis): Fraction(-1)})
+    return Correspondence(corr.name, corr.algebra, corr.gens, tables["inner"],
+                          tables["right"], tables["left"], validate=False)
+
+
+def test_validate_matches_dense_loops_on_seeded_mutations():
+    """The sparse validation gives the dense loops' records, failures
+    included: same names, verdicts, details and order."""
+    failed_groups = set()
+    for i, corr in enumerate(_validation_sources()):
+        rng = random.Random(i)
+        for kind in ("drop", "flip", "double", "stray", "negative"):
+            mutant = _mutated(corr, kind, rng)
+            got = [(c.name, c.ok, c.detail) for c in mutant.validate().checks]
+            assert got == dense_validate_records(mutant), (corr.name, i, kind)
+            failed_groups |= {name for name, ok, _ in got
+                              if not ok and " at " not in name}
+    assert failed_groups == {
+        "right action is a module action", "inner product compatible with right action",
+        "left action is a homomorphism", "left action adjointable",
+        "inner product positive (per-atom Gram)"}
 
 
 def test_compact_decomposition_witnesses():
