@@ -237,8 +237,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit:
+            # `--help` and usage errors exit from inside argparse; flush
+            # here so a closed stdout is handled below and not at exit.
+            sys.stdout.flush()
+            raise
         rc = args.func(args)
         sys.stdout.flush()
         return rc

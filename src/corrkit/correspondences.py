@@ -87,15 +87,15 @@ class Correspondence:
     maps (algebra basis symbol, generator) to module elements.
     """
 
-    __slots__ = ("name", "algebra", "gens", "_inner", "_right", "_left", "_atoms",
-                 "_ideals")
+    __slots__ = ("name", "algebra", "gens", "_gen_set", "_inner", "_right", "_left",
+                 "_atoms", "_ideals")
 
     def __init__(self, name: str, algebra: CommAlgebra, gens, inner: dict,
                  right: dict, left: dict, validate: bool = True):
         self.name = name
         self.algebra = algebra
         self.gens = tuple(gens)
-        gen_set = set(self.gens)
+        self._gen_set = gen_set = frozenset(self.gens)
         if len(gen_set) != len(self.gens):
             raise ValueError(f"{name}: duplicate generators")
         basis_set = set(algebra.basis)
@@ -131,7 +131,7 @@ class Correspondence:
     # ------------------------------------------------------------- elements
 
     def gen(self, sym: str) -> Vec:
-        if sym not in self.gens:
+        if sym not in self._gen_set:
             raise KeyError(sym)
         return {sym: Fraction(1)}
 

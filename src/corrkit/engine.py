@@ -13,6 +13,13 @@ with r the iterated relative range.  Each term keeps the invariant
 A <= range(alpha) & range(beta), which makes the zero term detectable
 at construction time.
 
+Each engine memoises these reductions: it maps a term pair to its
+reduced term, or to None when the product vanishes.  That is sound
+because a term is an immutable (tuple, SetExpr, tuple) with value
+equality and the engine's graph never changes, so the reduction is a
+pure function of the two terms (the word-range cache rests on the same
+fact).  The memo lives and dies with its engine.
+
 Equality is decided by moving a difference toward a common word level:
 a projection term over a set with finite non-empty label emission
 expands through
@@ -128,6 +135,7 @@ class Engine:
         self._range_cache: dict[tuple, SetExpr] = {(): self._full}
         self._labels_cache: dict[SetExpr, tuple] = {}
         self._lattice_ok: set = {EMPTY}
+        self._products: dict[tuple, tuple | None] = {}
 
     # ------------------------------------------------------------ builders
 
@@ -193,23 +201,34 @@ class Engine:
             return None
         return (alpha, s, beta)
 
+    def _product(self, xt, yt):
+        """The reduced term of the product of two terms, or None when it
+        vanishes."""
+        a, s, b = xt
+        g, u, d = yt
+        if len(g) >= len(b) and g[: len(b)] == b:
+            gp = g[len(b):]
+            return self._term(a + gp, self.set_range(s, gp).intersect(u), d)
+        if b[: len(g)] == g:
+            bp = b[len(g):]
+            return self._term(a, s.intersect(self.set_range(u, bp)), d + bp)
+        return None
+
     def _mul(self, x: Element, y: Element) -> Element:
         out: dict = {}
-        for (a, s, b), c in x.terms.items():
-            for (g, u, d), e in y.terms.items():
-                coeff = c * e
-                if len(g) >= len(b) and g[: len(b)] == b:
-                    gp = g[len(b):]
-                    t = self._term(a + gp, self.set_range(s, gp).intersect(u), d)
-                elif b[: len(g)] == g:
-                    bp = b[len(g):]
-                    t = self._term(a, s.intersect(self.set_range(u, bp)), d + bp)
-                else:
-                    t = None
+        products = self._products
+        for xt, c in x.terms.items():
+            for yt, e in y.terms.items():
+                key = (xt, yt)
+                try:
+                    t = products[key]
+                except KeyError:
+                    t = products[key] = self._product(xt, yt)
                 if t is not None:
-                    out[t] = out.get(t, Fraction(0)) + coeff
+                    out[t] = out.get(t, Fraction(0)) + c * e
         if len(out) > TERM_BUDGET:
-            raise BudgetError(f"product grew past {TERM_BUDGET} terms")
+            raise BudgetError(f"product of {len(x.terms)} x {len(y.terms)} terms "
+                              f"grew past {TERM_BUDGET} terms")
         return Element(self, out)
 
     # ----------------------------------------------------------- expansion

@@ -5,8 +5,10 @@ code under test: invariant factors through minor gcds instead of
 elimination, labelled-space arithmetic through a naive edge-walking
 calculator over frozensets instead of closed-form set expressions,
 correspondence validation through dense loops over every generator and
-basis index instead of sparse walks over the stored table entries, and
-a handful of presentation matrices frozen from hand reduction.
+basis index instead of sparse walks over the stored table entries,
+engine products reduced pair by pair instead of through the engine's
+memo of term-pair products, and a handful of presentation matrices
+frozen from hand reduction.
 """
 from __future__ import annotations
 
@@ -15,7 +17,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import gcd
 
-from corrkit.engine import Engine
+from corrkit.engine import Element, Engine
 from corrkit.exactlinalg import is_psd, sort_key, vec_repr
 from corrkit.labelled import (label_set, relative_range, sink_set,
                               truncate_space)
@@ -308,6 +310,28 @@ def naive_closure(calc: NaiveCalc, given) -> set:
         for lab in calc.labels:
             admit(calc.rng(s, lab))
     return set(sets)
+
+
+# ------------------------------------------------------- engine products
+
+def reference_mul(engine: Engine, x: Element, y: Element) -> Element:
+    """The product x * y reduced pair by pair, with no memo: every term
+    pair goes through the prefix test, the relative ranges and the
+    intersections afresh, as `Engine._mul` did before it kept one."""
+    out: dict = {}
+    for (a, s, b), c in x.terms.items():
+        for (g, u, d), e in y.terms.items():
+            if len(g) >= len(b) and g[: len(b)] == b:
+                gp = g[len(b):]
+                t = engine._term(a + gp, engine.set_range(s, gp).intersect(u), d)
+            elif b[: len(g)] == g:
+                bp = b[len(g):]
+                t = engine._term(a, s.intersect(engine.set_range(u, bp)), d + bp)
+            else:
+                t = None
+            if t is not None:
+                out[t] = out.get(t, Fraction(0)) + c * e
+    return Element(engine, out)
 
 
 # --------------------------------------------------- truncation comparison

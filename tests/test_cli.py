@@ -174,16 +174,34 @@ def test_verify_sphere_json_stream_is_pinned(n):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# sha256 of the `properties --cases 300 --seed 1 --format json` stream,
+# recorded at commit 815ec75.  Its "nontrivial cases" and "nonzero pairs"
+# counts depend on every engine product, so a change to how products are
+# reduced or memoised that alters any of them shows here.
+PROPERTIES_JSON_SHA256 = "727b8e40b3d64cdb1e4399c9e1f208b53df8842de91f650ec9a50116b7c26fc7"
+
+
+@pytest.mark.parametrize("hash_seed", ["0", "1"])
+def test_properties_json_stream_is_pinned(hash_seed, monkeypatch):
+    monkeypatch.setitem(ENV, "PYTHONHASHSEED", hash_seed)
+    out = run("properties", "--cases", 300, "--seed", 1, "--format", "json").stdout
+    assert hashlib.sha256(out.encode()).hexdigest() == PROPERTIES_JSON_SHA256
+
+
 @pytest.mark.parametrize("args, unbuffered", [
     (("ktheory", DATA / "m1_graph.json"), ""),
     (("verify-sphere", "--n", 2, "--format", "json"), ""),
     (("ktheory", DATA / "m1_graph.json"), "1"),
-], ids=["fails-at-final-flush", "fails-when-buffer-fills", "fails-at-first-print"])
+    (("--help",), ""),
+    (("verify-sphere", "--help"), ""),
+], ids=["fails-at-final-flush", "fails-when-buffer-fills", "fails-at-first-print",
+        "help", "subcommand-help"])
 def test_closed_stdout_is_not_an_internal_error(args, unbuffered):
     """A reader that closes the pipe before the report is written gets
     exit 1 and an empty stderr, wherever the write fails: at the final
     flush of a short buffered report, in `print` once a long report fills
-    the write buffer, or at the first `print` when stdout is unbuffered."""
+    the write buffer, or at the first `print` when stdout is unbuffered.
+    The same holds for the help text argparse prints before it exits."""
     env = {k: v for k, v in ENV.items() if k != "PYTHONUNBUFFERED"}
     if unbuffered:
         env["PYTHONUNBUFFERED"] = unbuffered

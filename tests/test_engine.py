@@ -1,11 +1,16 @@
 """Normal-form arithmetic for labelled-space representations."""
+from random import Random
+
 import pytest
 
-from corrkit.engine import Engine, substitute, tautological_checks
-from corrkit.errors import UnsupportedSpaceError
+import corrkit.engine
+from corrkit.engine import Element, Engine, substitute, tautological_checks
+from corrkit.errors import BudgetError, UnsupportedSpaceError
+from corrkit.properties import _engines, _factor_pool, _random_element
 from corrkit.labelled import build_space, concrete_graph, relative_range
 from corrkit.setexpr import atoms, tail
 from corrkit.spheres import SphereConfig, build_En_space
+from oracles import reference_mul
 
 
 @pytest.fixture(scope="module")
@@ -116,3 +121,67 @@ def test_combine_sums_images(edge_eng):
     pa, pb = eng.p(atoms("a")), eng.p(atoms("b"))
     assert eng.combine({}, {"a": pa}).is_zero_syntactic()
     assert eng.equals(eng.combine({"a": 2, "b": -1}, {"a": pa, "b": pb}), 2 * pa - pb)
+
+
+def _count_products(monkeypatch, eng) -> list:
+    """Wrap `eng._product` on the instance; the list collects its calls."""
+    calls = []
+    inner = eng._product
+
+    def counted(xt, yt):
+        calls.append((xt, yt))
+        return inner(xt, yt)
+
+    monkeypatch.setattr(eng, "_product", counted)
+    return calls
+
+
+@pytest.mark.parametrize("which", [0, 1], ids=["branchy", "E_2"])
+def test_memoised_products_match_the_reference(which, monkeypatch):
+    """Products through the engine's term-pair memo equal the pair-by-pair
+    reduction: fresh pairs, repeated pairs (memo hits), adjoint pairs, and
+    the same pair on a fresh engine, whose memo starts empty."""
+    eng, labels, sets = _engines()[which]
+    pool = _factor_pool(eng, labels, sets)
+    rng = Random(20411 + which)
+    pairs = [(_random_element(rng, eng, pool), _random_element(rng, eng, pool))
+             for _ in range(60)]
+    nonzero = 0
+    for x, y in pairs:
+        got = x * y
+        assert got.terms == reference_mul(eng, x, y).terms
+        nonzero += bool(got.terms)
+        assert (y.adj() * x.adj()).terms == reference_mul(eng, y.adj(), x.adj()).terms
+        assert (y.adj() * x.adj()).terms == got.adj().terms
+    assert nonzero > len(pairs) // 4
+
+    calls = _count_products(monkeypatch, eng)
+    for x, y in pairs:
+        assert (x * y).terms == reference_mul(eng, x, y).terms
+    assert calls == []
+
+    fresh = Engine(eng.space)
+    calls = _count_products(monkeypatch, fresh)
+    for x, y in pairs:
+        fx, fy = Element(fresh, x.terms), Element(fresh, y.terms)
+        assert (fx * fy).terms == reference_mul(eng, x, y).terms
+    assert len(set(calls)) == len(calls) > 0
+
+
+def test_budget_error_names_the_product_sizes(monkeypatch):
+    eng, labels, sets = _engines()[1]
+    x = eng.combine({lab: 1 for lab in labels}, {lab: eng.s(lab) for lab in labels})
+    y = x.adj()
+    m, n, size = len(x.terms), len(y.terms), len((x * y).terms)
+    assert size > 1
+    monkeypatch.setattr(corrkit.engine, "TERM_BUDGET", size - 1)
+    fresh = Engine(eng.space)
+    fx, fy = Element(fresh, x.terms), Element(fresh, y.terms)
+    with pytest.raises(BudgetError) as info:
+        fx * fy
+    assert str(info.value) == f"product of {m} x {n} terms grew past {size - 1} terms"
+    small = fx * fresh.p(sets[0])
+    assert len(small.terms) <= size - 1
+    assert small.terms == reference_mul(fresh, fx, fresh.p(sets[0])).terms
+    monkeypatch.undo()
+    assert (fx * fy).terms == reference_mul(fresh, fx, fy).terms
