@@ -19,7 +19,7 @@ pass.
 
 With --format json every check becomes one JSON line and a trailing
 summary line carries the counts; the stream is identical for identical
-inputs regardless of --jobs.
+inputs, and for `obstruction` regardless of --jobs.
 """
 from __future__ import annotations
 
@@ -205,8 +205,6 @@ def build_parser() -> argparse.ArgumentParser:
     vs.add_argument("--n", type=int, default=2, help="sphere size parameter")
     vs.add_argument("--trunc", type=int, default=4, metavar="N",
                     help="index truncation for the infinite presentations")
-    vs.add_argument("--jobs", type=int, default=1,
-                    help="accepted for uniform automation; the suite runs serially")
     _add_format(vs)
     vs.set_defaults(func=cmd_verify_sphere)
 

@@ -420,46 +420,22 @@ def check_morphism(m: Morphism, src_guards=frozenset(), dst_guards=frozenset()) 
     basis = src.algebra.sorted_basis()
     gens = sorted(src.gens, key=sort_key)
 
-    ok = True
-    for a in basis:
-        for b in basis:
-            lhs = m.apply_alg(src.algebra.basis_product(a, b))
-            rhs = dst.algebra.mul(m.alg_map[a], m.alg_map[b])
-            if lhs != rhs:
-                ok = False
-                rep.add(f"multiplicative at ({a},{b})", False,
-                        f"{vec_repr(lhs)} != {vec_repr(rhs)}")
-    rep.add("algebra map multiplicative", ok)
-
-    ok = True
-    for g, h in _pairs(src.gens):
-        lhs = dst.inner_product(m.mod_map[g], m.mod_map[h])
-        rhs = m.apply_alg(src.inner_product(src.gen(g), src.gen(h)))
-        if lhs != rhs:
-            ok = False
-            rep.add(f"(C1) at ({g},{h})", False, f"{vec_repr(lhs)} != {vec_repr(rhs)}")
-    rep.add("(C1) inner products preserved", ok)
-
-    ok = True
-    for g in gens:
-        for b in basis:
-            lhs = m.apply_mod(src.right_action(src.gen(g), {b: 1}))
-            rhs = dst.right_action(m.mod_map[g], m.alg_map[b])
-            if lhs != rhs:
-                ok = False
-                rep.add(f"right action at ({g},{b})", False)
-    rep.add("module map respects right action", ok)
-
-    ok = True
-    for b in basis:
-        for g in gens:
-            lhs = m.apply_mod(src.left_action({b: 1}, src.gen(g)))
-            rhs = dst.left_action(m.alg_map[b], m.mod_map[g])
-            if lhs != rhs:
-                ok = False
-                rep.add(f"(C2) at ({b},{g})", False,
-                        f"{vec_repr(lhs)} != {vec_repr(rhs)}")
-    rep.add("(C2) left actions intertwined", ok)
+    ab = [(a, b) for a in basis for b in basis]
+    gb = [(g, b) for g in gens for b in basis]
+    gh = list(_pairs(src.gens))
+    _report_axiom(rep, "algebra map multiplicative", "multiplicative",
+                  {(a, b): m.apply_alg(src.algebra.basis_product(a, b)) for a, b in ab},
+                  {(a, b): dst.algebra.mul(m.alg_map[a], m.alg_map[b]) for a, b in ab}, True)
+    _report_axiom(rep, "(C1) inner products preserved", "(C1)",
+                  {(g, h): dst.inner_product(m.mod_map[g], m.mod_map[h]) for g, h in gh},
+                  {(g, h): m.apply_alg(src.inner_product(src.gen(g), src.gen(h)))
+                   for g, h in gh}, True)
+    _report_axiom(rep, "module map respects right action", "right action",
+                  {(g, b): m.apply_mod(src.right_action(src.gen(g), {b: 1})) for g, b in gb},
+                  {(g, b): dst.right_action(m.mod_map[g], m.alg_map[b]) for g, b in gb}, False)
+    _report_axiom(rep, "(C2) left actions intertwined", "(C2)",
+                  {(b, g): m.apply_mod(src.left_action({b: 1}, src.gen(g))) for g, b in gb},
+                  {(b, g): dst.left_action(m.alg_map[b], m.mod_map[g]) for g, b in gb}, True)
 
     src_ideals = kernel_and_jx(src, src_guards)
     dst_ideals = kernel_and_jx(dst, dst_guards)

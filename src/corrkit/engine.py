@@ -89,9 +89,6 @@ class Element:
     def adj(self) -> "Element":
         return Element(self.engine, {(b, s, a): c for (a, s, b), c in self.terms.items()})
 
-    def is_zero_syntactic(self) -> bool:
-        return not self.terms
-
     def level(self) -> int:
         return max((max(len(a), len(b)) for a, _, b in self.terms), default=0)
 
@@ -174,12 +171,6 @@ class Engine:
         for sym, c in vec.items():
             out = out + c * images[sym]
         return out
-
-    def s_word(self, labels) -> Element:
-        out = None
-        for lab in labels:
-            out = self.s(lab) if out is None else out * self.s(lab)
-        return out if out is not None else self.zero()
 
     # ----------------------------------------------------------- reduction
 

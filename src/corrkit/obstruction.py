@@ -25,7 +25,8 @@ from dataclasses import dataclass
 from itertools import combinations_with_replacement, islice, permutations, product
 
 from .errors import BudgetError
-from .graphs import Graph, canonical_encoding, hereditary_closure, is_acyclic_among
+from .graphs import (Graph, canonical_encoding, from_edge_pairs, hereditary_closure,
+                     is_acyclic_among)
 from .ktheory import k0_class_membership
 from .reports import Report
 
@@ -39,8 +40,7 @@ class Candidate:
     pairs: tuple  # (src, dst) with multiplicity as repetition
 
     def graph(self) -> Graph:
-        edges = [(f"e{i}", s, d) for i, (s, d) in enumerate(self.pairs)]
-        return Graph(self.vertices, edges)
+        return from_edge_pairs(self.vertices, self.pairs)
 
 
 def _structural_ok(g: Graph, wide: bool) -> tuple[bool, str]:

@@ -7,8 +7,10 @@ record a corner filtration.  Both project onto a common module Z over
 C, and the restricted direct sum of X and Y over Z is carried by the
 operator algebra of an indexed labelled space.  This module builds each
 piece and replays the defining identities inside exact term engines.
-Each tier builds the unvalidated tables it checks, and
-`verify_sphere_suite` validates X, Y and Z once each and reports them.
+The builders return unvalidated tables.  `verify_sphere_suite` builds
+X, Y, Z, the two quotient morphisms and the two row engines once,
+validates each table once and reports it, and hands the same objects to
+every tier.
 
 B and Y are infinitely presented.  Builders cut the index set at a
 bound N; the cut clips exactly two inner-product rows at the boundary
@@ -89,13 +91,13 @@ def _add_row(tables: tuple, gen: str, proj: str, i: int, top: int) -> None:
 
 
 def _row_module(name: str, alg_name: str, gen: str, proj: str, n: int,
-                top: int, validate: bool) -> Correspondence:
+                top: int) -> Correspondence:
     """The n-row pattern over the diagonal algebra on proj1..proj{top}."""
     tables: tuple = ([], {}, {}, {})
     for i in range(1, n + 1):
         _add_row(tables, gen, proj, i, top)
     algebra = diagonal_algebra(alg_name, [f"{proj}{j}" for j in range(1, top + 1)])
-    return Correspondence(name, algebra, *tables, validate=validate)
+    return Correspondence(name, algebra, *tables, validate=False)
 
 
 def _row_graph(n: int, top: int) -> Graph:
@@ -133,23 +135,22 @@ def build_z_graph(cfg: SphereConfig) -> Graph:
 # -------------------------------------------------------- presentations
 
 
-def build_X_A(cfg: SphereConfig, validate: bool = True) -> Correspondence:
+def build_X_A(cfg: SphereConfig) -> Correspondence:
     """Disc module X over the diagonal algebra A.
 
     One generator w_{i,j} per disc edge; inner products land on the
     column projection, the right action selects the column and the left
     action the row.
     """
-    return _row_module("X", "A", "w", "P", cfg.n, cfg.n + 1, validate)
+    return _row_module("X", "A", "w", "P", cfg.n, cfg.n + 1)
 
 
-def build_Z_C(cfg: SphereConfig, validate: bool = True) -> Correspondence:
+def build_Z_C(cfg: SphereConfig) -> Correspondence:
     """Sphere module Z over C: the disc pattern without its sink column."""
-    return _row_module("Z", "C", "z", "S", cfg.n, cfg.n, validate)
+    return _row_module("Z", "C", "z", "S", cfg.n, cfg.n)
 
 
-def build_Y_B(cfg: SphereConfig, validate: bool = True,
-              bound: int | None = None) -> Correspondence:
+def build_Y_B(cfg: SphereConfig, bound: int | None = None) -> Correspondence:
     """Filtered module Y over B, cut at the truncation bound.
 
     B carries the row projections R_1..R_{n+1} plus corner projections
@@ -210,7 +211,7 @@ def build_Y_B(cfg: SphereConfig, validate: bool = True,
         left[(f"Q{i}", "y")] = {f"y_{i}": ONE}
         left[(f"Q{i}", f"y_{i}")] = {f"y_{i}": ONE}
     return Correspondence("Y", algebra, gens, inner, right, left,
-                          validate=validate)
+                          validate=False)
 
 
 def y_guard_symbols(cfg: SphereConfig, bound: int | None = None) -> frozenset:
@@ -327,7 +328,7 @@ def rho_X_images(cfg: SphereConfig, y_mod: dict, y_alg: dict):
 # --------------------------------------------------- flip and projection
 
 
-def build_beta(cfg: SphereConfig, engz: Engine | None = None):
+def build_beta(cfg: SphereConfig, engz: Engine):
     """Flip of the sphere graph algebra: the terminal loop isometry is
     sent to its adjoint, every other generator is fixed.
 
@@ -337,7 +338,6 @@ def build_beta(cfg: SphereConfig, engz: Engine | None = None):
     automorphism of order two.
     """
     n = cfg.n
-    engz = engz if engz is not None else _row_engine(n, n)
     triples = _row_edges(n, n)
     s_images = {name: engz.s(name) for name, _, _ in triples}
     s_images[f"e_{n}_{n}"] = engz.s(f"e_{n}_{n}").adj()
@@ -369,32 +369,31 @@ def psi_hat_images(cfg: SphereConfig, engz: Engine):
     return s_images, p_images, rep
 
 
-def check_omega_factorization(cfg: SphereConfig) -> Report:
+def check_omega_factorization(cfg: SphereConfig, omega: Morphism, disc: Engine,
+                              sphere: Engine) -> Report:
     """Pushing the Y images through the sink-killing extension and then
-    the flip must reproduce omega on every generator."""
+    the flip must reproduce omega on every generator.  `disc` and
+    `sphere` are the row engines of the disc and sphere graphs."""
     n = cfg.n
     rep = Report("factorization of omega")
-    engz = _row_engine(n, n)
-    w_img, p_img = _row_images(_row_engine(n, n + 1), n, n + 1, "w", "P")
+    w_img, p_img = _row_images(disc, n, n + 1, "w", "P")
     mod, alg = rho_Y_images(cfg, w_img, p_img)
-    beta_s, beta_p, beta_rep = build_beta(cfg, engz)
+    beta_s, beta_p, beta_rep = build_beta(cfg, sphere)
     rep.merge(beta_rep)
-    hat_s, hat_p, hat_rep = psi_hat_images(cfg, engz)
+    hat_s, hat_p, hat_rep = psi_hat_images(cfg, sphere)
     rep.merge(hat_rep, prefix="sink-killing extension")
-    z_img, s_alg = _row_images(engz, n, n, "z", "S")
-    omega = build_omega(cfg, build_Y_B(cfg, validate=False),
-                        build_Z_C(cfg, validate=False))
+    z_img, s_alg = _row_images(sphere, n, n, "z", "S")
 
     def push(el):
-        return substitute(substitute(el, engz, hat_s, hat_p),
-                          engz, beta_s, beta_p)
+        return substitute(substitute(el, sphere, hat_s, hat_p),
+                          sphere, beta_s, beta_p)
 
     bad = [g for g in sorted(mod, key=sort_key)
-           if not engz.equals(push(mod[g]), engz.combine(omega.mod_map[g], z_img))]
+           if not sphere.equals(push(mod[g]), sphere.combine(omega.mod_map[g], z_img))]
     rep.add("omega agrees on module generators", not bad,
             f"first mismatch at {bad[0]}" if bad else "")
     badb = [b for b in sorted(alg, key=sort_key)
-            if not engz.equals(push(alg[b]), engz.combine(omega.alg_map[b], s_alg))]
+            if not sphere.equals(push(alg[b]), sphere.combine(omega.alg_map[b], s_alg))]
     rep.add("omega agrees on algebra generators", not badb,
             f"first mismatch at {badb[0]}" if badb else "")
     return rep
@@ -414,7 +413,8 @@ def _nonzero_orthogonal(eng: Engine, images: list) -> bool:
                for k, a in enumerate(images) for b in images[k + 1:])
 
 
-def verify_XY_isomorphism(cfg: SphereConfig) -> Report:
+def verify_XY_isomorphism(cfg: SphereConfig, X: Correspondence, Y: Correspondence,
+                          disc: Engine) -> Report:
     """Both directions of the sphere isomorphism inside the disc engine.
 
     The Y side is checked as a covariant representation built from the
@@ -423,32 +423,30 @@ def verify_XY_isomorphism(cfg: SphereConfig) -> Report:
     the two maps as mutually inverse on the dense subalgebras the
     generators span.  The guarded instances that the clipped tables
     cannot settle are verified here against exact engine values.
+    `disc` is the row engine of the disc graph.
     """
     n, N = cfg.n, cfg.N
     rep = Report(f"sphere isomorphism (n={n}, N={N})")
-    X = build_X_A(cfg, validate=False)
-    Y = build_Y_B(cfg, validate=False)
-    eng = _row_engine(n, n + 1)
-    w_img, p_img = _row_images(eng, n, n + 1, "w", "P")
+    w_img, p_img = _row_images(disc, n, n + 1, "w", "P")
     mod, alg = rho_Y_images(cfg, w_img, p_img)
-    rep.merge(check_covariant_rep(Y, mod, alg, eng,
+    rep.merge(check_covariant_rep(Y, mod, alg, disc,
                                   guards=y_guard_symbols(cfg),
                                   c1_defer=y_boundary_pairs(cfg)),
               prefix="(rho_Y, rho_B)")
 
     # the two clipped inner-product rows, against their true value
     nxt = corner_elements(cfg, w_img, p_img, N + 1)[N]
-    okb = (eng.equals(mod["y"].adj() * mod[f"y_{N}"], nxt)
-           and eng.equals(mod[f"y_{N}"].adj() * mod[f"y_{N}"], nxt))
+    okb = (disc.equals(mod["y"].adj() * mod[f"y_{N}"], nxt)
+           and disc.equals(mod[f"y_{N}"].adj() * mod[f"y_{N}"], nxt))
     rep.add("clipped inner products equal the next corner element", okb)
 
     okc = True
     for i in range(1, N + 1):
         ai = alg[f"Q{i}"]
-        okc = okc and eng.equals(ai.adj(), ai) and eng.equals(ai * ai, ai)
-        okc = okc and eng.equals(ai * alg[f"R{n}"], ai)
+        okc = okc and disc.equals(ai.adj(), ai) and disc.equals(ai * ai, ai)
+        okc = okc and disc.equals(ai * alg[f"R{n}"], ai)
         for j in range(i + 1, N + 1):
-            okc = okc and eng.equals(ai * alg[f"Q{j}"], eng.zero())
+            okc = okc and disc.equals(ai * alg[f"Q{j}"], disc.zero())
     rep.add("corner elements are orthogonal projections under the loop row",
             okc)
 
@@ -460,30 +458,30 @@ def verify_XY_isomorphism(cfg: SphereConfig) -> Report:
     lhs = u * u.adj()
     for i in range(1, N + 1):
         lhs = lhs - mod[f"y_{i}"] * mod[f"y_{i}"].adj()
-    okd = eng.equals(lhs, resid)
-    okq = eng.equals(mod[f"y_{N}"] * mod[f"y_{N}"].adj(), alg[f"Q{N}"])
+    okd = disc.equals(lhs, resid)
+    okq = disc.equals(mod[f"y_{N}"] * mod[f"y_{N}"].adj(), alg[f"Q{N}"])
     rep.add("guarded ideal atoms realized exactly", okd and okq,
             "the loop remainder and the last corner projection")
 
     xmod, xalg = rho_X_images(cfg, mod, alg)
-    rep.merge(check_covariant_rep(X, xmod, xalg, eng),
+    rep.merge(check_covariant_rep(X, xmod, xalg, disc),
               prefix="(rho_X, rho_A)")
 
-    okx = all(eng.equals(xmod[g], w_img[g]) for g in sorted(xmod, key=sort_key))
-    okx = okx and all(eng.equals(xalg[b], p_img[b])
+    okx = all(disc.equals(xmod[g], w_img[g]) for g in sorted(xmod, key=sort_key))
+    okx = okx and all(disc.equals(xalg[b], p_img[b])
                       for b in sorted(xalg, key=sort_key))
     rep.add("X composite fixes the canonical images", okx)
     mod2, alg2 = rho_Y_images(cfg, xmod, xalg)
-    oky = all(eng.equals(mod2[g], mod[g]) for g in sorted(mod, key=sort_key))
-    oky = oky and all(eng.equals(alg2[b], alg[b])
+    oky = all(disc.equals(mod2[g], mod[g]) for g in sorted(mod, key=sort_key))
+    oky = oky and all(disc.equals(alg2[b], alg[b])
                       for b in sorted(alg, key=sort_key))
     rep.add("Y composite fixes the representation", oky)
 
     images = [alg[f"R{i}"] for i in range(1, n + 2) if i != n]
     images += [alg[f"Q{j}"] for j in range(1, N + 1)]
     images.append(resid)
-    oki = (_nonzero_orthogonal(eng, images)
-           and not any(eng.equals(el, eng.zero()) for el in mod.values()))
+    oki = (_nonzero_orthogonal(disc, images)
+           and not any(disc.equals(el, disc.zero()) for el in mod.values()))
     rep.add("atom images independent and module images nonzero", oki,
             "nonzero orthogonal idempotents are linearly independent")
     return rep
@@ -512,7 +510,7 @@ def _row_op(prefix, i, hi):
     return op
 
 
-def lemma_suite(cfg: SphereConfig) -> Report:
+def lemma_suite(cfg: SphereConfig, X: Correspondence) -> Report:
     """Kernel and compactness structure of both sphere modules.
 
     The filtered side is rebuilt one level past the configured bound so
@@ -523,7 +521,6 @@ def lemma_suite(cfg: SphereConfig) -> Report:
     """
     n, N = cfg.n, cfg.N
     rep = Report(f"ideal lemmas (n={n}, N={N})")
-    X = build_X_A(cfg, validate=False)
     data = kernel_and_jx(X)
     rep.add("disc kernel is the sink projection",
             [name for name, _ in data.kernel] == [f"P{n + 1}"],
@@ -534,7 +531,7 @@ def lemma_suite(cfg: SphereConfig) -> Report:
     rep.add("disc module fully resolved",
             not data.deferred and not data.noncompact)
 
-    deep = build_Y_B(cfg, validate=False, bound=N + 1)
+    deep = build_Y_B(cfg, bound=N + 1)
     for corr, gen, proj, rows, full, full_detail, cut, cut_none, cut_detail in (
             (X, "w", "P", n, "each ideal projection is its full row of rank-one terms",
              "", "rows truncated before the sink column are refuted",
@@ -842,7 +839,7 @@ def rho_sum_images(cfg: SphereConfig, rsum, eng: Engine):
     return mod, alg, legend
 
 
-def verify_En_representation(cfg: SphereConfig, rsum=None) -> Report:
+def verify_En_representation(cfg: SphereConfig, rsum) -> Report:
     """The glued correspondence realized in the labelled-space algebra.
 
     Checks the space itself (weakly left resolving, not left
@@ -863,8 +860,6 @@ def verify_En_representation(cfg: SphereConfig, rsum=None) -> Report:
             f"repeated incoming label at {witl}" if witl
             else "no repeated incoming label found")
 
-    if rsum is None:
-        rsum, _, _ = build_mirror_sum(cfg)
     eng = Engine(space)
     mod, alg, legend = rho_sum_images(cfg, rsum, eng)
     rep.merge(check_covariant_rep(rsum.corr, mod, alg, eng,
@@ -942,25 +937,24 @@ def verify_sphere_suite(cfg: SphereConfig) -> Report:
     graphs."""
     n, N = cfg.n, cfg.N
     rep = Report(f"mirror sphere suite (n={n}, N={N})")
-    X = build_X_A(cfg, validate=False)
-    Z = build_Z_C(cfg, validate=False)
-    Y = build_Y_B(cfg, validate=False)
+    X, Z, Y = build_X_A(cfg), build_Z_C(cfg), build_Y_B(cfg)
+    psi, omega = build_psi(cfg, X, Z), build_omega(cfg, Y, Z)
+    disc, sphere = _row_engine(n, n + 1), _row_engine(n, n)
     rep.merge(X.validate(), prefix="disc tables")
     rep.merge(Z.validate(), prefix="sphere tables")
     rep.merge(Y.validate(), prefix="filtered tables")
-    rep.merge(lemma_suite(cfg), prefix="lemmas")
-    psi = build_psi(cfg, X, Z)
-    omega = build_omega(cfg, Y, Z)
+    rep.merge(lemma_suite(cfg, X), prefix="lemmas")
     rep.merge(check_morphism(psi), prefix="psi")
     rep.merge(check_morphism(omega, src_guards=y_guard_symbols(cfg)),
               prefix="omega")
-    rep.merge(check_omega_factorization(cfg), prefix="factorization")
-    rep.merge(verify_XY_isomorphism(cfg), prefix="isomorphism")
+    rep.merge(check_omega_factorization(cfg, omega, disc, sphere),
+              prefix="factorization")
+    rep.merge(verify_XY_isomorphism(cfg, X, Y, disc), prefix="isomorphism")
     rep.merge(check_pullback_hypotheses(psi, omega,
                                         y_guards=y_guard_symbols(cfg)),
               prefix="gluing hypotheses")
 
-    deep = build_Y_B(cfg, validate=False, bound=N + 2)
+    deep = build_Y_B(cfg, bound=N + 2)
     deep_data = kernel_and_jx(deep, guards=frozenset({f"R{n}", f"Q{N + 2}"}))
     names = deep_data.katsura_names()
     rep.add("deferred corner atoms confirmed two levels deeper",
@@ -971,8 +965,7 @@ def verify_sphere_suite(cfg: SphereConfig) -> Report:
 
     rsum = restricted_direct_sum(psi, omega, name=f"mirror(n={n})")
     rep.merge(mirror_span_report(cfg, rsum, psi, omega), prefix="glued span")
-    rep.merge(verify_En_representation(cfg, rsum=rsum),
-              prefix="labelled space")
+    rep.merge(verify_En_representation(cfg, rsum), prefix="labelled space")
 
     kd = k_theory(build_disc_graph(cfg))
     rep.add("disc graph K-theory", kd.pair_str() == "K0 = Z, K1 = 0",

@@ -4,8 +4,9 @@ Each oracle recomputes a quantity by a different route than the library
 code under test: invariant factors through minor gcds instead of
 elimination, labelled-space arithmetic through a naive edge-walking
 calculator over frozensets instead of closed-form set expressions,
-correspondence validation through dense loops over every generator and
-basis index instead of sparse walks over the stored table entries,
+correspondence validation and the morphism table checks through dense
+loops over every generator and basis index instead of sparse walks over
+the stored table entries or one comparison of two index maps,
 engine products reduced pair by pair instead of through the engine's
 memo of term-pair products, and a handful of presentation matrices
 frozen from hand reduction.
@@ -180,6 +181,60 @@ def dense_validate_records(corr) -> list:
             ok = False
             rep.add(f"Gram PSD at atom {name}", False)
     rep.add("inner product positive (per-atom Gram)", ok)
+    return [(c.name, c.ok, c.detail) for c in rep.checks]
+
+
+def dense_morphism_records(m) -> list:
+    """(name, ok, detail) records of the four table checks that open
+    `check_morphism` (multiplicative, (C1), right action, (C2)), computed
+    by nested loops over the sorted basis and generators, comparing and
+    reporting each index as it is reached."""
+    rep = Report("morphism conditions")
+    src, dst = m.src, m.dst
+    basis = src.algebra.sorted_basis()
+    gens = sorted(src.gens, key=sort_key)
+
+    ok = True
+    for a in basis:
+        for b in basis:
+            lhs = m.apply_alg(src.algebra.basis_product(a, b))
+            rhs = dst.algebra.mul(m.alg_map[a], m.alg_map[b])
+            if lhs != rhs:
+                ok = False
+                rep.add(f"multiplicative at ({a},{b})", False,
+                        f"{vec_repr(lhs)} != {vec_repr(rhs)}")
+    rep.add("algebra map multiplicative", ok)
+
+    ok = True
+    for i, g in enumerate(gens):
+        for h in gens[i:]:
+            lhs = dst.inner_product(m.mod_map[g], m.mod_map[h])
+            rhs = m.apply_alg(src.inner_product(src.gen(g), src.gen(h)))
+            if lhs != rhs:
+                ok = False
+                rep.add(f"(C1) at ({g},{h})", False, f"{vec_repr(lhs)} != {vec_repr(rhs)}")
+    rep.add("(C1) inner products preserved", ok)
+
+    ok = True
+    for g in gens:
+        for b in basis:
+            lhs = m.apply_mod(src.right_action(src.gen(g), {b: 1}))
+            rhs = dst.right_action(m.mod_map[g], m.alg_map[b])
+            if lhs != rhs:
+                ok = False
+                rep.add(f"right action at ({g},{b})", False)
+    rep.add("module map respects right action", ok)
+
+    ok = True
+    for b in basis:
+        for g in gens:
+            lhs = m.apply_mod(src.left_action({b: 1}, src.gen(g)))
+            rhs = dst.left_action(m.alg_map[b], m.mod_map[g])
+            if lhs != rhs:
+                ok = False
+                rep.add(f"(C2) at ({b},{g})", False,
+                        f"{vec_repr(lhs)} != {vec_repr(rhs)}")
+    rep.add("(C2) left actions intertwined", ok)
     return [(c.name, c.ok, c.detail) for c in rep.checks]
 
 

@@ -23,6 +23,8 @@ from corrkit.properties import DEFAULT_SEED, run_property_suites
 from corrkit.smith import smith_normal_form
 from corrkit.spheres import (
     SphereConfig,
+    _row_engine,
+    build_X_A,
     build_Y_B,
     build_disc_graph,
     build_mirror_sum,
@@ -119,7 +121,8 @@ def test_criterion_2_lemma_suite():
     ok = True
     for n in (1, 2, 3, 4):
         for N in (4, 6):
-            rep = lemma_suite(SphereConfig(n, N=N))
+            cfg = SphereConfig(n, N=N)
+            rep = lemma_suite(cfg, build_X_A(cfg))
             ok = ok and rep.ok
             passed = {c.name for c in rep.checks if c.ok}
             ok = ok and all(m in passed for m in musts)
@@ -143,7 +146,7 @@ def test_criterion_3_morphism_suite():
         ok = ok and check_morphism(psi).ok
         ok = ok and check_morphism(omega, src_guards=y_guard_symbols(cfg)).ok
         # guarded corner atoms settle two levels deeper
-        deep = build_Y_B(cfg, validate=False, bound=cfg.N + 2)
+        deep = build_Y_B(cfg, bound=cfg.N + 2)
         data = kernel_and_jx(deep, guards=y_guard_symbols(cfg, bound=cfg.N + 2))
         names = data.katsura_names()
         ok = ok and f"Q{cfg.N}" in names and not data.noncompact and not data.kernel
@@ -189,7 +192,8 @@ def test_criterion_5_isomorphism_mechanization():
     ]
     ok = True
     for n in (1, 2, 3):
-        rep = verify_XY_isomorphism(SphereConfig(n))
+        cfg = SphereConfig(n)
+        rep = verify_XY_isomorphism(cfg, build_X_A(cfg), build_Y_B(cfg), _row_engine(n, n + 1))
         ok = ok and rep.ok
         passed = {c.name for c in rep.checks if c.ok}
         ok = ok and all(m in passed for m in musts)
@@ -209,7 +213,9 @@ def test_criterion_6_labelled_model():
     ]
     ok = True
     for n in (1, 2, 3):
-        rep = verify_En_representation(SphereConfig(n))
+        cfg = SphereConfig(n)
+        rsum, _, _ = build_mirror_sum(cfg)
+        rep = verify_En_representation(cfg, rsum)
         ok = ok and rep.ok
         passed = {c.name for c in rep.checks if c.ok}
         ok = ok and all(m in passed for m in musts)

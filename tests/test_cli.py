@@ -153,6 +153,12 @@ def test_json_deterministic_across_jobs():
         json.loads(line)
 
 
+def test_verify_sphere_rejects_jobs():
+    # only `obstruction` takes --jobs; the sphere suite has no parallel path
+    proc = run("verify-sphere", "--n", 1, "--jobs", 2, expect=2)
+    assert "unrecognized arguments: --jobs 2" in proc.stderr
+
+
 # n -> (trunc, sha256 of the `verify-sphere --n n --trunc trunc --format json`
 # stream), recorded at commit 7cef42b for n = 1, 2, at 01bab16 for n = 3, the
 # first size with two leading filtered rows in the lemma suite, and at 4ff4e2b

@@ -23,7 +23,7 @@ from corrkit.exactlinalg import sort_key
 from corrkit.io import corr_check_from_json, load_json
 from corrkit.spheres import SphereConfig, build_X_A, build_mirror_sum, y_guard_symbols
 
-from oracles import dense_validate_records, recombine_pair
+from oracles import dense_morphism_records, dense_validate_records, recombine_pair
 
 DATA = pathlib.Path(__file__).resolve().parent.parent / "data"
 
@@ -160,6 +160,66 @@ def test_validate_matches_dense_loops_on_seeded_mutations():
         "right action is a module action", "inner product compatible with right action",
         "left action is a homomorphism", "left action adjointable",
         "inner product positive (per-atom Gram)"}
+
+
+def _morphism_sources() -> list:
+    """(morphism, source guards): psi and omega at n = 2, 3 and the
+    data/hilbert_* morphism."""
+    out = []
+    for n in (2, 3):
+        cfg = SphereConfig(n)
+        _, psi, omega = build_mirror_sum(cfg)
+        out += [(psi, frozenset()), (omega, y_guard_symbols(cfg))]
+    for path in sorted(DATA.glob("hilbert_*.json")):
+        kind, obj = corr_check_from_json(load_json(path))
+        if kind == "morphism":
+            out.append((obj, frozenset()))
+    return out
+
+
+def _mutated_morphism(m: Morphism, which: str, kind: str, rng: random.Random):
+    """A copy of `m` with one seeded change to one image vector of its
+    algebra map or its module map: a flipped sign, a dropped term, or a
+    stray target term; None when every image already uses every target."""
+    maps = {"alg": dict(m.alg_map), "mod": dict(m.mod_map)}
+    table = maps[which]
+    targets = m.dst.algebra.sorted_basis() if which == "alg" else sorted(m.dst.gens, key=sort_key)
+    if kind == "stray":
+        free = [(k, t) for k in sorted(table, key=sort_key) for t in targets if t not in table[k]]
+        if not free:
+            return None
+        key, sym = rng.choice(free)
+        table[key] = {**table[key], sym: Fraction(rng.choice((-2, -1, 1, 2)))}
+    else:
+        key = rng.choice(sorted((k for k, v in table.items() if v), key=sort_key))
+        sym = rng.choice(sorted(table[key], key=sort_key))
+        entry = dict(table[key])
+        if kind == "flip":
+            entry[sym] = -entry[sym]
+        else:
+            del entry[sym]
+        table[key] = entry
+    return Morphism(m.src, m.dst, maps["alg"], maps["mod"])
+
+
+def test_morphism_table_checks_match_dense_loops_on_seeded_mutations():
+    """The four table checks of `check_morphism` give the dense loops'
+    records, failures included; the rest of the report is (C3) and (C4)."""
+    summaries = {"algebra map multiplicative", "(C1) inner products preserved",
+                 "module map respects right action", "(C2) left actions intertwined"}
+    failed_groups = set()
+    for i, (m, guards) in enumerate(_morphism_sources()):
+        rng = random.Random(i)
+        mutants = [_mutated_morphism(m, which, kind, rng)
+                   for which in ("alg", "mod") for kind in ("flip", "drop", "stray")]
+        for mutant in [m] + [x for x in mutants if x is not None]:
+            got = [(c.name, c.ok, c.detail)
+                   for c in check_morphism(mutant, src_guards=guards).checks]
+            want = dense_morphism_records(mutant)
+            assert got[:len(want)] == want, (i, mutant.alg_map, mutant.mod_map)
+            assert all(name.startswith(("(C3)", "(C4)")) for name, _, _ in got[len(want):])
+            failed_groups |= {name for name, ok, _ in want if not ok and name in summaries}
+    assert failed_groups == summaries
 
 
 def test_compact_decomposition_witnesses():

@@ -76,11 +76,11 @@ def test_linear_structure(eng):
     z = 2 * x + y - x
     assert eng.equals(z, x + y)
     assert eng.is_zero(z - x - y)
-    assert (x - x).is_zero_syntactic() or eng.is_zero(x - x)
+    assert not (x - x).terms or eng.is_zero(x - x)
 
 
 def test_adjoint_is_involutive(eng):
-    w = eng.s_word(("g", "h"))
+    w = eng.s("g") * eng.s("h")
     assert eng.equals(w.adj().adj(), w)
 
 
@@ -119,7 +119,7 @@ def test_substitute_refuses_missing_vertex_and_tail(edge_eng, eng):
 def test_combine_sums_images(edge_eng):
     eng = edge_eng
     pa, pb = eng.p(atoms("a")), eng.p(atoms("b"))
-    assert eng.combine({}, {"a": pa}).is_zero_syntactic()
+    assert not eng.combine({}, {"a": pa}).terms
     assert eng.equals(eng.combine({"a": 2, "b": -1}, {"a": pa, "b": pb}), 2 * pa - pb)
 
 

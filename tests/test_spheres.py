@@ -1,12 +1,17 @@
 """The mirror-sphere example family end to end."""
 import pytest
 
+from corrkit import correspondences, spheres
 from corrkit.spheres import (
     SphereConfig,
     _nonzero_orthogonal,
     _row_engine,
     build_beta,
     build_mirror_sum,
+    build_omega,
+    build_X_A,
+    build_Y_B,
+    build_Z_C,
     check_omega_factorization,
     expected_pair_generators,
     mirror_span_report,
@@ -35,7 +40,8 @@ def test_guard_symbols_and_boundary_rows():
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_lemma_suite(n):
-    rep = lemma_suite(SphereConfig(n))
+    cfg = SphereConfig(n)
+    rep = lemma_suite(cfg, build_X_A(cfg))
     assert rep.ok, rep.render()
     names = [c.name for c in rep.checks]
     # bound refutations actually run: shortening a row sum must break it
@@ -45,12 +51,14 @@ def test_lemma_suite(n):
 
 @pytest.mark.parametrize("n", [1, 2])
 def test_omega_factorization(n):
-    rep = check_omega_factorization(SphereConfig(n))
+    cfg = SphereConfig(n)
+    omega = build_omega(cfg, build_Y_B(cfg), build_Z_C(cfg))
+    rep = check_omega_factorization(cfg, omega, _row_engine(n, n + 1), _row_engine(n, n))
     assert rep.ok, rep.render()
 
 
 def test_flip_is_an_involution():
-    _, _, rep = build_beta(SphereConfig(2))
+    _, _, rep = build_beta(SphereConfig(2), _row_engine(2, 2))
     assert rep.ok, rep.render()
     assert any(c.name == "applying the flip twice fixes the generators" and c.ok
                for c in rep.checks)
@@ -58,7 +66,8 @@ def test_flip_is_an_involution():
 
 @pytest.mark.parametrize("n", [1, 2])
 def test_xy_isomorphism(n):
-    rep = verify_XY_isomorphism(SphereConfig(n))
+    cfg = SphereConfig(n)
+    rep = verify_XY_isomorphism(cfg, build_X_A(cfg), build_Y_B(cfg), _row_engine(n, n + 1))
     assert rep.ok, rep.render()
 
 
@@ -74,7 +83,9 @@ def test_pair_module_matches_expected_generators():
 
 @pytest.mark.parametrize("n", [1, 2])
 def test_en_representation(n):
-    rep = verify_En_representation(SphereConfig(n))
+    cfg = SphereConfig(n)
+    rsum, _, _ = build_mirror_sum(cfg)
+    rep = verify_En_representation(cfg, rsum)
     assert rep.ok, rep.render()
 
 
@@ -84,6 +95,28 @@ def test_full_suite_smallest_case():
     names = [c.name for c in rep.checks]
     assert any("K-theory" in s for s in names)
     assert any("weakly left resolving" in s for s in names)
+
+
+def test_suite_builds_each_object_once(monkeypatch):
+    """The suite builds X, Z, Y and the two row engines once and hands
+    them to every tier; only the deeper Y rebuilds (N+1 in the lemmas,
+    N+2 for the deferred atoms) are extra.  Five ideal computations
+    remain: X, Z, guarded Y, the deep Y and the glued module."""
+    calls = {}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("build_X_A", "build_Z_C", "build_Y_B", "_row_engine"):
+        monkeypatch.setattr(spheres, name, counted(name, getattr(spheres, name)))
+    monkeypatch.setattr(correspondences, "IdealData",
+                        counted("IdealData", correspondences.IdealData))
+    assert verify_sphere_suite(SphereConfig(3)).ok
+    assert calls == {"build_X_A": 1, "build_Z_C": 1, "build_Y_B": 3,
+                     "_row_engine": 2, "IdealData": 5}
 
 
 def test_nonzero_orthogonal_refuses_zero_and_overlap():
