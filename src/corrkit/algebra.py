@@ -40,7 +40,6 @@ class CommAlgebra:
         name: str,
         basis: Sequence[str],
         table: Mapping[tuple[str, str], Mapping[str, object]],
-        validate: bool = True,
     ):
         self.name = name
         self.basis = tuple(basis)
@@ -66,10 +65,9 @@ class CommAlgebra:
             else:
                 tab[mirror] = tab[(l, r)]
         self._table = tab
-        if validate:
-            rep = self.validate()
-            if not rep.ok:
-                raise PresentationError(f"{name}: " + "; ".join(c.line() for c in rep.failures()))
+        rep = self.validate()
+        if not rep.ok:
+            raise PresentationError(f"{name}: " + "; ".join(c.line() for c in rep.failures()))
 
     # -------------------------------------------------------------- elements
 
@@ -77,16 +75,6 @@ class CommAlgebra:
         if sym not in self._basis_set:
             raise KeyError(f"{self.name}: unknown basis symbol {sym!r}")
         return {sym: Fraction(1)}
-
-    def combo(self, coeffs: Mapping[str, object]) -> Vec:
-        out = {}
-        for k, c in coeffs.items():
-            if k not in self._basis_set:
-                raise KeyError(f"{self.name}: unknown basis symbol {k!r}")
-            c = frac(c)
-            if c:
-                out[k] = c
-        return out
 
     def mul(self, x: Vec, y: Vec) -> Vec:
         return _table_apply(self._table, x, y)

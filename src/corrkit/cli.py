@@ -124,8 +124,7 @@ def cmd_verify_sphere(args) -> int:
 
 
 def cmd_obstruction(args) -> int:
-    res = sweep(args.max_vertices, max_edges=args.max_edges, wide=args.wide,
-                jobs=args.jobs)
+    res = sweep(args.max_vertices, max_edges=args.max_edges, wide=args.wide)
     headline = (f"{len(res.violations)} counterexamples among "
                 f"{res.candidates_checked} candidates")
     _emit(res.report, args.format,

@@ -227,9 +227,6 @@ class FiniteRankOp:
             _axpy(out, c, corr.right_action(x, corr.inner_product(y, z)))
         return out
 
-    def adjoint(self) -> "FiniteRankOp":
-        return FiniteRankOp(tuple((c, y, x) for c, x, y in self.terms))
-
     def __add__(self, other: "FiniteRankOp") -> "FiniteRankOp":
         return FiniteRankOp(self.terms + other.terms)
 
@@ -243,8 +240,8 @@ class FiniteRankOp:
         return " + ".join(bits)
 
 
-def theta(x: Vec, y: Vec, coeff=1) -> FiniteRankOp:
-    return FiniteRankOp(((frac(coeff), dict(x), dict(y)),))
+def theta(x: Vec, y: Vec) -> FiniteRankOp:
+    return FiniteRankOp(((Fraction(1), dict(x), dict(y)),))
 
 
 def ops_agree(corr: Correspondence, a: FiniteRankOp, b: FiniteRankOp) -> bool:
@@ -260,8 +257,6 @@ def compact_decomposition(corr: Correspondence, a):
     support-pruned candidate set, then on all pairs.  The result is
     re-verified against phi(a) on every generator before return.
     """
-    if isinstance(a, str):
-        a = {a: Fraction(1)}
     images = {g: corr.left_action(a, corr.gen(g)) for g in corr.gens}
     touched = sorted((g for g, img in images.items() if img), key=sort_key)
     if not touched:
@@ -404,7 +399,7 @@ def plus_map(m: Morphism, op: FiniteRankOp) -> FiniteRankOp:
                               for c, x, y in op.terms))
 
 
-def check_morphism(m: Morphism, src_guards=frozenset(), dst_guards=frozenset()) -> Report:
+def check_morphism(m: Morphism, src_guards=frozenset()) -> Report:
     """The compatibility conditions for a correspondence morphism.
 
     Checks, in order: the algebra map is multiplicative; inner products
@@ -438,7 +433,7 @@ def check_morphism(m: Morphism, src_guards=frozenset(), dst_guards=frozenset()) 
                   {(b, g): dst.left_action(m.alg_map[b], m.mod_map[g]) for g, b in gb}, True)
 
     src_ideals = kernel_and_jx(src, src_guards)
-    dst_ideals = kernel_and_jx(dst, dst_guards)
+    dst_ideals = kernel_and_jx(dst)
     allowed = {n for n, _ in dst_ideals.katsura} | {n for n, _ in dst_ideals.deferred}
     ok = True
     for name, atom in src_ideals.katsura + src_ideals.deferred:
@@ -707,7 +702,7 @@ def restricted_direct_sum(mx: Morphism, my: Morphism, name: str = "pullback") ->
 
 
 def check_pullback_hypotheses(mx: Morphism, my: Morphism,
-                              x_guards=frozenset(), y_guards=frozenset()) -> Report:
+                              y_guards=frozenset()) -> Report:
     """The three gluing-theorem hypotheses for a pair of morphisms.
 
     (1) both maps surjective (as spans on generators) with matching
@@ -734,7 +729,7 @@ def check_pullback_hypotheses(mx: Morphism, my: Morphism,
             ok = False
             rep.add(f"(1) {label} algebra map surjective", False,
                     f"misses {', '.join(missing)}")
-    ideal_x = kernel_and_jx(mx.src, x_guards)
+    ideal_x = kernel_and_jx(mx.src)
     ideal_y = kernel_and_jx(my.src, y_guards)
     img_x = [mx.apply_alg(atom) for _, atom in ideal_x.kernel]
     img_y = [my.apply_alg(atom) for _, atom in ideal_y.kernel]

@@ -144,7 +144,7 @@ class Engine:
         return Element(self, {t: Fraction(1)} if t else {})
 
     def p(self, s) -> Element:
-        """Projection over a vertex set.
+        """Projection over a vertex set: a `SetExpr` or one vertex key.
 
         The set must lie in the lattice the space family generates: the
         commutation relation rewrites p_A past isometries through the
@@ -153,7 +153,7 @@ class Engine:
         of projections, never as a single projection term.
         """
         if not isinstance(s, SetExpr):
-            s = atom_set(*s) if isinstance(s, (list, tuple, set, frozenset)) else atom_set(s)
+            s = atom_set(s)
         if s not in self._lattice_ok:
             if not self.space.in_lattice(s):
                 raise UnsupportedSpaceError(

@@ -75,9 +75,9 @@ def sort_key(x: Any):
     return (1, str(x))
 
 
-def vec_repr(v: Vec, zero: str = "0") -> str:
+def vec_repr(v: Vec) -> str:
     if not v:
-        return zero
+        return "0"
     parts = []
     for k in sorted(v, key=sort_key):
         c = v[k]

@@ -3,8 +3,7 @@
 Scalars travel as strings of exact rationals ("1", "-2", "3/2") so no
 reader ever sees a float.  Loaders raise ParseError when a document is
 not readable JSON and ValidationError when it parses but describes an
-inconsistent object; writers emit documents the loaders accept, with
-keys in a deterministic order.
+inconsistent object.
 
 Vertex keys for labelled graphs are either plain strings or indexed
 pairs, written in JSON as a two-element list ["v", 3].  Edge families
@@ -21,7 +20,6 @@ from fractions import Fraction
 from .algebra import CommAlgebra, PresentationError
 from .correspondences import Correspondence, Morphism
 from .errors import ParseError, ValidationError
-from .exactlinalg import sort_key
 from .graphs import Graph
 from .labelled import (CONST, IDX, Edge, EdgeFamily, LabelledGraph,
                        LabelledSpace, build_space)
@@ -70,10 +68,6 @@ def parse_vec(out, where: str) -> dict:
     return {k: v for k, v in vec.items() if v}
 
 
-def vec_json(vec: dict) -> list:
-    return [[k, str(Fraction(v))] for k, v in sorted(vec.items(), key=lambda kv: sort_key(kv[0]))]
-
-
 def _int(value, where: str) -> int:
     """An integer field; bools, non-integral numbers and non-scalars are
     rejected with ValidationError."""
@@ -105,10 +99,18 @@ def _opt_list(doc: dict, key: str, where: str) -> list:
     return val
 
 
+def _strings(val: list, what: str) -> list:
+    """`val`, once every entry is checked to be a string."""
+    for entry in val:
+        if not isinstance(entry, str):
+            raise ValidationError(f"{what} {entry!r} is not a string")
+    return val
+
+
 # ---------------------------------------------------------------- graphs
 
 def graph_from_json(doc) -> Graph:
-    verts = _need(doc, "vertices", list, "graph")
+    verts = _strings(_need(doc, "vertices", list, "graph"), "graph: vertex")
     edges = _need(doc, "edges", list, "graph")
     triples = []
     for e in edges:
@@ -122,17 +124,10 @@ def graph_from_json(doc) -> Graph:
     return g
 
 
-def to_graph_json(g: Graph) -> dict:
-    return {
-        "vertices": list(g.vertices),
-        "edges": [{"name": e, "src": g.src[e], "dst": g.dst[e]} for e in g.edges],
-    }
-
-
 # -------------------------------------------------------------- algebras
 
 def algebra_from_json(doc) -> CommAlgebra:
-    basis = _need(doc, "basis", list, "algebra")
+    basis = _strings(_need(doc, "basis", list, "algebra"), "algebra: basis symbol")
     mult = _need(doc, "mult", list, "algebra")
     table = {}
     for rec in mult:
@@ -147,16 +142,6 @@ def algebra_from_json(doc) -> CommAlgebra:
         raise ValidationError(str(exc)) from exc
 
 
-def to_algebra_json(alg: CommAlgebra) -> dict:
-    mult = []
-    for i, a in enumerate(alg.basis):
-        for b in alg.basis[i:]:
-            prod = alg.basis_product(a, b)
-            if prod:
-                mult.append({"l": a, "r": b, "out": vec_json(prod)})
-    return {"name": alg.name, "basis": list(alg.basis), "mult": mult}
-
-
 # ------------------------------------------------------- labelled spaces
 
 def vertex_from_json(v, where: str):
@@ -165,10 +150,6 @@ def vertex_from_json(v, where: str):
     if isinstance(v, (list, tuple)) and len(v) == 2 and isinstance(v[0], str):
         return (v[0], _int(v[1], f"{where}: bad vertex key {v!r}"))
     raise ValidationError(f"{where}: bad vertex key {v!r}")
-
-
-def vertex_json(v):
-    return list(v) if isinstance(v, tuple) else v
 
 
 def _endpoint_from_json(spec, where: str) -> tuple:
@@ -188,12 +169,6 @@ def _endpoint_from_json(spec, where: str) -> tuple:
         base = _need(spec, "base", str, where)
         return (IDX, base, _int(spec.get("offset", 0), f"{where}: offset"))
     raise ValidationError(f"{where}: unknown endpoint kind {kind!r}")
-
-
-def _endpoint_json(spec: tuple) -> dict:
-    if spec[0] == CONST:
-        return {"kind": "const", "vertex": vertex_json(spec[1])}
-    return {"kind": "indexed", "base": spec[1], "offset": spec[2]}
 
 
 def _label_from_json(spec, default, where: str) -> tuple:
@@ -278,11 +253,8 @@ def labelled_graph_from_json(doc):
         lab = _label_from_json(rec.get("label"), base, where)
         families.append(EdgeFamily(base, start, src, dst, lab))
 
-    bases = set()
-    for base in _opt_list(doc, "vertex_bases", "labelled space"):
-        if not isinstance(base, str):
-            raise ValidationError(f"labelled space: vertex base {base!r} is not a string")
-        bases.add(base)
+    bases = set(_strings(_opt_list(doc, "vertex_bases", "labelled space"),
+                         "labelled space: vertex base"))
     for fam in families:
         for spec in (fam.src, fam.dst):
             if spec[0] == IDX:
@@ -310,47 +282,6 @@ def labelled_space_from_json(doc, horizon: int | None = None, budget: int = 1000
     return build_space(g, generators=seeds, horizon=h, budget=budget)
 
 
-def to_labelled_json(g: LabelledGraph, seeds=(), horizon=None) -> dict:
-    doc: dict = {"vertices": sorted(g.named_vertices, key=sort_key)}
-    if g.vertex_bases:
-        doc["vertex_bases"] = sorted(g.vertex_bases)
-    doc["edges"] = [
-        {"name": str(e.name) if isinstance(e.name, str) else list(e.name),
-         "src": vertex_json(e.src), "dst": vertex_json(e.dst), "label": _label_json_value(e.label)}
-        for e in g.edges
-    ]
-    if g.families:
-        doc["families"] = [
-            {"edge": f.base, "from": f.start,
-             "src": _endpoint_json(f.src), "dst": _endpoint_json(f.dst),
-             "label": (f.label[1] if f.label[0] == CONST
-                       else {"base": f.label[1], "offset": f.label[2]})}
-            for f in g.families
-        ]
-    if seeds:
-        doc["B"] = [_seed_json(s) for s in seeds]
-    if horizon is not None:
-        doc["horizon"] = horizon
-    return doc
-
-
-def _label_json_value(lab):
-    return list(lab) if isinstance(lab, tuple) else lab
-
-
-def _seed_json(s: SetExpr) -> dict:
-    rec: dict = {}
-    atoms_out = [vertex_json(v) for v in sorted(s.atoms, key=sort_key)]
-    if atoms_out:
-        rec["atoms"] = atoms_out
-    if len(s.tails) > 1:
-        raise ValidationError(f"seed {s!r} has tails over several bases; one per record")
-    for base, k in sorted(s.tails):
-        rec["base"] = base
-        rec["tail"] = k
-    return rec
-
-
 # -------------------------------------------------------- correspondences
 
 def correspondence_from_json(doc) -> Correspondence:
@@ -358,7 +289,8 @@ def correspondence_from_json(doc) -> Correspondence:
         raise ValidationError(f"correspondence: {doc!r} is not an object")
     name = doc.get("name", "X")
     alg = algebra_from_json(_need(doc, "algebra", dict, f"correspondence {name}"))
-    gens = _need(doc, "generators", list, f"correspondence {name}")
+    gens = _strings(_need(doc, "generators", list, f"correspondence {name}"),
+                    f"correspondence {name}: generator")
     inner = {}
     for rec in _opt_list(doc, "inner", f"correspondence {name}"):
         g = _need(rec, "left", str, "inner")
@@ -381,29 +313,6 @@ def correspondence_from_json(doc) -> Correspondence:
         return Correspondence(name, alg, gens, inner, right, left)
     except ValueError as exc:
         raise ValidationError(str(exc)) from exc
-
-
-def to_correspondence_json(corr: Correspondence) -> dict:
-    gens = sorted(corr.gens, key=sort_key)
-    basis = sorted(corr.algebra.basis, key=sort_key)
-    inner = []
-    for i, g in enumerate(gens):
-        for h in gens[i:]:
-            v = corr.inner_product(corr.gen(g), corr.gen(h))
-            if v:
-                inner.append({"left": g, "right": h, "out": vec_json(v)})
-    right = []
-    left = []
-    for g in gens:
-        for b in basis:
-            v = corr.right_action(corr.gen(g), {b: Fraction(1)})
-            if v:
-                right.append({"gen": g, "alg": b, "out": vec_json(v)})
-            w = corr.left_action({b: Fraction(1)}, corr.gen(g))
-            if w:
-                left.append({"alg": b, "gen": g, "out": vec_json(w)})
-    return {"name": corr.name, "algebra": to_algebra_json(corr.algebra),
-            "generators": list(corr.gens), "inner": inner, "right": right, "left": left}
 
 
 def morphism_from_json(doc, src: Correspondence, dst: Correspondence) -> Morphism:

@@ -264,15 +264,14 @@ class LabelledSpace:
     `core` is the closure of the seeds under pairwise intersection and
     relative ranges; the full family is its closure under finite unions,
     tested by `in_lattice`.  For graphs with indexed families the core
-    is enumerated only up to `horizon` in the indices (`clipped` records
-    whether anything was cut off); for concrete graphs it is exact.
+    is enumerated only up to `horizon` in the indices; for concrete
+    graphs it is exact.
     """
 
     graph: LabelledGraph
     core: tuple
     provenance: dict = field(repr=False)
     horizon: int = 0
-    clipped: bool = False
 
     def in_lattice(self, b: SetExpr) -> bool:
         inside = [c for c in self.core if c.is_subset(b)]
@@ -285,8 +284,8 @@ def build_space(g: LabelledGraph, generators=(), horizon: int = 8,
 
     Seeds are the given generators, the full ranges r(a) of every label,
     and the sink singletons.  Produced sets whose indices exceed the
-    horizon are dropped (recorded in `clipped`); a concrete graph is
-    closed exactly and `horizon` only bounds nothing.
+    horizon are dropped; a concrete graph is closed exactly and
+    `horizon` only bounds nothing.
     """
     labels = label_instances(g, horizon)
     seeds: list[tuple[SetExpr, str]] = []
@@ -305,14 +304,11 @@ def build_space(g: LabelledGraph, generators=(), horizon: int = 8,
     concrete = g.is_concrete()
     core: list[SetExpr] = []
     prov: dict[SetExpr, str] = {}
-    clipped = False
 
     def admit(s: SetExpr, why: str) -> bool:
-        nonlocal clipped
         if s.is_empty() or s in prov:
             return False
         if not concrete and s.max_index() > horizon:
-            clipped = True
             return False
         core.append(s)
         prov[s] = why
@@ -331,12 +327,13 @@ def build_space(g: LabelledGraph, generators=(), horizon: int = 8,
         for lab in labels:
             admit(relative_range(g, s, lab), f"r({prov[s]}, {lab!r})")
     core.sort(key=lambda c: c.sort_key())
-    return LabelledSpace(g, tuple(core), prov, horizon, clipped)
+    return LabelledSpace(g, tuple(core), prov, horizon)
 
 
-def is_left_resolving(g: LabelledGraph, horizon: int = 8):
-    """No vertex receives two edges with the same label.  Returns
-    (ok, witness) with witness = (vertex, label) on failure."""
+def is_left_resolving(g: LabelledGraph):
+    """No vertex receives two edges with the same label, with indexed
+    families unrolled up to index 8.  Returns (ok, witness) with
+    witness = (vertex, label) on failure."""
     incoming: dict = {}
 
     def note(v, lab):
@@ -353,7 +350,7 @@ def is_left_resolving(g: LabelledGraph, horizon: int = 8):
         else:
             dbase, doff = fam.dst[1], fam.dst[2]
             i = fam.start
-            while i + doff <= horizon:
+            while i + doff <= 8:
                 note((dbase, i + doff), fam.label_at(i))
                 i += 1
     for v in sorted(incoming, key=sort_key):
@@ -414,7 +411,7 @@ def truncate_space(space: LabelledSpace, n: int) -> LabelledSpace:
         {SetExpr(c.truncate(n)) for c in space.core if c.truncate(n)},
         key=lambda c: c.sort_key())
     prov = {c: "truncated" for c in core}
-    return LabelledSpace(graph, tuple(core), prov, n, False)
+    return LabelledSpace(graph, tuple(core), prov, n)
 
 
 def desingularize(g: LabelledGraph) -> tuple[LabelledGraph, list[str]]:

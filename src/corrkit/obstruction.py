@@ -231,12 +231,8 @@ class SweepResult:
     report: Report
 
 
-def sweep(max_vertices: int, max_edges: int = 10, wide: bool = False, jobs: int = 1) -> SweepResult:
-    """Check [p_w1]+[p_w2] = 0 in K0 on every enumerated candidate.
-
-    Candidates are checked serially whatever `jobs` says: the work holds
-    the GIL, so worker threads only slowed it down.
-    """
+def sweep(max_vertices: int, max_edges: int = 10, wide: bool = False) -> SweepResult:
+    """Check [p_w1]+[p_w2] = 0 in K0 on every enumerated candidate."""
     cands = enumerate_candidates(max_vertices, max_edges, wide)
     rep = Report(f"obstruction sweep ({'wide' if wide else 'default'} class, "
                  f"<= {max_vertices} vertices, <= {max_edges} edges)")

@@ -133,31 +133,11 @@ class SetExpr:
     def indexed_atoms(self, base: str) -> list[int]:
         return sorted(a[1] for a in self.atoms if _is_indexed(a) and a[0] == base)
 
-    def bases(self) -> set[str]:
-        out = {a[0] for a in self.atoms if _is_indexed(a)}
-        out.update(b for b, _ in self.tails)
-        return out
-
     def max_index(self) -> int:
         """Largest index mentioned anywhere (atoms or tail starts); 0 if none."""
         idx = [a[1] for a in self.atoms if _is_indexed(a)]
         idx.extend(k for _, k in self.tails)
         return max(idx, default=0)
-
-    def shift(self, base: str, offset: int) -> "SetExpr":
-        """Shift every index of `base` by `offset`, dropping what falls below 1."""
-        atoms = set()
-        for a in self.atoms:
-            if _is_indexed(a) and a[0] == base:
-                j = a[1] + offset
-                if j >= 1:
-                    atoms.add((base, j))
-            else:
-                atoms.add(a)
-        tails = []
-        for b, k in self.tails:
-            tails.append((b, max(1, k + offset)) if b == base else (b, k))
-        return SetExpr(atoms, tails)
 
     def sort_key(self):
         return (

@@ -737,19 +737,17 @@ def build_En_graph(cfg: SphereConfig) -> LabelledGraph:
                          tuple(families))
 
 
-def build_En_space(cfg: SphereConfig, horizon: int | None = None):
+def build_En_space(cfg: SphereConfig):
     """Accommodating set family for the glued graph, seeded with the
     vertex chain singletons, the sink, the tail sets and the seeded
-    tail.  The horizon only bounds how deep the tail family is
-    enumerated for resolving checks."""
+    tail.  The horizon max(8, N + 4) only bounds how deep the tail
+    family is enumerated for resolving checks."""
     g = build_En_graph(cfg)
-    if horizon is None:
-        horizon = max(8, cfg.N + 4)
     seeds = [atom_set(f"u{i}") for i in range(1, cfg.n)]
     seeds.append(atom_set("w1"))
     seeds.append(tail("v", 1))
     seeds.append(atom_set("w2").union(tail("v", 1)))
-    return build_space(g, generators=seeds, horizon=horizon)
+    return build_space(g, generators=seeds, horizon=max(8, cfg.N + 4))
 
 
 def rho_sum_images(cfg: SphereConfig, rsum, eng: Engine):
@@ -955,7 +953,7 @@ def verify_sphere_suite(cfg: SphereConfig) -> Report:
               prefix="gluing hypotheses")
 
     deep = build_Y_B(cfg, bound=N + 2)
-    deep_data = kernel_and_jx(deep, guards=frozenset({f"R{n}", f"Q{N + 2}"}))
+    deep_data = kernel_and_jx(deep, guards=y_guard_symbols(cfg, bound=N + 2))
     names = deep_data.katsura_names()
     rep.add("deferred corner atoms confirmed two levels deeper",
             f"Q{N}" in names and f"Q{N + 1}" in names

@@ -48,8 +48,8 @@ def test_duplicate_basis_rejected():
 
 def test_combo_and_mul_linear():
     a = diagonal_algebra("A", ["P1", "P2"])
-    x = a.combo({"P1": "1/2", "P2": 3})
-    y = a.combo({"P1": 2})
+    x = {"P1": Fraction(1, 2), "P2": Fraction(3)}
+    y = {"P1": Fraction(2)}
     assert a.mul(x, y) == {"P1": Fraction(1)}
 
 

@@ -7,7 +7,7 @@ import corrkit.engine
 from corrkit.engine import Element, Engine, substitute, tautological_checks
 from corrkit.errors import BudgetError, UnsupportedSpaceError
 from corrkit.properties import _engines, _factor_pool, _random_element
-from corrkit.labelled import build_space, concrete_graph, relative_range
+from corrkit.labelled import build_space, concrete_graph, relative_range, truncate_space
 from corrkit.setexpr import atoms, tail
 from corrkit.spheres import SphereConfig, build_En_space
 from oracles import reference_mul
@@ -68,6 +68,15 @@ def test_boundary_difference_annihilates(eng):
 def test_lattice_guard(eng):
     with pytest.raises(UnsupportedSpaceError):
         eng.p(atoms(("v", 2)))
+
+
+def test_p_takes_one_vertex_key(eng):
+    # an indexed vertex key is one vertex, not a list of vertices
+    teng = Engine(truncate_space(build_En_space(SphereConfig(2)), 3))
+    assert teng.p(("v", 3)).terms == teng.p(atoms(("v", 3))).terms
+    for s in (("v", 1), atoms(("v", 1))):
+        with pytest.raises(UnsupportedSpaceError):
+            eng.p(s)
 
 
 def test_linear_structure(eng):

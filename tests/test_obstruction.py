@@ -21,16 +21,6 @@ def test_sweep_small_has_no_violations():
     assert res.report.ok
 
 
-def test_sweep_jobs_deterministic():
-    a = sweep(4, jobs=1)
-    b = sweep(4, jobs=3)
-    assert a.candidates_checked == b.candidates_checked
-    assert [c.pairs for c in a.violations] == [c.pairs for c in b.violations]
-    assert [(c.name, c.ok, c.detail) for c in a.report.checks] == [
-        (c.name, c.ok, c.detail) for c in b.report.checks
-    ]
-
-
 def test_wide_class_is_larger():
     narrow = enumerate_candidates(4)
     wide = enumerate_candidates(4, wide=True)

@@ -66,18 +66,6 @@ def test_tail_index_and_max_index():
     assert s.max_index() == 6
 
 
-def test_shift():
-    s = atoms(("v", 1), ("v", 2)).union(tail("v", 5))
-    up = s.shift("v", 1)
-    assert up == atoms(("v", 2), ("v", 3)).union(tail("v", 6))
-    down = s.shift("v", -1)
-    assert ("v", 1) in down and ("v", 4) in down
-
-
-def test_shift_drops_below_one():
-    assert atoms(("v", 1)).shift("v", -1) == EMPTY
-
-
 def test_tail_start_validation():
     with pytest.raises(ValueError):
         tail("v", 0)
