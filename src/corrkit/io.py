@@ -200,6 +200,7 @@ def _seed_from_json(rec, bases, where: str) -> SetExpr:
             if len(bases) != 1:
                 raise ValidationError(f"{where}: tail record needs a base (bases: {sorted(bases)})")
             base = next(iter(bases))
+        _strings([base], f"{where}: tail base")
         if base not in bases:
             raise ValidationError(f"{where}: unknown tail base {base!r}")
         out = out.union(tail(base, _int(k, f"{where}: tail")))

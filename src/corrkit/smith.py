@@ -1,12 +1,13 @@
-"""Smith normal form over the integers, self-verifying.
+"""Smith normal form over the integers, certified by its callers.
 
 `smith_normal_form(m)` returns `(u, s, v)` with `u @ m @ v == s`,
 `u` and `v` unimodular, and `s` diagonal with each diagonal entry
-dividing the next.  The factorization is re-verified on every call
-(product identity, determinant +-1, divisibility); a failure raises,
-it is never returned.  The re-verification runs in integers: the
-product is an `int` `mat_mul` and the determinants come from the
-fraction-free Bareiss `det`.
+dividing the next.  The reduction is not re-verified on every call.
+`invariant_factors` (and so `ktheory.k_theory`), which reports S, first
+runs `_verify`: the product in `int` `mat_mul`, determinant +-1 by the
+fraction-free Bareiss `det`, and the diagonal's shape, signs and chain.
+`integer_solve` checks each verdict itself: M x = b on a solution, a
+dual witness row of U on a "no".  A failed check raises, never returns.
 """
 from __future__ import annotations
 
@@ -92,8 +93,6 @@ def smith_normal_form(m) -> tuple[Matrix, Matrix, Matrix]:
                 if bad is not None:
                     add_row(t, bad, 1)
                     pivot = (t, t)
-
-    _verify(m, u, s, v)
     return u, s, v
 
 
@@ -125,15 +124,26 @@ def _verify(m, u, s, v) -> None:
 
 
 def invariant_factors(m) -> list[int]:
-    _, s, _ = smith_normal_form(m)
+    """The nonzero diagonal of the Smith form of `m`, returned only
+    after `_verify` has checked the whole factorisation."""
+    u, s, v = smith_normal_form(m)
+    _verify(m, u, s, v)
     n = min(len(s), len(s[0]) if s else 0)
     return [s[i][i] for i in range(n) if s[i][i] != 0]
+
+
+def _residue(x: int, d: int) -> int:
+    return x % d if d else x  # "mod 0" leaves x as it is
 
 
 def integer_solve(m, b: list[int]) -> list[int] | None:
     """One integer solution x of M x = b, or None.
 
-    Uses U M V = S: solve S z = U b entrywise, then x = V z.
+    Uses U M V = S: solve S z = U b entrywise, then x = V z.  A solution
+    is returned once M x = b holds.  None is returned once the first row
+    i where S z = U b fails, with d = S[i][i] (0 when i >= cols), gives
+    a dual witness y = U[i] / d: y M integral and y b not, which no
+    integer solution allows.  Neither check trusts U, S or V.
     """
     rows = len(m)
     cols = len(m[0]) if rows else 0
@@ -144,15 +154,14 @@ def integer_solve(m, b: list[int]) -> list[int] | None:
     z = [0] * cols
     for i in range(rows):
         d = s[i][i] if i < cols else 0
-        if d == 0:
-            if ub[i] != 0:
-                return None
-        else:
-            if ub[i] % d != 0:
-                return None
+        if _residue(ub[i], d):  # U[i] b is not 0 mod d: check U[i] M is
+            if any(_residue(sum(u[i][k] * m[k][j] for k in range(rows)), d)
+                   for j in range(cols)):
+                raise AssertionError("internal: integer_solve non-membership certificate failed")
+            return None
+        if d:
             z[i] = ub[i] // d
     x = [sum(v[i][k] * z[k] for k in range(cols)) for i in range(cols)]
-    # verify
     for i in range(rows):
         if sum(m[i][k] * x[k] for k in range(cols)) != b[i]:
             raise AssertionError("internal: integer_solve verification failed")

@@ -124,9 +124,11 @@ def test_malformed_integer_field_exits_3(tmp_path, path, value):
      "algebra: basis symbol ['u'] is not a string"),
     ("ktheory", "m1_graph.json", ("vertices", 0), ["v1"], "graph: vertex ['v1'] is not a string"),
     ("ktheory", "m1_graph.json", ("vertices",), ["v1", "v2", 3], "graph: vertex 3 is not a string"),
+    ("labelled-check", "en_labelled_n2.json", ("B", 2, "base"), ["v"],
+     "B: tail base ['v'] is not a string"),
 ], ids=["edges", "families", "B", "vertex_bases", "vertex_base", "inner", "right", "left",
         "correspondence", "generators", "generator", "basis_symbol", "graph_vertex",
-        "graph_vertex_int"])
+        "graph_vertex_int", "tail_base"])
 def test_malformed_list_field_exits_3(tmp_path, command, source, path, value, message):
     bad = _mutated(tmp_path, source, path, value)
     proc = run(command, bad, expect=3)
@@ -184,6 +186,19 @@ VERIFY_SPHERE_JSON_SHA256 = {
 def test_verify_sphere_json_stream_is_pinned(n):
     trunc, digest = VERIFY_SPHERE_JSON_SHA256[n]
     out = run("verify-sphere", "--n", n, "--trunc", trunc, "--format", "json").stdout
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# (exit code, sha256 of the `obstruction --max-vertices 4 --wide --format json`
+# stream), recorded at commit 0c93932.  1173 of its 1212 candidates are
+# non-members (so the exit code is 1), each certified by the dual witness of
+# `integer_solve`; a change to that path that alters one verdict shows here.
+OBSTRUCTION_WIDE_JSON = (1, "8c7945584f9ac205528e453bec7e7feeacddc486cbb5269e8198333793c08b4d")
+
+
+def test_obstruction_wide_json_stream_is_pinned():
+    code, digest = OBSTRUCTION_WIDE_JSON
+    out = run("obstruction", "--max-vertices", 4, "--wide", "--format", "json", expect=code).stdout
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 

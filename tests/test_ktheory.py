@@ -83,3 +83,6 @@ def test_sink_only_graph():
     assert res.k0_free_rank == 2
     assert not res.k0_torsion
     assert res.k1_free_rank == 0
+    # no regular vertex, so no relation: only the zero class vanishes
+    assert k0_class_membership(g, {"v1": 0}) == (True, {})
+    assert k0_class_membership(g, {"v2": 1}) == (False, None)

@@ -1,9 +1,15 @@
-"""Smith normal form against the minor-gcd oracle and hand cases."""
+"""Smith normal form against the minor-gcd oracle and hand cases, and
+the certificates each caller checks in place of a global self-check."""
 import random
 
 import pytest
 
+import corrkit.smith
+from corrkit import properties
+from corrkit.ktheory import k_theory
+from corrkit.obstruction import sweep
 from corrkit.smith import _verify, integer_solve, invariant_factors, smith_normal_form
+from corrkit.spheres import SphereConfig, build_disc_graph
 
 from oracles import int_det, minor_gcd_invariant_factors
 
@@ -155,3 +161,96 @@ def test_against_sympy_invariant_factors():
         mat = sympy.Matrix(m) if rows and cols else sympy.zeros(rows, cols)
         expect = [abs(int(d)) for d in sympy_factors(mat) if d]
         assert invariant_factors(m) == expect, m
+
+
+def test_membership_verdicts_match_minor_gcd_oracle():
+    # b lies in the column lattice of M exactly when appending it as a
+    # column leaves the invariant factors unchanged
+    rng = random.Random(31337)
+    verdicts = {True: 0, False: 0}
+    for k in range(300):
+        rows, cols = rng.randint(1, 5), rng.randint(0, 4)
+        m = [[rng.randint(-3, 3) for _ in range(cols)] for _ in range(rows)]
+        if k % 2:
+            x = [rng.randint(-3, 3) for _ in range(cols)]
+            b = [sum(a * c for a, c in zip(row, x)) for row in m]
+        else:
+            b = [rng.randint(-3, 3) for _ in range(rows)]
+        member = minor_gcd_invariant_factors(m) == minor_gcd_invariant_factors(
+            [row + [c] for row, c in zip(m, b)])
+        got = integer_solve(m, b)
+        assert (got is not None) == member, (m, b)
+        verdicts[member] += 1
+    assert verdicts[True] and verdicts[False], verdicts
+
+
+def _doubled_last_pivot(monkeypatch):
+    """Make `smith_normal_form` double the last nonzero diagonal entry
+    of S, leaving U and V as computed."""
+    real = corrkit.smith.smith_normal_form
+
+    def tampered(m):
+        u, s, v = real(m)
+        s = [list(row) for row in s]
+        t = max(i for i in range(min(len(s), len(s[0]))) if s[i][i])
+        s[t][t] *= 2
+        return u, s, v
+
+    monkeypatch.setattr(corrkit.smith, "smith_normal_form", tampered)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: integer_solve([[2, 0], [0, 3]], [4, 9]), "integer_solve verification failed"),
+    (lambda: integer_solve([[2]], [2]), "integer_solve non-membership certificate failed"),
+    (lambda: invariant_factors([[2, 4, 4], [-6, 6, 12], [10, 4, 16]]), "SNF verification: "),
+    (lambda: k_theory(build_disc_graph(SphereConfig(2))), "SNF verification: "),
+], ids=["member", "witness", "invariant_factors", "k_theory"])
+def test_wrong_factorisation_raises_and_returns_no_verdict(monkeypatch, call, message):
+    _doubled_last_pivot(monkeypatch)
+    with pytest.raises(AssertionError, match=message):
+        call()
+
+
+def test_full_verify_runs_only_where_s_is_reported(monkeypatch):
+    calls = []
+    real = corrkit.smith._verify
+
+    def counted(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(corrkit.smith, "_verify", counted)
+    assert sweep(5).candidates_checked > 0
+    assert not calls
+    disc = build_disc_graph(SphereConfig(2))
+    for k in range(1, 4):
+        k_theory(disc)
+        assert len(calls) == k
+
+
+@pytest.mark.parametrize("breakage, detail", [
+    ("off-diagonal", "not diagonal for"),
+    ("negative-last", "diagonal [1, 1, -1] for"),
+], ids=["off-diagonal", "negative-last"])
+def test_selfcheck_suite_refuses_a_wrong_shape(monkeypatch, breakage, detail):
+    def off_diagonal(m):
+        # S = M with U = V = I: the product holds, but S need not be diagonal
+        return (_identity(len(m)), [list(row) for row in m], _identity(len(m[0])))
+
+    def negative_last(m):
+        # negate column t of S and V: the product and |det V| = 1 still hold
+        u, s, v = smith_normal_form(m)
+        t = min(len(s), len(s[0])) - 1
+        if t >= 0:
+            for row in s + v:
+                row[t] = -row[t]
+        return u, s, v
+
+    patched = off_diagonal if breakage == "off-diagonal" else negative_last
+    monkeypatch.setattr(properties, "smith_normal_form", patched)
+    rep = properties.snf_selfcheck_suite(cases=5)
+    assert not rep.ok and detail in rep.checks[0].detail, rep.render()
+
+
+def _identity(n):
+    return [[int(i == j) for j in range(n)] for i in range(n)]
