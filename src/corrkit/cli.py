@@ -133,7 +133,7 @@ def cmd_obstruction(args) -> int:
                          "counterexamples": len(res.violations),
                          "wide": res.wide}],
           lead_lines=[headline])
-    return EXIT_OK if not res.violations else EXIT_FAIL
+    return EXIT_OK if res.report.ok else EXIT_FAIL
 
 
 def _corr_check_lines(rep: Report) -> list:

@@ -12,10 +12,12 @@ restricted direct sum of two morphisms with a common target.
 
 Truncation guards: an infinite presentation cut at an index bound
 misrepresents its boundary row (the last inner products are clipped to
-zero), so ideal and compactness computations accept a set of guard
-symbols; atoms whose support meets the guards are reported as deferred
-instead of being judged on clipped data.  Callers re-check deferred
-atoms in a deeper truncation where they are interior.
+zero).  Its builder marks the `Correspondence`: `guards` are the basis
+symbols whose ideal verdict depends on clipped rows, and `clipped` the
+generator pairs whose inner product is clipped.  The checks read both
+from the object and defer what they mark instead of judging it on
+clipped data; callers re-check deferred atoms in a deeper truncation
+where they are interior.
 """
 from __future__ import annotations
 
@@ -85,13 +87,15 @@ class Correspondence:
     zero; the table is symmetrized since scalars are rational), `right`
     maps (generator, algebra basis symbol) to module elements, `left`
     maps (algebra basis symbol, generator) to module elements.
+    `guards` and `clipped` (closed under swapping) mark a truncation.
     """
 
-    __slots__ = ("name", "algebra", "gens", "_gen_set", "_inner", "_right", "_left",
-                 "_atoms", "_ideals")
+    __slots__ = ("name", "algebra", "gens", "guards", "clipped", "_gen_set", "_inner",
+                 "_right", "_left", "_atoms", "_ideal")
 
     def __init__(self, name: str, algebra: CommAlgebra, gens, inner: dict,
-                 right: dict, left: dict, validate: bool = True):
+                 right: dict, left: dict, validate: bool = True, *,
+                 guards=frozenset(), clipped=frozenset()):
         self.name = name
         self.algebra = algebra
         self.gens = tuple(gens)
@@ -121,8 +125,13 @@ class Correspondence:
             if g not in gen_set or b not in basis_set:
                 raise ValueError(f"{name}: left table uses unknown symbol ({b},{g})")
             self._left[(b, g)] = vclean({k: frac(c) for k, c in v.items()})
+        self.guards = frozenset(guards)
+        self.clipped = frozenset({(g, h) for g, h in clipped} | {(h, g) for g, h in clipped})
+        if unknown := self.guards - basis_set | {s for p in self.clipped for s in p} - gen_set:
+            raise ValueError(f"{name}: guards or clipped pairs use unknown symbol "
+                             f"{min(unknown, key=sort_key)}")
         self._atoms = None
-        self._ideals = {}
+        self._ideal = None
         if validate:
             rep = self.validate()
             if not rep.ok:
@@ -147,8 +156,7 @@ class Correspondence:
     def atoms(self) -> list:
         """(name, element) pairs for the algebra's orthogonal atoms."""
         if self._atoms is None:
-            vecs = self.algebra.orthogonal_atoms()
-            self._atoms = [(vec_repr(v).replace(" ", ""), v) for v in vecs]
+            self._atoms = [(_part_name(v), v) for v in self.algebra.orthogonal_atoms()]
         return self._atoms
 
     # ------------------------------------------------------------ validation
@@ -312,18 +320,18 @@ def compact_decomposition(corr: Correspondence, a):
 class IdealData:
     """Kernel and Katsura ideal of a left action, by algebra atoms.
 
-    `deferred` holds atoms whose support meets the guard symbols: their
-    verdict depends on clipped table rows and must be settled in a
-    deeper truncation.  `noncompact` holds unguarded atoms with no
+    `deferred` holds atoms whose support meets the correspondence's
+    `guards`: their verdict depends on clipped table rows and must be
+    settled in a deeper truncation.  `noncompact` holds unguarded atoms with no
     rank-one decomposition (genuinely outside the ideal).
     `decompositions` maps the name of each `katsura` atom to the
     verified rank-one decomposition of its left action that put it
     there, so the covariance checks (C4) reuse it instead of solving
     again.
 
-    `kernel_and_jx` memoises one instance per (correspondence, guards)
-    and hands the same object to every caller, so it is shared: callers
-    read it and never mutate it.
+    `kernel_and_jx` memoises one instance per correspondence and hands
+    the same object to every caller, so it is shared: callers read it
+    and never mutate it.
     """
 
     kernel: list
@@ -336,28 +344,23 @@ class IdealData:
         return {n for n, _ in self.katsura}
 
 
-def kernel_and_jx(corr: Correspondence, guards=frozenset()) -> IdealData:
-    key = frozenset(guards)
-    if (data := corr._ideals.get(key)) is not None:
-        return data
-    kernel = []
-    katsura = []
-    deferred = []
-    noncompact = []
-    decompositions = {}
+def kernel_and_jx(corr: Correspondence) -> IdealData:
+    """`IdealData` of `corr` against its own guards, computed once."""
+    if corr._ideal is not None:
+        return corr._ideal
+    kernel, katsura, deferred, noncompact, decompositions = [], [], [], [], {}
     for name, atom in corr.atoms():
         if all(not corr.left_action(atom, corr.gen(g)) for g in corr.gens):
             kernel.append((name, atom))
-        elif any(sym in guards for sym in atom):
+        elif not corr.guards.isdisjoint(atom):
             deferred.append((name, atom))
         elif (op := compact_decomposition(corr, atom)) is not None:
             katsura.append((name, atom))
             decompositions[name] = op
         else:
             noncompact.append((name, atom))
-    data = IdealData(kernel, katsura, deferred, noncompact, decompositions)
-    corr._ideals[key] = data
-    return data
+    corr._ideal = IdealData(kernel, katsura, deferred, noncompact, decompositions)
+    return corr._ideal
 
 
 # -------------------------------------------------------------- morphisms
@@ -399,7 +402,7 @@ def plus_map(m: Morphism, op: FiniteRankOp) -> FiniteRankOp:
                               for c, x, y in op.terms))
 
 
-def check_morphism(m: Morphism, src_guards=frozenset()) -> Report:
+def check_morphism(m: Morphism) -> Report:
     """The compatibility conditions for a correspondence morphism.
 
     Checks, in order: the algebra map is multiplicative; inner products
@@ -407,8 +410,8 @@ def check_morphism(m: Morphism, src_guards=frozenset()) -> Report:
     actions are intertwined (C2); the Katsura ideal maps into the
     target's (C3); and covariance of compacts on the ideal (C4), by
     decomposing each source ideal atom and comparing the pushed
-    operator with the target left action.  Guarded atoms are listed as
-    deferred rather than judged.
+    operator with the target left action.  Atoms meeting the source's
+    guards are listed as deferred rather than judged.
     """
     rep = Report("morphism conditions")
     src, dst = m.src, m.dst
@@ -432,7 +435,7 @@ def check_morphism(m: Morphism, src_guards=frozenset()) -> Report:
                   {(b, g): m.apply_mod(src.left_action({b: 1}, src.gen(g))) for g, b in gb},
                   {(b, g): dst.left_action(m.alg_map[b], m.mod_map[g]) for g, b in gb}, True)
 
-    src_ideals = kernel_and_jx(src, src_guards)
+    src_ideals = kernel_and_jx(src)
     dst_ideals = kernel_and_jx(dst)
     allowed = {n for n, _ in dst_ideals.katsura} | {n for n, _ in dst_ideals.deferred}
     ok = True
@@ -448,7 +451,6 @@ def check_morphism(m: Morphism, src_guards=frozenset()) -> Report:
     rep.add("(C3) ideal maps into ideal", ok)
 
     ok = True
-    skipped = []
     for name, atom in src_ideals.katsura:
         pushed = plus_map(m, src_ideals.decompositions[name])
         target_action = {g: dst.left_action(m.apply_alg(atom), dst.gen(g))
@@ -464,34 +466,33 @@ def check_morphism(m: Morphism, src_guards=frozenset()) -> Report:
                 detail += f"; first mismatch on {g}: {vec_repr(got)} != {vec_repr(target_action[g])}"
                 rep.add(f"(C4) at {name}", False, detail)
                 break
-    for name, _ in src_ideals.deferred:
-        skipped.append(name)
+    skipped = [name for name, _ in src_ideals.deferred]
     rep.add("(C4) covariance on the ideal", ok,
             f"deferred atoms: {', '.join(skipped)}" if skipped else "")
     return rep
 
 
 def check_covariant_rep(corr: Correspondence, mod_images: dict, alg_images: dict,
-                        engine, guards=frozenset(), c1_defer=frozenset()) -> Report:
+                        engine) -> Report:
     """Covariant-representation conditions for images inside an engine.
 
     `mod_images` maps generator symbols and `alg_images` algebra basis
     symbols to engine elements; the engine provides products, adjoints
     and equality.  (C3) needs no check for a representation.  (C4) uses
     a rank-one decomposition per ideal atom: the sum of image products
-    must reproduce the image of the atom.
+    must reproduce the image of the atom; atoms meeting `corr.guards`
+    are listed as deferred.
 
-    `c1_defer` lists generator pairs whose tabulated inner product is a
-    truncation boundary row (the true value lies outside the truncated
-    algebra); those instances are skipped here and the caller is
+    The pairs in `corr.clipped` have a truncation boundary row as their
+    tabulated inner product (the true value lies outside the truncated
+    algebra); those (C1) instances are skipped here and the caller is
     expected to verify them against the exact value in the engine.
     """
     rep = Report(f"covariant representation of {corr.name}")
-    deferred_pairs = {tuple(p) for p in c1_defer} | {(b, a) for a, b in c1_defer}
     ok = True
     skipped = []
     for g, h in _pairs(corr.gens):
-        if (g, h) in deferred_pairs:
+        if (g, h) in corr.clipped:
             skipped.append(f"({g},{h})")
             continue
         lhs = mod_images[g].adj() * mod_images[h]
@@ -528,7 +529,7 @@ def check_covariant_rep(corr: Correspondence, mod_images: dict, alg_images: dict
                 rep.add(f"right action at ({g},{b})", False)
     rep.add("(C2) left actions realized (and right actions)", ok)
 
-    ideals = kernel_and_jx(corr, guards)
+    ideals = kernel_and_jx(corr)
     ok = True
     for name, atom in ideals.katsura:
         total = engine.zero()
@@ -580,12 +581,8 @@ def _by_name(table: list, coeffs) -> Vec | None:
 
 
 def _part_name(vec: Vec) -> str:
-    if not vec:
-        return "0"
-    if len(vec) == 1:
-        ((sym, c),) = vec.items()
-        if c == 1:
-            return str(sym)
+    """The name of an atom or a pair-table part: its `vec_repr` without
+    spaces."""
     return vec_repr(vec).replace(" ", "")
 
 
@@ -602,6 +599,10 @@ def restricted_direct_sum(mx: Morphism, my: Morphism, name: str = "pullback") ->
     over them by `SpanSolver.express`, which verifies its answer.  Pair
     atoms are nonzero orthogonal idempotents, so their coefficients are
     unique; an entry outside either span raises AssertionError.
+
+    The glued guards are the pair atoms whose A-part meets the first
+    source's guards or whose B-part meets the second's; the glued
+    clipped pairs are those whose parts meet a clipped pair on one side.
     """
     if mx.dst is not my.dst:
         raise ValueError("restricted direct sum needs one common target")
@@ -697,18 +698,23 @@ def restricted_direct_sum(mx: Morphism, my: Morphism, name: str = "pullback") ->
             l = pair_mod_vec(x_corr.left_action(va, vx), y_corr.left_action(vb, vy))
             if l:
                 left[(pname, gname)] = l
-    corr = Correspondence(name, algebra, [n for n, _, _ in gen_table], inner, right, left)
+    guards = {pname for pname, va, vb in atom_table
+              if not x_corr.guards.isdisjoint(va) or not y_corr.guards.isdisjoint(vb)}
+    clipped = {(g, h) for g, gx, gy in gen_table for h, hx, hy in gen_table
+               if any((a, b) in x_corr.clipped for a in gx for b in hx)
+               or any((a, b) in y_corr.clipped for a in gy for b in hy)}
+    corr = Correspondence(name, algebra, [n for n, _, _ in gen_table], inner, right, left,
+                          guards=guards, clipped=clipped)
     return RestrictedSum(corr, [tuple(r) for r in gen_table], atom_table)
 
 
-def check_pullback_hypotheses(mx: Morphism, my: Morphism,
-                              y_guards=frozenset()) -> Report:
+def check_pullback_hypotheses(mx: Morphism, my: Morphism) -> Report:
     """The three gluing-theorem hypotheses for a pair of morphisms.
 
     (1) both maps surjective (as spans on generators) with matching
     kernel images, (2) every algebra atom acts compactly on its module,
-    (3) the left-action kernels are complemented ideals.  Guarded atoms
-    are reported as deferred in (2).
+    (3) the left-action kernels are complemented ideals.  Atoms meeting
+    a source's guards are reported as deferred in (2).
     """
     rep = Report("pullback hypotheses")
     z = mx.dst
@@ -730,7 +736,7 @@ def check_pullback_hypotheses(mx: Morphism, my: Morphism,
             rep.add(f"(1) {label} algebra map surjective", False,
                     f"misses {', '.join(missing)}")
     ideal_x = kernel_and_jx(mx.src)
-    ideal_y = kernel_and_jx(my.src, y_guards)
+    ideal_y = kernel_and_jx(my.src)
     img_x = [mx.apply_alg(atom) for _, atom in ideal_x.kernel]
     img_y = [my.apply_alg(atom) for _, atom in ideal_y.kernel]
     if not same_span([v for v in img_x if v], [v for v in img_y if v]):

@@ -320,9 +320,6 @@ class Engine:
                     return a, b, cell, total
         return None
 
-    def is_zero(self, x: Element) -> bool:
-        return self._nonzero_cell(x.terms) is None
-
     # ------------------------------------------------------------ equality
 
     def equals(self, x: Element, y: Element) -> bool:
@@ -485,7 +482,7 @@ def tautological_checks(engine: Engine) -> "Report":
         for b in sets[i:]:
             lhs = engine.p(a) + engine.p(b)
             rhs = engine.p(a.union(b)) + engine.p(a.intersect(b))
-            if not engine.is_zero(lhs - rhs):
+            if not engine.equals(lhs, rhs):
                 ok = False
                 rep.add(f"additivity at {a!r},{b!r}", False)
     rep.add("projection lattice additivity", ok)
@@ -498,7 +495,7 @@ def tautological_checks(engine: Engine) -> "Report":
                 continue
             lhs = engine.p(a) * engine.s(lab)
             rhs = engine.s(lab) * engine.p(rng)
-            if not engine.is_zero(lhs - rhs):
+            if not engine.equals(lhs, rhs):
                 ok = False
                 rep.add(f"commutation p{a!r} s[{lab!r}]", False)
     rep.add("projections commute past isometries", ok)
@@ -507,7 +504,7 @@ def tautological_checks(engine: Engine) -> "Report":
     for la in labels:
         for lb in labels:
             want = engine.p(relative_range(g, full_set(g), la)) if la == lb else engine.zero()
-            if not engine.is_zero(engine.s(la).adj() * engine.s(lb) - want):
+            if not engine.equals(engine.s(la).adj() * engine.s(lb), want):
                 ok = False
                 rep.add(f"s*s at {la!r},{lb!r}", False)
     rep.add("isometry products diagonal", ok)

@@ -15,7 +15,10 @@ every tier.
 B and Y are infinitely presented.  Builders cut the index set at a
 bound N; the cut clips exactly two inner-product rows at the boundary
 (their true value is the next corner projection, which falls outside
-the cut), so the suites defer those instances and settle them against
+the cut).  `build_Y_B` records those rows and the two basis symbols
+whose ideal verdict depends on them as the `clipped` pairs and `guards`
+of Y; the restricted direct sum derives the glued module's from them.
+The checks defer those instances, and the suites settle them against
 exact engine values instead of the clipped tables.
 """
 from __future__ import annotations
@@ -158,7 +161,10 @@ def build_Y_B(cfg: SphereConfig, bound: int | None = None) -> Correspondence:
     mirroring the first n-1 disc rows, corner translates xn_{i,j} of
     the x_{i,n} column, and a boundary block y, yp, y_1..y_N.  The rows
     <y, y_N> and <y_N, y_N> are clipped: their true value Q_{N+1} lies
-    past the cut.  `bound` overrides N for the internal deeper builds.
+    past the cut.  They are Y's `clipped` pairs, and its `guards` are
+    the basis symbols whose ideal verdict depends on them: the loop row
+    R_n and the last corner Q_N.  `bound` overrides N for the internal
+    deeper builds.
     """
     n = cfg.n
     N = cfg.N if bound is None else bound
@@ -210,21 +216,9 @@ def build_Y_B(cfg: SphereConfig, bound: int | None = None) -> Correspondence:
         left[(f"R{n}", f"y_{i}")] = {f"y_{i}": ONE}
         left[(f"Q{i}", "y")] = {f"y_{i}": ONE}
         left[(f"Q{i}", f"y_{i}")] = {f"y_{i}": ONE}
-    return Correspondence("Y", algebra, gens, inner, right, left,
-                          validate=False)
-
-
-def y_guard_symbols(cfg: SphereConfig, bound: int | None = None) -> frozenset:
-    """Basis symbols whose ideal verdict depends on clipped rows: the
-    loop row R_n and the last corner Q_N."""
-    N = cfg.N if bound is None else bound
-    return frozenset({f"R{cfg.n}", f"Q{N}"})
-
-
-def y_boundary_pairs(cfg: SphereConfig) -> frozenset:
-    """Generator pairs of Y whose tabulated inner product is clipped."""
-    N = cfg.N
-    return frozenset({("y", f"y_{N}"), (f"y_{N}", f"y_{N}")})
+    return Correspondence("Y", algebra, gens, inner, right, left, validate=False,
+                          guards={f"R{n}", f"Q{N}"},
+                          clipped={("y", f"y_{N}"), (f"y_{N}", f"y_{N}")})
 
 
 # ------------------------------------------------------------ morphisms
@@ -429,10 +423,7 @@ def verify_XY_isomorphism(cfg: SphereConfig, X: Correspondence, Y: Correspondenc
     rep = Report(f"sphere isomorphism (n={n}, N={N})")
     w_img, p_img = _row_images(disc, n, n + 1, "w", "P")
     mod, alg = rho_Y_images(cfg, w_img, p_img)
-    rep.merge(check_covariant_rep(Y, mod, alg, disc,
-                                  guards=y_guard_symbols(cfg),
-                                  c1_defer=y_boundary_pairs(cfg)),
-              prefix="(rho_Y, rho_B)")
+    rep.merge(check_covariant_rep(Y, mod, alg, disc), prefix="(rho_Y, rho_B)")
 
     # the two clipped inner-product rows, against their true value
     nxt = corner_elements(cfg, w_img, p_img, N + 1)[N]
@@ -680,32 +671,6 @@ def mirror_span_report(cfg: SphereConfig, rsum, psi: Morphism,
     return rep
 
 
-def mirror_guard_atoms(rsum, cfg: SphereConfig) -> frozenset:
-    """Pair atoms whose filtered part touches a clipped row: the loop
-    remainder and the last corner projection."""
-    n, N = cfg.n, cfg.N
-    out = set()
-    for name, _, vb in rsum.atom_table:
-        if f"R{n}" in vb or set(vb) == {f"Q{N}"}:
-            out.add(name)
-    return frozenset(out)
-
-
-def mirror_boundary_pairs(rsum, cfg: SphereConfig) -> frozenset:
-    """Generator pairs of the glued module whose inner-product row is
-    clipped, matching the filtered module's boundary rows."""
-    N = cfg.N
-    yname = tailname = None
-    for name, _, vy in rsum.gen_table:
-        if _single(vy) == "y":
-            yname = name
-        elif _single(vy) == f"y_{N}":
-            tailname = name
-    if yname is None or tailname is None:
-        raise ValueError("boundary rows missing from the pair table")
-    return frozenset({(yname, tailname), (tailname, tailname)})
-
-
 # -------------------------------------------------------- labelled space
 
 
@@ -860,10 +825,7 @@ def verify_En_representation(cfg: SphereConfig, rsum) -> Report:
 
     eng = Engine(space)
     mod, alg, legend = rho_sum_images(cfg, rsum, eng)
-    rep.merge(check_covariant_rep(rsum.corr, mod, alg, eng,
-                                  guards=mirror_guard_atoms(rsum, cfg),
-                                  c1_defer=mirror_boundary_pairs(rsum, cfg)),
-              prefix="glued representation")
+    rep.merge(check_covariant_rep(rsum.corr, mod, alg, eng), prefix="glued representation")
 
     def pa(k: int):
         return eng.p(tail("v", k))
@@ -943,17 +905,14 @@ def verify_sphere_suite(cfg: SphereConfig) -> Report:
     rep.merge(Y.validate(), prefix="filtered tables")
     rep.merge(lemma_suite(cfg, X), prefix="lemmas")
     rep.merge(check_morphism(psi), prefix="psi")
-    rep.merge(check_morphism(omega, src_guards=y_guard_symbols(cfg)),
-              prefix="omega")
+    rep.merge(check_morphism(omega), prefix="omega")
     rep.merge(check_omega_factorization(cfg, omega, disc, sphere),
               prefix="factorization")
     rep.merge(verify_XY_isomorphism(cfg, X, Y, disc), prefix="isomorphism")
-    rep.merge(check_pullback_hypotheses(psi, omega,
-                                        y_guards=y_guard_symbols(cfg)),
-              prefix="gluing hypotheses")
+    rep.merge(check_pullback_hypotheses(psi, omega), prefix="gluing hypotheses")
 
     deep = build_Y_B(cfg, bound=N + 2)
-    deep_data = kernel_and_jx(deep, guards=y_guard_symbols(cfg, bound=N + 2))
+    deep_data = kernel_and_jx(deep)
     names = deep_data.katsura_names()
     rep.add("deferred corner atoms confirmed two levels deeper",
             f"Q{N}" in names and f"Q{N + 1}" in names

@@ -32,7 +32,6 @@ from corrkit.spheres import (
     lemma_suite,
     verify_En_representation,
     verify_XY_isomorphism,
-    y_guard_symbols,
 )
 
 from oracles import HAND_SMITH, cross_validate, int_det
@@ -144,10 +143,10 @@ def test_criterion_3_morphism_suite():
         cfg = SphereConfig(n)
         _, psi, omega = build_mirror_sum(cfg)
         ok = ok and check_morphism(psi).ok
-        ok = ok and check_morphism(omega, src_guards=y_guard_symbols(cfg)).ok
+        ok = ok and check_morphism(omega).ok
         # guarded corner atoms settle two levels deeper
         deep = build_Y_B(cfg, bound=cfg.N + 2)
-        data = kernel_and_jx(deep, guards=y_guard_symbols(cfg, bound=cfg.N + 2))
+        data = kernel_and_jx(deep)
         names = data.katsura_names()
         ok = ok and f"Q{cfg.N}" in names and not data.noncompact and not data.kernel
 
@@ -170,7 +169,7 @@ def test_criterion_4_pullback_hypotheses():
     for n in (1, 2, 3, 4):
         cfg = SphereConfig(n)
         _, psi, omega = build_mirror_sum(cfg)
-        rep = check_pullback_hypotheses(psi, omega, y_guards=y_guard_symbols(cfg))
+        rep = check_pullback_hypotheses(psi, omega)
         ok = ok and rep.ok
         by_name = {c.name: c for c in rep.checks}
         surj = by_name.get("(1) surjective with matching kernel images")

@@ -21,7 +21,7 @@ from corrkit.correspondences import (
 )
 from corrkit.exactlinalg import sort_key
 from corrkit.io import corr_check_from_json, load_json
-from corrkit.spheres import SphereConfig, build_X_A, build_mirror_sum, y_guard_symbols
+from corrkit.spheres import SphereConfig, build_X_A, build_mirror_sum
 
 from oracles import dense_morphism_records, dense_validate_records, recombine_pair
 
@@ -81,17 +81,36 @@ def test_kernel_and_katsura_ideal_frozen():
                 assert op.apply(x, x.gen(g)) == x.left_action(atom, x.gen(g))
 
 
-def test_kernel_and_jx_is_memoised_per_guard_set():
+def _with_marks(corr, **marks) -> Correspondence:
+    """An unvalidated copy of `corr` carrying the given guards/clipped."""
+    return Correspondence(corr.name, corr.algebra, corr.gens, corr._inner, corr._right,
+                          corr._left, validate=False, **marks)
+
+
+def test_kernel_and_jx_is_memoised_per_correspondence():
     x = build_X_A(SphereConfig(2))
     plain = kernel_and_jx(x)
     assert kernel_and_jx(x) is plain
-    assert kernel_and_jx(x, frozenset()) is plain
-    guarded = kernel_and_jx(x, {"P1"})
+    assert [name for name, _ in plain.katsura] == ["P1", "P2"] and not plain.deferred
+    guarded_x = _with_marks(x, guards={"P1"})
+    guarded = kernel_and_jx(guarded_x)
     assert guarded is not plain
-    assert kernel_and_jx(x, frozenset({"P1"})) is guarded
+    assert kernel_and_jx(guarded_x) is guarded
     assert [name for name, _ in guarded.deferred] == ["P1"]
-    assert [name for name, _ in plain.katsura] == ["P1", "P2"]
+    assert [name for name, _ in guarded.katsura] == ["P2"]
     assert kernel_and_jx(build_X_A(SphereConfig(2))) is not plain
+
+
+def test_guards_and_clipped_are_checked_and_clipped_is_symmetric():
+    x = build_X_A(SphereConfig(2))
+    marked = _with_marks(x, guards=["P3"], clipped=[("w_1_1", "w_2_3")])
+    assert marked.guards == frozenset({"P3"})
+    assert marked.clipped == frozenset({("w_1_1", "w_2_3"), ("w_2_3", "w_1_1")})
+    assert x.guards == frozenset() and x.clipped == frozenset()
+    with pytest.raises(ValueError, match="unknown symbol Q1"):
+        _with_marks(x, guards={"Q1"})
+    with pytest.raises(ValueError, match="unknown symbol y"):
+        _with_marks(x, clipped={("w_1_1", "y")})
 
 
 def _validation_sources() -> list:
@@ -163,17 +182,15 @@ def test_validate_matches_dense_loops_on_seeded_mutations():
 
 
 def _morphism_sources() -> list:
-    """(morphism, source guards): psi and omega at n = 2, 3 and the
-    data/hilbert_* morphism."""
+    """psi and omega at n = 2, 3 and the data/hilbert_* morphism."""
     out = []
     for n in (2, 3):
-        cfg = SphereConfig(n)
-        _, psi, omega = build_mirror_sum(cfg)
-        out += [(psi, frozenset()), (omega, y_guard_symbols(cfg))]
+        _, psi, omega = build_mirror_sum(SphereConfig(n))
+        out += [psi, omega]
     for path in sorted(DATA.glob("hilbert_*.json")):
         kind, obj = corr_check_from_json(load_json(path))
         if kind == "morphism":
-            out.append((obj, frozenset()))
+            out.append(obj)
     return out
 
 
@@ -208,13 +225,13 @@ def test_morphism_table_checks_match_dense_loops_on_seeded_mutations():
     summaries = {"algebra map multiplicative", "(C1) inner products preserved",
                  "module map respects right action", "(C2) left actions intertwined"}
     failed_groups = set()
-    for i, (m, guards) in enumerate(_morphism_sources()):
+    for i, m in enumerate(_morphism_sources()):
         rng = random.Random(i)
         mutants = [_mutated_morphism(m, which, kind, rng)
                    for which in ("alg", "mod") for kind in ("flip", "drop", "stray")]
         for mutant in [m] + [x for x in mutants if x is not None]:
             got = [(c.name, c.ok, c.detail)
-                   for c in check_morphism(mutant, src_guards=guards).checks]
+                   for c in check_morphism(mutant).checks]
             want = dense_morphism_records(mutant)
             assert got[:len(want)] == want, (i, mutant.alg_map, mutant.mod_map)
             assert all(name.startswith(("(C3)", "(C4)")) for name, _, _ in got[len(want):])
@@ -251,10 +268,41 @@ def test_theta_and_ops_agree():
 def test_restricted_sum_and_pullback_hypotheses():
     cfg = SphereConfig(2)
     rsum, psi, omega = build_mirror_sum(cfg)
-    rep = check_pullback_hypotheses(psi, omega, y_guards=y_guard_symbols(cfg))
+    rep = check_pullback_hypotheses(psi, omega)
     assert rep.ok, rep.render()
     assert rsum.corr.validate().ok
     assert rsum.corr.gens
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_glued_guards_and_clipped_pairs_derive_from_the_filtered_side(n):
+    """At N = 4 the glued module defers the last corner and the loop
+    remainder, and clips the boundary rows of y against y_4."""
+    rsum, _, _ = build_mirror_sum(SphereConfig(n))
+    assert rsum.corr.guards == {"0|Q4", f"P{n}|-Q1-Q2-Q3-Q4+R{n}"}
+    boundary = f"w_{n}_{n}|y"
+    assert rsum.corr.clipped == {("0|y_4", "0|y_4"), (boundary, "0|y_4"),
+                                 ("0|y_4", boundary)}
+
+
+def test_glued_guards_and_clipped_pairs_derive_from_the_first_side():
+    """Only the first source is marked: a2 is guarded and (e1, e2)
+    clipped, so the glued module guards a2|0 and clips both orders of
+    the pairs whose first parts hold e1 and e2."""
+    a = diagonal_algebra("A", ["a1", "a2"])
+    x = Correspondence("X", a, ["e1", "e2"],
+                       {("e1", "e1"): {"a1": 1}, ("e2", "e2"): {"a2": 1}},
+                       {("e1", "a1"): {"e1": 1}, ("e2", "a2"): {"e2": 1}},
+                       {("a1", "e1"): {"e1": 1}, ("a2", "e2"): {"e2": 1}},
+                       guards={"a2"}, clipped={("e1", "e2")})
+    y, z = _hilbert("Y", ["f"]), _hilbert("Z", ["k"])
+    mx = Morphism(x, z, {"a1": {"u": 1}, "a2": {}}, {"e1": {"k": 1}, "e2": {}})
+    my = Morphism(y, z, {"u": {"u": 1}}, {"f": {"k": 1}})
+    glued = restricted_direct_sum(mx, my).corr
+    assert glued.gens == ("e1|f", "e2|0")
+    assert glued.guards == {"a2|0"}
+    assert glued.clipped == {("e1|f", "e2|0"), ("e2|0", "e1|f")}
+    assert [name for name, _ in kernel_and_jx(glued).deferred] == ["a2|0"]
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])

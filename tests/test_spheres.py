@@ -19,8 +19,6 @@ from corrkit.spheres import (
     verify_En_representation,
     verify_XY_isomorphism,
     verify_sphere_suite,
-    y_boundary_pairs,
-    y_guard_symbols,
 )
 
 
@@ -33,9 +31,10 @@ def test_config_validation():
 
 def test_guard_symbols_and_boundary_rows():
     cfg = SphereConfig(2)
-    assert y_guard_symbols(cfg) == frozenset({"R2", "Q4"})
-    assert y_boundary_pairs(cfg) == frozenset({("y", "y_4"), ("y_4", "y_4")})
-    assert y_guard_symbols(cfg, bound=6) == frozenset({"R2", "Q6"})
+    y = build_Y_B(cfg)
+    assert y.guards == frozenset({"R2", "Q4"})
+    assert y.clipped == frozenset({("y", "y_4"), ("y_4", "y"), ("y_4", "y_4")})
+    assert build_Y_B(cfg, bound=6).guards == frozenset({"R2", "Q6"})
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
