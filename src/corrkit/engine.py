@@ -46,6 +46,7 @@ from .setexpr import EMPTY, SetExpr, atoms as atom_set
 
 MAX_GROUP_SETS = 14
 TERM_BUDGET = 20000  # terms allowed in a product or an equality difference
+EQUALS_ROUNDS = 64  # expansion rounds an equality test may take in all
 EQUALS_DEPTH = 3  # joint expansion rounds before a residual is a witness
 TAUTOLOGY_SETS = 40  # core sets sampled by `tautological_checks`
 
@@ -283,7 +284,8 @@ class Engine:
         (bitmask, cell) pairs."""
         n = len(sets)
         if n > MAX_GROUP_SETS:
-            raise BudgetError(f"{n} distinct sets in one term group")
+            raise BudgetError(f"zero test: a term group has {n} distinct sets, "
+                              f"past MAX_GROUP_SETS = {MAX_GROUP_SETS}")
         cells = []
         for mask in range(1, 1 << n):
             cell = None
@@ -335,10 +337,14 @@ class Engine:
         guard = 0
         while True:
             guard += 1
-            if guard > 64:
-                raise BudgetError("equality loop failed to settle")
+            if guard > EQUALS_ROUNDS:
+                raise BudgetError(f"equality test of {len(x.terms)} and {len(y.terms)} terms "
+                                  f"ran past {EQUALS_ROUNDS} rounds "
+                                  f"({len(d.terms)} terms in the difference)")
             if len(d.terms) > TERM_BUDGET:
-                raise BudgetError(f"difference grew past {TERM_BUDGET} terms")
+                raise BudgetError(f"equality test of {len(x.terms)} and {len(y.terms)} terms: "
+                                  f"difference grew to {len(d.terms)} terms, "
+                                  f"past {TERM_BUDGET}")
             witness = self._nonzero_cell(d.terms)
             if witness is None:
                 return True, None

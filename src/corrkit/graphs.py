@@ -61,14 +61,6 @@ class Graph:
         emitting = {self.src[e] for e in self.edges}
         return [v for v in self.vertices if v in emitting]
 
-    def adjacency(self) -> list[list[int]]:
-        """A[i][j] = number of edges vertices[i] -> vertices[j]."""
-        idx = {v: i for i, v in enumerate(self.vertices)}
-        a = [[0] * len(self.vertices) for _ in self.vertices]
-        for e in self.edges:
-            a[idx[self.src[e]]][idx[self.dst[e]]] += 1
-        return a
-
     def __repr__(self) -> str:
         return f"Graph({len(self.vertices)} vertices, {len(self.edges)} edges)"
 

@@ -151,11 +151,11 @@ def _v_parts_wide(extra: tuple, budget: int) -> list[tuple]:
     max_extra_edges = budget - 1  # one edge is the loop
     for count in range(len(extra) + len(SINKS), max_extra_edges + 1):
         for combo in combinations_with_replacement(slots, count):
+            if not set(extra) <= {s for s, _ in combo}:
+                continue  # an extra vertex emits nothing: a third sink
             pairs = ((LOOP_VERTEX, LOOP_VERTEX),) + combo
             g = Candidate(v_nodes, pairs).graph()
             if hereditary_closure(g, [LOOP_VERTEX]) != frozenset(v_nodes):
-                continue
-            if set(g.sinks()) != set(SINKS):
                 continue
             if not is_acyclic_among(g, frozenset(v_nodes) - {LOOP_VERTEX}):
                 continue
@@ -206,11 +206,14 @@ def enumerate_candidates(max_vertices: int, max_edges: int = 10, wide: bool = Fa
         for n_h in range(spare - n_extra + 1):
             h_nodes = tuple(f"t{i+1}" for i in range(n_h))
             v_targets = extra + SINKS
+            h_parts_by_budget: dict = {}  # many V-parts leave the same edge budget
             for v_pairs in v_parts:
                 rem = max_edges - len(v_pairs)
                 if rem < len(h_nodes):
                     continue
-                for h_pairs in _h_parts(h_nodes, v_targets, rem):
+                if rem not in h_parts_by_budget:
+                    h_parts_by_budget[rem] = _h_parts(h_nodes, v_targets, rem)
+                for h_pairs in h_parts_by_budget[rem]:
                     cands.append(Candidate(v_nodes + h_nodes, tuple(sorted(v_pairs + h_pairs))))
     # dedupe whole candidates (h-parts into different arborescences can collide)
     seen = set()
@@ -232,17 +235,22 @@ class SweepResult:
 
 
 def sweep(max_vertices: int, max_edges: int = 10, wide: bool = False) -> SweepResult:
-    """Check [p_w1]+[p_w2] = 0 in K0 on every enumerated candidate."""
+    """Check [p_w1]+[p_w2] = 0 in K0 on every enumerated candidate.
+
+    The candidates share one memo of reduced K0 systems (see `ktheory`),
+    so each distinct reduced system is factored once per sweep; every
+    verdict is still checked on the candidate's own presentation."""
     cands = enumerate_candidates(max_vertices, max_edges, wide)
     rep = Report(f"obstruction sweep ({'wide' if wide else 'default'} class, "
                  f"<= {max_vertices} vertices, <= {max_edges} edges)")
     violations = []
+    memo: dict = {}  # reduced K0 system -> one of its solutions, for this sweep only
     for c in cands:
         g = c.graph()
         ok, why = _structural_ok(g, wide)
         if not ok:
             raise AssertionError(f"enumerator produced out-of-class candidate: {why}: {c.pairs}")
-        member, _ = k0_class_membership(g, {SINKS[0]: 1, SINKS[1]: 1})
+        member, _ = k0_class_membership(g, {SINKS[0]: 1, SINKS[1]: 1}, memo=memo)
         if not member:
             violations.append(c)
     rep.add("candidates enumerated", True, str(len(cands)))

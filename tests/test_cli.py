@@ -3,6 +3,7 @@ import hashlib
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -140,6 +141,25 @@ def test_exit_budget_error():
     run("labelled-check", DATA / "en_labelled_n2.json", "--budget", 2, expect=4)
 
 
+@pytest.mark.parametrize("limit, value, message", [
+    ("MAX_GROUP_SETS", 1,
+     r"zero test: a term group has \d+ distinct sets, past MAX_GROUP_SETS = 1"),
+    ("EQUALS_ROUNDS", 1,
+     r"equality test of \d+ and \d+ terms ran past 1 rounds \(\d+ terms in the difference\)"),
+    ("TERM_BUDGET", 1,
+     r"equality test of \d+ and \d+ terms: difference grew to \d+ terms, past 1"),
+])
+def test_engine_budget_errors_name_operation_size_and_limit(monkeypatch, capsys, limit, value,
+                                                            message):
+    import corrkit.engine
+    from corrkit.cli import EXIT_BUDGET, main
+
+    monkeypatch.setattr(corrkit.engine, limit, value)
+    assert main(["verify-sphere", "--n", "1"]) == EXIT_BUDGET == 4
+    err = capsys.readouterr().err
+    assert re.fullmatch(f"error: {message}\n", err), err
+
+
 def test_internal_error_exits_5_without_traceback(monkeypatch, capsys):
     import corrkit.ktheory
     from corrkit.cli import EXIT_INTERNAL, main
@@ -200,6 +220,20 @@ OBSTRUCTION_WIDE_JSON = (0, "8c7945584f9ac205528e453bec7e7feeacddc486cbb5269e819
 def test_obstruction_wide_json_stream_is_pinned():
     code, digest = OBSTRUCTION_WIDE_JSON
     out = run("obstruction", "--max-vertices", 4, "--wide", "--format", "json", expect=code).stdout
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# (exit code, sha256 of the `obstruction --max-vertices 5 --format json`
+# stream), recorded at commit c758f05, before the K0 systems were reduced
+# and shared across a sweep.  All 806 candidates of the narrow class are
+# members; a change to the reduction or its memo that alters one verdict,
+# or the candidate list, shows here.
+OBSTRUCTION_V5_JSON = (0, "d31e7090fffdd825b28995469fcfe85b63c5b92d94ee7d6e82bffc93dcb4f59c")
+
+
+def test_obstruction_narrow_json_stream_is_pinned():
+    code, digest = OBSTRUCTION_V5_JSON
+    out = run("obstruction", "--max-vertices", 5, "--format", "json", expect=code).stdout
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 

@@ -28,13 +28,6 @@ def test_validate_catches_duplicates():
     assert not Graph(("a", "a"), []).validate().ok
 
 
-def test_adjacency():
-    g = _g()
-    m = g.adjacency()
-    # entry [v][w] counts edges v -> w, in vertex order
-    assert m == [[0, 2, 0], [0, 0, 1], [0, 0, 0]]
-
-
 def test_hereditary_closure():
     g = _g()
     assert hereditary_closure(g, {"a"}) == {"a", "b", "c"}

@@ -1,8 +1,12 @@
 """K-theory of graph algebras against hand-reduced Smith forms."""
 import pytest
 
+import corrkit.ktheory
 from corrkit.graphs import Graph
-from corrkit.ktheory import k0_class_membership, k_theory, presentation_matrix
+from corrkit.ktheory import (_forced_zero_presolve, k0_class_membership, k_theory,
+                             presentation_matrix)
+from corrkit.obstruction import enumerate_candidates
+from corrkit.smith import integer_solve
 from corrkit.spheres import SphereConfig, build_disc_graph, build_z_graph
 
 from oracles import HAND_SMITH
@@ -28,6 +32,14 @@ def test_presentation_matches_hand_reduction(key):
     assert list(m.row_labels) == hand["rows"]
     assert list(m.col_labels) == hand["cols"]
     assert m.as_lists() == hand["matrix"]
+
+
+def test_presentation_counts_parallel_edges():
+    # a -> b twice, b -> c: entry [v][w] of A^t - I counts the edges w -> v
+    g = Graph(("a", "b", "c"), [("e1", "a", "b"), ("e2", "a", "b"), ("e3", "b", "c")])
+    m = presentation_matrix(g)
+    assert m.col_labels == ("a", "b")
+    assert m.as_lists() == [[-1, 0], [2, -1], [0, 1]]
 
 
 @pytest.mark.parametrize("key", sorted(HAND_SMITH))
@@ -86,3 +98,98 @@ def test_sink_only_graph():
     # no regular vertex, so no relation: only the zero class vanishes
     assert k0_class_membership(g, {"v1": 0}) == (True, {})
     assert k0_class_membership(g, {"v2": 1}) == (False, None)
+
+
+# -- membership through the forced-zero reduction and a shared memo ---------
+
+SINK_PAIR = {"w1": 1, "w2": 1}
+
+
+def _solves(g, target, cert):
+    """Does the certificate satisfy M x = b on the full presentation?"""
+    pres = presentation_matrix(g)
+    x = [cert.get(v, 0) for v in pres.col_labels]
+    return all(sum(a * c for a, c in zip(row, x)) == target.get(v, 0)
+               for v, row in zip(pres.row_labels, pres.entries))
+
+
+@pytest.mark.parametrize("max_vertices, wide", [(5, False), (4, True)], ids=["narrow5", "wide4"])
+def test_membership_matches_the_full_system_solve(max_vertices, wide):
+    memo = {}
+    cands = enumerate_candidates(max_vertices, wide=wide)
+    for c in cands:
+        g = c.graph()
+        pres = presentation_matrix(g)
+        b = [SINK_PAIR.get(v, 0) for v in pres.row_labels]
+        want = integer_solve(pres.as_lists(), b) is not None
+        for shared in (None, memo):
+            ok, cert = k0_class_membership(g, SINK_PAIR, memo=shared)
+            assert ok == want, c.pairs
+            assert (cert is not None) == ok
+            if ok:
+                assert _solves(g, SINK_PAIR, cert), c.pairs
+    # the narrow candidates share a handful of reduced systems
+    assert 0 < len(memo) <= 10 < len(cands)
+
+
+def test_memo_factors_each_reduced_system_once(monkeypatch):
+    calls = []
+    real = corrkit.ktheory.integer_solve
+
+    def counted(m, b):
+        calls.append(1)
+        return real(m, b)
+
+    monkeypatch.setattr(corrkit.ktheory, "integer_solve", counted)
+    memo = {}
+    for c in enumerate_candidates(5):
+        assert k0_class_membership(c.graph(), SINK_PAIR, memo=memo)[0]
+    assert len(calls) == len(memo) == 10
+
+
+def test_presolve_keeps_a_source_with_target_weight():
+    # s -> w: [p_s] = [p_w], so [p_s] - [p_w] = 0 needs the row of s
+    g = Graph(("s", "w"), [("e", "s", "w")])
+    pres = presentation_matrix(g)
+    assert _forced_zero_presolve(pres.entries, [1, -1]) == ([0, 1], [0])
+    assert k0_class_membership(g, {"s": 1, "w": -1}, memo={}) == (True, {"s": -1})
+
+
+def test_presolve_drops_a_chain_of_sources_in_turn():
+    # t1 -> t2 -> t3 -> w, listed against the chain so each pass frees the next source
+    g = Graph(("w", "t3", "t2", "t1"),
+              [("a", "t1", "t2"), ("b", "t2", "t3"), ("c", "t3", "w")])
+    pres = presentation_matrix(g)
+    assert _forced_zero_presolve(pres.entries, [1, 0, 0, 0]) == ([0], [])
+    assert _forced_zero_presolve(pres.entries, [0, 0, 0, 0]) == ([], [])
+    assert k0_class_membership(g, {"w": 1}, memo={}) == (False, None)
+    assert k0_class_membership(g, {"w": 1, "t1": -1}, memo={})[0]
+
+
+def test_presolve_to_an_empty_system():
+    g = _loop()
+    pres = presentation_matrix(g)
+    assert _forced_zero_presolve(pres.entries, [0]) == ([], [0])
+    memo = {}
+    assert k0_class_membership(g, {}, memo=memo) == (True, {})
+    assert k0_class_membership(g, {}, memo=memo) == (True, {})
+    assert k0_class_membership(g, {"v1": 1}, memo=memo) == (False, None)
+
+
+def test_presolve_on_a_sink_only_graph():
+    g = Graph(("v1", "v2"), [])
+    pres = presentation_matrix(g)
+    assert _forced_zero_presolve(pres.entries, [0, 1]) == ([1], [])
+    memo = {}
+    assert k0_class_membership(g, {"v1": 0}, memo=memo) == (True, {})
+    assert k0_class_membership(g, {"v2": 1}, memo=memo) == (False, None)
+
+
+def test_corrupted_memo_entry_raises_and_gives_no_verdict():
+    cands = enumerate_candidates(4)
+    memo = {}
+    assert k0_class_membership(cands[0].graph(), SINK_PAIR, memo=memo)[0]
+    for key, sol in memo.items():
+        memo[key] = (0,) * len(sol)
+    with pytest.raises(AssertionError, match="lifted K0 solution fails M x = b"):
+        k0_class_membership(cands[0].graph(), SINK_PAIR, memo=memo)
