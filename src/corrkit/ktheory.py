@@ -139,10 +139,7 @@ def k0_class_membership(g: Graph, target: dict, *, memo: dict | None = None) -> 
     """
     pres = presentation_matrix(g)
     b = [int(target.get(v, 0)) for v in pres.row_labels]
-    if memo is None:
-        x = integer_solve(pres.as_lists(), b)
-    else:
-        x = _shared_solve(pres, b, memo)
+    x = _shared_solve(pres, b, {} if memo is None else memo)
     if x is None:
         return False, None
     return True, {v: c for v, c in zip(pres.col_labels, x) if c != 0}

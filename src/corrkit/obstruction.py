@@ -206,14 +206,11 @@ def enumerate_candidates(max_vertices: int, max_edges: int = 10, wide: bool = Fa
         for n_h in range(spare - n_extra + 1):
             h_nodes = tuple(f"t{i+1}" for i in range(n_h))
             v_targets = extra + SINKS
-            h_parts_by_budget: dict = {}  # many V-parts leave the same edge budget
             for v_pairs in v_parts:
                 rem = max_edges - len(v_pairs)
                 if rem < len(h_nodes):
                     continue
-                if rem not in h_parts_by_budget:
-                    h_parts_by_budget[rem] = _h_parts(h_nodes, v_targets, rem)
-                for h_pairs in h_parts_by_budget[rem]:
+                for h_pairs in _h_parts(h_nodes, v_targets, rem):
                     cands.append(Candidate(v_nodes + h_nodes, tuple(sorted(v_pairs + h_pairs))))
     # dedupe whole candidates (h-parts into different arborescences can collide)
     seen = set()

@@ -27,16 +27,13 @@ def _identity(n: int) -> Matrix:
 def _least(s: Matrix, rows, cols) -> tuple[int, int] | None:
     """Position of a nonzero entry of least absolute value in the block
     `rows` x `cols` of `s` (the first such in row-major order), or None
-    when the block is zero.  The first entry of absolute value 1 is
-    returned at once: no later entry can be smaller."""
+    when the block is zero."""
     best, size = None, 0
     for i in rows:
         row = s[i]
         for j in cols:
             x = abs(row[j])
             if x and (best is None or x < size):
-                if x == 1:
-                    return i, j
                 best, size = (i, j), x
     return best
 
