@@ -135,7 +135,8 @@ def k0_class_membership(g: Graph, target: dict, *, memo: dict | None = None) -> 
     must satisfy M x = b, or `AssertionError` is raised and no verdict
     given.  A graph whose reduced system is not stored is solved on its
     full system, and its solution restricted to the kept columns, which
-    solves the reduced system by the lemma, is stored.
+    solves the reduced system by the lemma, is stored.  Without a memo
+    the call runs the same path with an empty one.
     """
     pres = presentation_matrix(g)
     b = [int(target.get(v, 0)) for v in pres.row_labels]
