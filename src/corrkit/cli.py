@@ -47,6 +47,20 @@ EXIT_BUDGET = 4
 EXIT_INTERNAL = 5
 
 
+def _at_least(minimum: int):
+    """An argparse `type` for an integer flag with a floor: a value
+    below `minimum` is a usage error (exit 2) naming the floor."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
+        return value
+    return parse
+
+
 def _add_format(sp) -> None:
     sp.add_argument("--format", choices=("text", "json"), default="text",
                     help="text lines or newline-delimited JSON records")
@@ -193,7 +207,7 @@ def build_parser() -> argparse.ArgumentParser:
     lc = sub.add_parser("labelled-check",
                         help="resolving properties and relation self-test of a labelled space")
     lc.add_argument("space", help="labelled-space JSON file")
-    lc.add_argument("--trunc", type=int, default=None, metavar="N",
+    lc.add_argument("--trunc", type=_at_least(1), default=None, metavar="N",
                     help="closure horizon override (default: file value or 8)")
     lc.add_argument("--budget", type=int, default=10000,
                     help="closure iteration budget")
@@ -209,8 +223,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     ob = sub.add_parser("obstruction",
                         help="enumerate candidate graphs and test the two-projection obstruction")
-    ob.add_argument("--max-vertices", type=int, default=5)
-    ob.add_argument("--max-edges", type=int, default=10)
+    # 3 vertices and 3 edges (the loop at w0 and one edge into each sink)
+    # is the smallest budget that admits a candidate
+    ob.add_argument("--max-vertices", type=_at_least(3), default=5)
+    ob.add_argument("--max-edges", type=_at_least(3), default=10)
     ob.add_argument("--wide", action="store_true",
                     help="also vary the tested unit-decomposition pattern")
     ob.add_argument("--jobs", type=int, default=1,
@@ -225,7 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
     cc.set_defaults(func=cmd_corr_check)
 
     pr = sub.add_parser("properties", help="randomized algebraic property suites")
-    pr.add_argument("--cases", type=int, default=DEFAULT_CASES)
+    pr.add_argument("--cases", type=_at_least(2), default=DEFAULT_CASES)
     pr.add_argument("--seed", type=int, default=DEFAULT_SEED)
     _add_format(pr)
     pr.set_defaults(func=cmd_properties)

@@ -20,6 +20,14 @@ equality and the engine's graph never changes, so the reduction is a
 pure function of the two terms (the word-range cache rests on the same
 fact).  The memo lives and dies with its engine.
 
+Sums accumulate in place under one rule, the one `exactlinalg._axpy`
+follows: a term already present gets its coefficient plus the new one,
+and a new term gets the new coefficient itself
+(`out[t] = out[t] + c if t in out else c`), so no zero `Fraction` is
+built to start an entry.  Coefficients stay `Fraction`s, terms keep the
+order in which they first appear, and `Element` drops the entries that
+cancelled when it is made.
+
 Equality is decided by moving a difference toward a common word level:
 a projection term over a set with finite non-empty label emission
 expands through
@@ -49,6 +57,7 @@ TERM_BUDGET = 20000  # terms allowed in a product or an equality difference
 EQUALS_ROUNDS = 64  # expansion rounds an equality test may take in all
 EQUALS_DEPTH = 3  # joint expansion rounds before a residual is a witness
 TAUTOLOGY_SETS = 40  # core sets sampled by `tautological_checks`
+_ONE = Fraction(1)
 
 
 def _word_key(word: tuple):
@@ -67,13 +76,13 @@ class Element:
     def __add__(self, other: "Element") -> "Element":
         out = dict(self.terms)
         for t, c in other.terms.items():
-            out[t] = out.get(t, Fraction(0)) + c
+            out[t] = out[t] + c if t in out else c
         return Element(self.engine, out)
 
     def __sub__(self, other: "Element") -> "Element":
         out = dict(self.terms)
         for t, c in other.terms.items():
-            out[t] = out.get(t, Fraction(0)) - c
+            out[t] = out[t] - c if t in out else -c
         return Element(self.engine, out)
 
     def __neg__(self) -> "Element":
@@ -82,10 +91,12 @@ class Element:
     def __mul__(self, other):
         if isinstance(other, Element):
             return self.engine._mul(self, other)
-        return Element(self.engine, {t: c * frac(other) for t, c in self.terms.items()})
+        f = frac(other)
+        return Element(self.engine, {t: c * f for t, c in self.terms.items()})
 
     def __rmul__(self, scalar) -> "Element":
-        return Element(self.engine, {t: c * frac(scalar) for t, c in self.terms.items()})
+        f = frac(scalar)
+        return Element(self.engine, {t: c * f for t, c in self.terms.items()})
 
     def adj(self) -> "Element":
         return Element(self.engine, {(b, s, a): c for (a, s, b), c in self.terms.items()})
@@ -142,7 +153,7 @@ class Engine:
 
     def element(self, alpha: tuple, s: SetExpr, beta: tuple) -> Element:
         t = self._term(tuple(alpha), s, tuple(beta))
-        return Element(self, {t: Fraction(1)} if t else {})
+        return Element(self, {t: _ONE} if t else {})
 
     def p(self, s) -> Element:
         """Projection over a vertex set: a `SetExpr` or one vertex key.
@@ -217,7 +228,8 @@ class Engine:
                 except KeyError:
                     t = products[key] = self._product(xt, yt)
                 if t is not None:
-                    out[t] = out.get(t, Fraction(0)) + c * e
+                    ce = c * e
+                    out[t] = out[t] + ce if t in out else ce
         if len(out) > TERM_BUDGET:
             raise BudgetError(f"product of {len(x.terms)} x {len(y.terms)} terms "
                               f"grew past {TERM_BUDGET} terms")
@@ -250,7 +262,7 @@ class Engine:
 
         def put(t):
             if t is not None:
-                out[t] = out.get(t, Fraction(0)) + Fraction(1)
+                out[t] = out[t] + 1 if t in out else _ONE
 
         if not labs:
             for v in s.atoms:
@@ -271,9 +283,12 @@ class Engine:
         """Apply the summation relation to every expandable term."""
         out: dict = {}
         for t, c in x.terms.items():
-            pieces = self._expand_term(t) if self._expandable(t) else {t: Fraction(1)}
-            for u, e in pieces.items():
-                out[u] = out.get(u, Fraction(0)) + c * e
+            if not self._expandable(t):
+                out[t] = out[t] + c if t in out else c
+                continue
+            for u, e in self._expand_term(t).items():
+                ce = c * e
+                out[u] = out[u] + ce if u in out else ce
         return Element(self, out)
 
     # ----------------------------------------------------------- zero test
@@ -308,8 +323,8 @@ class Engine:
         coefficient, or None when every cell cancels."""
         groups: dict = {}
         for (a, s, b), c in terms.items():
-            groups.setdefault((a, b), {})
-            groups[(a, b)][s] = groups[(a, b)].get(s, Fraction(0)) + c
+            group = groups.setdefault((a, b), {})
+            group[s] = group[s] + c if s in group else c
         for (a, b) in sorted(groups, key=lambda ab: (_word_key(ab[0]), _word_key(ab[1]))):
             by_set = {s: c for s, c in groups[(a, b)].items() if c}
             if not by_set:
@@ -355,9 +370,10 @@ class Engine:
                 if max(len(t[0]), len(t[2])) < lmax and self._expandable(t):
                     progressed = True
                     for u, e in self._expand_term(t).items():
-                        partial[u] = partial.get(u, Fraction(0)) + c * e
+                        ce = c * e
+                        partial[u] = partial[u] + ce if u in partial else ce
                 else:
-                    partial[t] = partial.get(t, Fraction(0)) + c
+                    partial[t] = partial[t] + c if t in partial else c
             if progressed:
                 d = Element(self, partial)
                 continue

@@ -40,9 +40,11 @@ def vclean(v: Vec) -> Vec:
 def _axpy(out: dict, c, v: dict) -> None:
     """out += c * v in place.  Entries that cancel are removed and new
     keys are appended, so the key order is deterministic in the order
-    of the terms."""
+    of the terms.  A key already in `out` gets its sum and a new key gets
+    c * x itself, so no zero `Fraction` is built to start an entry; the
+    term engine accumulates by the same rule."""
     for k, x in v.items():
-        nx = out.get(k, Fraction(0)) + c * x
+        nx = out[k] + c * x if k in out else c * x
         if nx:
             out[k] = nx
         else:
@@ -53,15 +55,23 @@ def _table_apply(table: dict, x: Vec, y: Vec | None = None) -> Vec:
     """Sum of c * table[k] over the terms c*k of `x` (linear, every key
     must be in the table), or of c*d * table[(k, l)] over the terms of
     `x` and `y` (bilinear, a missing entry is zero).  Accumulates in
-    place through `_axpy`."""
-    if y is None:
-        terms = ((c, table[k]) for k, c in x.items())
-    else:
-        terms = ((c * d, table.get((k, l))) for k, c in x.items() for l, d in y.items())
+    place through `_axpy`, term pair by term pair in the order of `x`
+    then `y`; the bilinear form looks each entry up before it forms
+    c*d, so a pair with no entry costs no product."""
     out: Vec = {}
-    for c, entry in terms:
-        if c and entry:
-            _axpy(out, frac(c), entry)
+    if y is None:
+        for k, c in x.items():
+            entry = table[k]
+            if c and entry:
+                _axpy(out, frac(c), entry)
+        return out
+    for k, c in x.items():
+        for l, d in y.items():
+            entry = table.get((k, l))
+            if entry:
+                cd = c * d
+                if cd:
+                    _axpy(out, frac(cd), entry)
     return out
 
 

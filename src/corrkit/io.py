@@ -274,6 +274,8 @@ def labelled_graph_from_json(doc):
     horizon = doc.get("horizon")
     if horizon is not None:
         horizon = _int(horizon, "labelled space: horizon")
+        if horizon < 1:
+            raise ValidationError(f"labelled space: horizon {horizon} is below 1")
     return g, seeds, horizon
 
 

@@ -8,8 +8,9 @@ correspondence validation and the morphism table checks through dense
 loops over every generator and basis index instead of sparse walks over
 the stored table entries or one comparison of two index maps,
 engine products reduced pair by pair instead of through the engine's
-memo of term-pair products, and a handful of presentation matrices
-frozen from hand reduction.
+memo of term-pair products, sparse table sums through a dense loop over
+every key pair instead of the in-place accumulation of `_table_apply`,
+and a handful of presentation matrices frozen from hand reduction.
 """
 from __future__ import annotations
 
@@ -236,6 +237,25 @@ def dense_morphism_records(m) -> list:
                         f"{vec_repr(lhs)} != {vec_repr(rhs)}")
     rep.add("(C2) left actions intertwined", ok)
     return [(c.name, c.ok, c.detail) for c in rep.checks]
+
+
+# ------------------------------------------------------ dense table sums
+
+def dense_table_apply(table: dict, x: dict, y: dict | None = None) -> dict:
+    """`_table_apply` by the dense loop: every key of `x` (linear) or
+    every key pair of `x` and `y` (bilinear, a missing entry read as the
+    empty vector), every coefficient including zeros, every sum started
+    from `Fraction(0)`, and the zeros filtered out only at the end."""
+    if y is None:
+        scaled = [(Fraction(c), table[k]) for k, c in x.items()]
+    else:
+        scaled = [(Fraction(c) * Fraction(d), table.get((k, l), {}))
+                  for k, c in x.items() for l, d in y.items()]
+    out: dict = {}
+    for c, entry in scaled:
+        for key, v in entry.items():
+            out[key] = out.get(key, Fraction(0)) + c * v
+    return {key: v for key, v in out.items() if v}
 
 
 # ------------------------------------------------- naive labelled calculator

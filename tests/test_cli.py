@@ -137,6 +137,54 @@ def test_malformed_list_field_exits_3(tmp_path, command, source, path, value, me
     assert message in proc.stderr
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["properties", "--cases", "-5"], "argument --cases: must be at least 2, got -5"),
+    (["properties", "--cases", "1"], "argument --cases: must be at least 2, got 1"),
+    (["obstruction", "--max-vertices", "-1"],
+     "argument --max-vertices: must be at least 3, got -1"),
+    (["obstruction", "--max-vertices", "2"], "argument --max-vertices: must be at least 3, got 2"),
+    (["obstruction", "--max-edges", "2"], "argument --max-edges: must be at least 3, got 2"),
+    (["labelled-check", str(DATA / "en_labelled_n2.json"), "--trunc", "0"],
+     "argument --trunc: must be at least 1, got 0"),
+    (["labelled-check", str(DATA / "en_labelled_n2.json"), "--trunc", "-1"],
+     "argument --trunc: must be at least 1, got -1"),
+    (["properties", "--cases", "many"], "argument --cases: invalid int value: 'many'"),
+], ids=["cases-negative", "cases-one", "vertices-negative", "vertices-two", "edges-two",
+        "trunc-zero", "trunc-negative", "cases-not-int"])
+def test_flag_below_its_floor_is_a_usage_error(capsys, argv, message):
+    """A budget that leaves nothing to check is refused at the parser
+    instead of passing vacuously: exit 2 and one `error:` line that names
+    the flag and its floor."""
+    from corrkit.cli import EXIT_PARSE, main
+
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == EXIT_PARSE == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    errors = [line for line in captured.err.splitlines() if "error:" in line]
+    assert len(errors) == 1 and errors[0].endswith(f"error: {message}"), captured.err
+
+
+def test_smallest_flag_values_are_accepted(capsys):
+    from corrkit.cli import main
+
+    assert main(["obstruction", "--max-vertices", "3", "--max-edges", "3"]) == 0
+    assert capsys.readouterr().out.startswith("0 counterexamples among 1 candidates\n")
+    assert main(["labelled-check", str(DATA / "en_labelled_n2.json"), "--trunc", "1"]) == 0
+    assert "(horizon 1)" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("horizon", [0, -1])
+def test_file_horizon_below_one_exits_3(tmp_path, capsys, horizon):
+    from corrkit.cli import EXIT_VALIDATION, main
+
+    bad = _mutated(tmp_path, "en_labelled_n2.json", ("horizon",), horizon)
+    assert main(["labelled-check", str(bad)]) == EXIT_VALIDATION == 3
+    err = capsys.readouterr().err
+    assert err == f"error: labelled space: horizon {horizon} is below 1\n"
+
+
 def test_exit_budget_error():
     run("labelled-check", DATA / "en_labelled_n2.json", "--budget", 2, expect=4)
 
@@ -190,22 +238,29 @@ def test_verify_sphere_rejects_jobs():
 
 # n -> (trunc, sha256 of the `verify-sphere --n n --trunc trunc --format json`
 # stream), recorded at commit 7cef42b for n = 1, 2, at 01bab16 for n = 3, the
-# first size with two leading filtered rows in the lemma suite, and at 4ff4e2b
+# first size with two leading filtered rows in the lemma suite, at 4ff4e2b
 # for n = 4, the first size whose Y rows carry multi-entry vectors through the
-# sparse table sums.  Refactors of the exact layers must keep every verdict
-# and every detail string byte-identical, so any change here is deliberate.
+# sparse table sums, and at b6b9e8c for n = 5, before the table sums and the
+# term engine stopped starting each new entry from a zero.  Refactors of the
+# exact layers must keep every verdict and every detail string
+# byte-identical, so any change here is deliberate.  The streams are taken
+# in-process: the suite's output does not depend on the hash seed.
 VERIFY_SPHERE_JSON_SHA256 = {
     1: (4, "de360f1d7b41030bd11941fa28e9cc1bed4b128c31070b6f0f9d934d50b92deb"),
     2: (4, "33043b1771824eb4e3fb7e05c44d4ab0a786c647387ae3d9f2894e85c69127dd"),
     3: (4, "e9df569875ee527dfb4b4f0cc2287edacf015a38b651ba3fa51a72043ffb26e4"),
     4: (6, "8051140d1588b23e107ca19a25b1c10ccada2cdfe2f622e563e0be6a88f33d88"),
+    5: (6, "a96cbf9765a06c8fed2e82e12aa93cf85e9720214799c046354c7560e646b78b"),
 }
 
 
 @pytest.mark.parametrize("n", sorted(VERIFY_SPHERE_JSON_SHA256))
-def test_verify_sphere_json_stream_is_pinned(n):
+def test_verify_sphere_json_stream_is_pinned(n, capsys):
+    from corrkit.cli import main
+
     trunc, digest = VERIFY_SPHERE_JSON_SHA256[n]
-    out = run("verify-sphere", "--n", n, "--trunc", trunc, "--format", "json").stdout
+    assert main(["verify-sphere", "--n", str(n), "--trunc", str(trunc), "--format", "json"]) == 0
+    out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 

@@ -1,4 +1,5 @@
 """Normal-form arithmetic for labelled-space representations."""
+from fractions import Fraction
 from random import Random
 
 import pytest
@@ -194,3 +195,49 @@ def test_budget_error_names_the_product_sizes(monkeypatch):
     assert small.terms == reference_mul(fresh, fx, fresh.p(sets[0])).terms
     monkeypatch.undo()
     assert (fx * fy).terms == reference_mul(fresh, fx, fy).terms
+
+
+def _assert_stored(el: Element) -> None:
+    """No stored coefficient is zero and every one is a `Fraction`."""
+    assert all(type(c) is Fraction and c for c in el.terms.values()), el.terms
+
+
+def _dense_sum(x: Element, y: Element, sign: int) -> dict:
+    out: dict = {}
+    for terms, s in ((x.terms, 1), (y.terms, sign)):
+        for t, c in terms.items():
+            out[t] = out.get(t, Fraction(0)) + s * c
+    return {t: c for t, c in out.items() if c}
+
+
+@pytest.mark.parametrize("which", [0, 1], ids=["branchy", "E_2"])
+def test_seeded_arithmetic_stores_only_nonzero_fractions(which):
+    """Sums, differences, scalar multiples, products and one expansion
+    round of seeded elements keep no zero and no non-`Fraction`
+    coefficient; sums and differences equal the dense accumulation,
+    products equal the pair-by-pair reduction in value and key order, and
+    an expansion round leaves the element unchanged."""
+    eng, labels, sets = _engines()[which]
+    pool = _factor_pool(eng, labels, sets)
+    rng = Random(6089 + which)
+    expanded = 0
+    for _ in range(40):
+        x = _random_element(rng, eng, pool)
+        y = _random_element(rng, eng, pool)
+        for got, want in ((x + y, _dense_sum(x, y, 1)), (x - y, _dense_sum(x, y, -1))):
+            _assert_stored(got)
+            assert got.terms == want
+        assert not (x - x).terms and not (x + -x).terms
+        for scalar in (0, 2, Fraction(-3, 4), "1/3"):
+            for got in (scalar * x, x * scalar):
+                _assert_stored(got)
+                assert got.terms == {t: c * Fraction(scalar) for t, c in x.terms.items()
+                                     if c * Fraction(scalar)}
+        got, want = x * y, reference_mul(eng, x, y)
+        _assert_stored(got)
+        assert list(got.terms.items()) == list(want.terms.items())
+        once = eng.expand_once(x)
+        _assert_stored(once)
+        expanded += once.terms != x.terms
+        assert eng.equals(once, x)
+    assert expanded > 0

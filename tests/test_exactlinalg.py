@@ -4,11 +4,11 @@ from fractions import Fraction
 
 import pytest
 
-from corrkit.exactlinalg import (SpanSolver, _axpy, det, express, frac, is_psd,
-                                 mat_mul, nullspace, same_span, solve, sort_key,
+from corrkit.exactlinalg import (SpanSolver, _axpy, _table_apply, det, express, frac,
+                                 is_psd, mat_mul, nullspace, same_span, solve, sort_key,
                                  vclean, vec_repr)
 
-from oracles import int_det
+from oracles import dense_table_apply, int_det
 
 
 def test_frac_accepts_strings_and_ints():
@@ -28,6 +28,77 @@ def test_axpy_cancels_in_place_and_keeps_key_order():
     assert list(out) == ["b", "c", "d"]
     _axpy(out, 2, {"a": Fraction(1), "c": Fraction(1, 2)})
     assert list(out.items()) == [("b", Fraction(2)), ("d", Fraction(-2)), ("a", Fraction(2))]
+
+
+_TABLE_COEFFS = [0, 1, -1, 2, Fraction(0), Fraction(2, 3), Fraction(-3, 2), Fraction(1, 2)]
+
+
+def _sparse_table_cases(seed, count=150):
+    """Seeded (table, x, y) triples over five keys: linear tables with
+    empty entries, bilinear tables that store about 40% of the key pairs,
+    coefficients that include `int`s and zeros, and in every bilinear case
+    two entries that cancel against each other (the pair (k0, k1) stores
+    the negative of (k0, k2), and y weighs k1 and k2 alike)."""
+    rng = random.Random(seed)
+    keys = [f"k{i}" for i in range(5)]
+    symbols = [f"e{i}" for i in range(6)]
+    nonzero = [c for c in _TABLE_COEFFS if c]
+
+    def vec(most):
+        return {e: Fraction(rng.choice(nonzero)) for e in rng.sample(symbols, rng.randint(0, most))}
+
+    def coeffs():
+        return {k: rng.choice(_TABLE_COEFFS) for k in rng.sample(keys, rng.randint(0, 5))}
+
+    cases = []
+    for _ in range(count):
+        linear = {k: vec(3) for k in keys}
+        cases.append((linear, coeffs(), None))
+        bilinear = {(k, l): vec(3) for k in keys for l in keys if rng.random() < 0.4}
+        shared = vec(3) or {"e0": Fraction(1)}
+        bilinear[("k0", "k1")] = shared
+        bilinear[("k0", "k2")] = {e: -c for e, c in shared.items()}
+        x = coeffs()
+        x["k0"] = rng.choice(nonzero)
+        y = coeffs()
+        y["k1"] = y["k2"] = rng.choice(nonzero)
+        cases.append((bilinear, x, y))
+    return cases
+
+
+def test_table_apply_matches_the_dense_loop_on_seeded_sparse_tables():
+    cancelled = 0
+    for table, x, y in _sparse_table_cases(4127):
+        got = _table_apply(table, x, y)
+        assert got == dense_table_apply(table, x, y), (table, x, y)
+        assert all(type(c) is Fraction and c for c in got.values())
+        if y is not None and not _table_apply(table, {"k0": x["k0"]}, {"k1": 1, "k2": 1}):
+            cancelled += 1
+    assert cancelled == 150
+
+
+class _CountingFraction(Fraction):
+    """A coefficient that counts the products it is the left factor of."""
+
+    products = 0
+
+    def __mul__(self, other):
+        _CountingFraction.products += 1
+        return Fraction(self) * other
+
+
+def test_bilinear_table_apply_multiplies_only_pairs_with_an_entry():
+    for table, x, y in _sparse_table_cases(5303, count=40)[1::2]:
+        stored = sum(bool(table.get((k, l))) for k in x for l in y)
+        _CountingFraction.products = 0
+        counted = {k: _CountingFraction(c) for k, c in x.items()}
+        assert _table_apply(table, counted, y) == dense_table_apply(table, x, y)
+        assert _CountingFraction.products == stored
+
+
+def test_linear_table_apply_needs_every_key():
+    with pytest.raises(KeyError):
+        _table_apply({"a": {"e": Fraction(1)}}, {"a": Fraction(1), "b": Fraction(0)})
 
 
 def test_sort_key_orders_mixed_types():
