@@ -128,11 +128,7 @@ def cmd_labelled_check(args) -> int:
 
 
 def cmd_verify_sphere(args) -> int:
-    try:
-        cfg = SphereConfig(args.n, args.trunc)
-    except ValueError as exc:
-        raise ValidationError(str(exc)) from exc
-    rep = verify_sphere_suite(cfg)
+    rep = verify_sphere_suite(SphereConfig(args.n, args.trunc))
     _emit(rep, args.format)
     return EXIT_OK if rep.ok else EXIT_FAIL
 
@@ -215,8 +211,8 @@ def build_parser() -> argparse.ArgumentParser:
     lc.set_defaults(func=cmd_labelled_check)
 
     vs = sub.add_parser("verify-sphere", help="full sphere-pair suite")
-    vs.add_argument("--n", type=int, default=2, help="sphere size parameter")
-    vs.add_argument("--trunc", type=int, default=4, metavar="N",
+    vs.add_argument("--n", type=_at_least(1), default=2, help="sphere size parameter")
+    vs.add_argument("--trunc", type=_at_least(2), default=4, metavar="N",
                     help="index truncation for the infinite presentations")
     _add_format(vs)
     vs.set_defaults(func=cmd_verify_sphere)

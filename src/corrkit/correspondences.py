@@ -262,49 +262,58 @@ def compact_decomposition(corr: Correspondence, a):
 
     Solves for coefficients over generator-pair theta symbols so the
     combination matches phi(a) on every generator; tried first on a
-    support-pruned candidate set, then on all pairs.  The result is
-    re-verified against phi(a) on every generator before return.
+    support-pruned candidate set, then on all pairs.  The system is
+    built from the stored inner entries: the inner table is indexed by
+    its second generator, so for each generator z only the pairs (x, y)
+    with a stored <y, z> are visited, and the pair columns that are zero
+    on every z are dropped, the others kept in pair order (x, then y).  The solution
+    is the one the full system gives, since `solve` sets free variables
+    in column order and a zero column never enters the span.  The result
+    is re-verified against phi(a) on every generator before return.
     """
     images = {g: corr.left_action(a, corr.gen(g)) for g in corr.gens}
     touched = sorted((g for g, img in images.items() if img), key=sort_key)
     if not touched:
         return FiniteRankOp(())
+    gens = sorted(corr.gens, key=sort_key)
+    inner_by_col = _grouped(corr._inner, 1)
 
     def attempt(xs, ys):
-        pairs = [(x, y) for x in xs for y in ys]
-        if not pairs:
-            return None
+        y_pos = {y: j for j, y in enumerate(ys)}
+        blocks = []
+        used = set()
+        for z in gens:
+            cols = {}
+            for y, v in inner_by_col.get(z, ()):
+                if (j := y_pos.get(y)) is not None:
+                    for i, x in enumerate(xs):
+                        if col := corr.right_action(corr.gen(x), v):
+                            cols[i, j] = col
+            used.update(cols)
+            blocks.append((cols, images[z]))
+        keep = sorted(used)
         rows = []
         rhs = []
-        for z in sorted(corr.gens, key=sort_key):
-            inners = {y: corr.inner_product(corr.gen(y), corr.gen(z)) for y in ys}
-            cols = {}
-            out_syms = set(images[z])
-            for k, (x, y) in enumerate(pairs):
-                col = corr.right_action(corr.gen(x), inners[y])
-                if col:
-                    cols[k] = col
-                    out_syms |= set(col)
+        for cols, image in blocks:
+            out_syms = set(image).union(*cols.values())
             for sym in sorted(out_syms, key=sort_key):
-                rows.append([cols.get(k, {}).get(sym, Fraction(0))
-                             for k in range(len(pairs))])
-                rhs.append(images[z].get(sym, Fraction(0)))
+                rows.append([cols[k].get(sym, Fraction(0)) if k in cols else Fraction(0)
+                             for k in keep])
+                rhs.append(image.get(sym, Fraction(0)))
         sol = solve(rows, rhs)
         if sol is None:
             return None
-        terms = tuple((c, corr.gen(x), corr.gen(y))
-                      for c, (x, y) in zip(sol, pairs) if c)
+        terms = tuple((c, corr.gen(xs[i]), corr.gen(ys[j]))
+                      for c, (i, j) in zip(sol, keep) if c)
         return FiniteRankOp(terms)
 
     out_support = sorted(set().union(*(set(v) for v in images.values() if v)),
                          key=sort_key)
-    in_support = [y for y in sorted(corr.gens, key=sort_key)
-                  if any(corr.inner_product(corr.gen(y), corr.gen(z))
-                         for z in touched)]
+    in_support = sorted({y for z in touched for y, _ in inner_by_col.get(z, ())},
+                        key=sort_key)
     op = attempt(out_support, in_support)
     if op is None:
-        allg = sorted(corr.gens, key=sort_key)
-        op = attempt(allg, allg)
+        op = attempt(gens, gens)
     if op is None:
         return None
     for g in corr.gens:
@@ -598,7 +607,8 @@ def restricted_direct_sum(mx: Morphism, my: Morphism, name: str = "pullback") ->
     factored once in a `SpanSolver`, and every table entry is written
     over them by `SpanSolver.express`, which verifies its answer.  Pair
     atoms are nonzero orthogonal idempotents, so their coefficients are
-    unique; an entry outside either span raises AssertionError.
+    unique; an entry outside either span raises AssertionError.  A pair
+    whose two parts are both zero is the zero entry and is not expressed.
 
     The glued guards are the pair atoms whose A-part meets the first
     source's guards or whose B-part meets the second's; the glued
@@ -671,12 +681,16 @@ def restricted_direct_sum(mx: Morphism, my: Morphism, name: str = "pullback") ->
     gen_solver = SpanSolver(_tagged(vx, vy) for _, vx, vy in gen_table)
 
     def pair_alg_vec(a_part: Vec, b_part: Vec) -> Vec:
+        if not a_part and not b_part:
+            return {}
         out = _by_name(atom_table, atom_solver.express(_tagged(a_part, b_part, ("A", "B"))))
         if out is None:
             raise AssertionError("pair element escapes the pair atom span")
         return out
 
     def pair_mod_vec(x_part: Vec, y_part: Vec) -> Vec:
+        if not x_part and not y_part:
+            return {}
         out = _by_name(gen_table, gen_solver.express(_tagged(x_part, y_part)))
         if out is None:
             raise AssertionError("componentwise action left the pair module")

@@ -7,7 +7,8 @@ calculator over frozensets instead of closed-form set expressions,
 correspondence validation and the morphism table checks through dense
 loops over every generator and basis index instead of sparse walks over
 the stored table entries or one comparison of two index maps,
-engine products reduced pair by pair instead of through the engine's
+compact decompositions through a dense system over every generator pair
+instead of one built from the stored inner entries, engine products reduced pair by pair instead of through the engine's
 memo of term-pair products, sparse table sums through a dense loop over
 every key pair instead of the in-place accumulation of `_table_apply`,
 and a handful of presentation matrices frozen from hand reduction.
@@ -19,8 +20,9 @@ from fractions import Fraction
 from itertools import combinations
 from math import gcd
 
+from corrkit.correspondences import FiniteRankOp
 from corrkit.engine import Element, Engine
-from corrkit.exactlinalg import is_psd, sort_key, vec_repr
+from corrkit.exactlinalg import is_psd, solve, sort_key, vec_repr
 from corrkit.labelled import (label_set, relative_range, sink_set,
                               truncate_space)
 from corrkit.reports import Report
@@ -237,6 +239,64 @@ def dense_morphism_records(m) -> list:
                         f"{vec_repr(lhs)} != {vec_repr(rhs)}")
     rep.add("(C2) left actions intertwined", ok)
     return [(c.name, c.ok, c.detail) for c in rep.checks]
+
+
+# ------------------------------------------------ dense compact decomposition
+
+def dense_compact_decomposition(corr, a):
+    """Rank-one decomposition of the left action of `a`, or None.
+
+    Solves for coefficients over generator-pair theta symbols so the
+    combination matches phi(a) on every generator; tried first on a
+    support-pruned candidate set, then on all pairs.  The result is
+    re-verified against phi(a) on every generator before return.
+    """
+    images = {g: corr.left_action(a, corr.gen(g)) for g in corr.gens}
+    touched = sorted((g for g, img in images.items() if img), key=sort_key)
+    if not touched:
+        return FiniteRankOp(())
+
+    def attempt(xs, ys):
+        pairs = [(x, y) for x in xs for y in ys]
+        if not pairs:
+            return None
+        rows = []
+        rhs = []
+        for z in sorted(corr.gens, key=sort_key):
+            inners = {y: corr.inner_product(corr.gen(y), corr.gen(z)) for y in ys}
+            cols = {}
+            out_syms = set(images[z])
+            for k, (x, y) in enumerate(pairs):
+                col = corr.right_action(corr.gen(x), inners[y])
+                if col:
+                    cols[k] = col
+                    out_syms |= set(col)
+            for sym in sorted(out_syms, key=sort_key):
+                rows.append([cols.get(k, {}).get(sym, Fraction(0))
+                             for k in range(len(pairs))])
+                rhs.append(images[z].get(sym, Fraction(0)))
+        sol = solve(rows, rhs)
+        if sol is None:
+            return None
+        terms = tuple((c, corr.gen(x), corr.gen(y))
+                      for c, (x, y) in zip(sol, pairs) if c)
+        return FiniteRankOp(terms)
+
+    out_support = sorted(set().union(*(set(v) for v in images.values() if v)),
+                         key=sort_key)
+    in_support = [y for y in sorted(corr.gens, key=sort_key)
+                  if any(corr.inner_product(corr.gen(y), corr.gen(z))
+                         for z in touched)]
+    op = attempt(out_support, in_support)
+    if op is None:
+        allg = sorted(corr.gens, key=sort_key)
+        op = attempt(allg, allg)
+    if op is None:
+        return None
+    for g in corr.gens:
+        if op.apply(corr, corr.gen(g)) != images[g]:
+            raise AssertionError("compact decomposition failed re-verification")
+    return op
 
 
 # ------------------------------------------------------ dense table sums

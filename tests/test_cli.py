@@ -148,9 +148,14 @@ def test_malformed_list_field_exits_3(tmp_path, command, source, path, value, me
      "argument --trunc: must be at least 1, got 0"),
     (["labelled-check", str(DATA / "en_labelled_n2.json"), "--trunc", "-1"],
      "argument --trunc: must be at least 1, got -1"),
+    (["verify-sphere", "--n", "0"], "argument --n: must be at least 1, got 0"),
+    (["verify-sphere", "--n", "-3", "--trunc", "4"], "argument --n: must be at least 1, got -3"),
+    (["verify-sphere", "--n", "1", "--trunc", "1"], "argument --trunc: must be at least 2, got 1"),
+    (["verify-sphere", "--n", "1", "--trunc", "0"], "argument --trunc: must be at least 2, got 0"),
     (["properties", "--cases", "many"], "argument --cases: invalid int value: 'many'"),
 ], ids=["cases-negative", "cases-one", "vertices-negative", "vertices-two", "edges-two",
-        "trunc-zero", "trunc-negative", "cases-not-int"])
+        "trunc-zero", "trunc-negative", "sphere-n-zero", "sphere-n-negative",
+        "sphere-trunc-one", "sphere-trunc-zero", "cases-not-int"])
 def test_flag_below_its_floor_is_a_usage_error(capsys, argv, message):
     """A budget that leaves nothing to check is refused at the parser
     instead of passing vacuously: exit 2 and one `error:` line that names
@@ -240,17 +245,20 @@ def test_verify_sphere_rejects_jobs():
 # stream), recorded at commit 7cef42b for n = 1, 2, at 01bab16 for n = 3, the
 # first size with two leading filtered rows in the lemma suite, at 4ff4e2b
 # for n = 4, the first size whose Y rows carry multi-entry vectors through the
-# sparse table sums, and at b6b9e8c for n = 5, before the table sums and the
-# term engine stopped starting each new entry from a zero.  Refactors of the
-# exact layers must keep every verdict and every detail string
-# byte-identical, so any change here is deliberate.  The streams are taken
-# in-process: the suite's output does not depend on the hash seed.
+# sparse table sums, at b6b9e8c for n = 5, before the table sums and the
+# term engine stopped starting each new entry from a zero, and at d9e854f for
+# n = 6, before compact decompositions were built from the stored inner
+# entries, the change that brought that suite under a second in process.
+# Refactors of the exact layers must keep every verdict and every detail
+# string byte-identical, so any change here is deliberate.  The streams are
+# taken in-process: the suite's output does not depend on the hash seed.
 VERIFY_SPHERE_JSON_SHA256 = {
     1: (4, "de360f1d7b41030bd11941fa28e9cc1bed4b128c31070b6f0f9d934d50b92deb"),
     2: (4, "33043b1771824eb4e3fb7e05c44d4ab0a786c647387ae3d9f2894e85c69127dd"),
     3: (4, "e9df569875ee527dfb4b4f0cc2287edacf015a38b651ba3fa51a72043ffb26e4"),
     4: (6, "8051140d1588b23e107ca19a25b1c10ccada2cdfe2f622e563e0be6a88f33d88"),
     5: (6, "a96cbf9765a06c8fed2e82e12aa93cf85e9720214799c046354c7560e646b78b"),
+    6: (8, "25f12ba47184fcb0bd4f1ba9bf1491829d861c4b6569ef8cd01d1faca8b64d8e"),
 }
 
 

@@ -19,11 +19,13 @@ from corrkit.correspondences import (
     restricted_direct_sum,
     theta,
 )
-from corrkit.exactlinalg import sort_key
+from corrkit.exactlinalg import solve, sort_key
 from corrkit.io import corr_check_from_json, load_json
-from corrkit.spheres import SphereConfig, build_X_A, build_mirror_sum
+from corrkit.spheres import (SphereConfig, build_X_A, build_Y_B, build_Z_C,
+                             build_mirror_sum)
 
-from oracles import dense_morphism_records, dense_validate_records, recombine_pair
+from oracles import (dense_compact_decomposition, dense_morphism_records,
+                     dense_validate_records, recombine_pair)
 
 DATA = pathlib.Path(__file__).resolve().parent.parent / "data"
 
@@ -252,6 +254,77 @@ def test_compact_decomposition_witnesses():
             (c, u, v) for c, u, v in dec.terms
             if not any(s.endswith(f"{n + 1}") for s in (*u, *v))))
         assert not ops_agree(x, dec, trimmed)
+
+
+def _terms(op):
+    return None if op is None else op.terms
+
+
+@pytest.mark.parametrize("N", [4, 6])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_compact_decomposition_matches_dense_oracle_on_sphere_modules(n, N):
+    """X, Z, the guarded Y, the deep Y and the glued module: on every
+    atom the sparse system gives the dense system's terms.  The guarded
+    corner atoms (Q_N of Y, 0|Q_N of the glued module) fail the pruned
+    system and the all-pairs one, so both paths are compared."""
+    cfg = SphereConfig(n, N)
+    rsum, _, _ = build_mirror_sum(cfg)
+    for corr in (build_X_A(cfg), build_Z_C(cfg), build_Y_B(cfg),
+                 build_Y_B(cfg, bound=N + 2), rsum.corr):
+        for name, atom in corr.atoms():
+            assert (_terms(compact_decomposition(corr, atom))
+                    == _terms(dense_compact_decomposition(corr, atom))), (corr.name, name)
+
+
+def test_compact_decomposition_matches_dense_oracle_on_data_files():
+    seen = 0
+    for path in sorted(DATA.glob("hilbert_*.json")):
+        kind, obj = corr_check_from_json(load_json(path))
+        for corr in [obj] if kind == "single" else [obj.src, obj.dst]:
+            for name, atom in corr.atoms():
+                got = compact_decomposition(corr, atom)
+                assert got is not None and got.terms, (corr.name, name)
+                assert got.terms == dense_compact_decomposition(corr, atom).terms
+                seen += 1
+    assert seen == 4
+
+
+def test_zero_inner_product_has_no_decomposition():
+    """A nonzero left action with every inner product zero is no
+    combination of rank-one operators."""
+    a = diagonal_algebra("A", ["u"])
+    corr = Correspondence("null", a, ["e", "f"], {},
+                          {("e", "u"): {"e": 1}, ("f", "u"): {"f": 1}},
+                          {("u", "e"): {"e": 1}, ("u", "f"): {"f": 1}})
+    assert compact_decomposition(corr, {"u": 1}) is None
+    assert dense_compact_decomposition(corr, {"u": 1}) is None
+
+
+def test_compact_decomposition_reaches_the_all_pairs_fallback(monkeypatch):
+    """The generators are the vectors e = (1,0,0), f = (1,1,0) and
+    g = (0,1,1), and u acts as the projection onto w = (1,-1,1) = 3e - 2f + g.
+    Only e is touched and g is orthogonal to e, so the pruned system
+    lacks the needed y = g and only the all-pairs system decomposes."""
+    a = diagonal_algebra("A", ["u"])
+    gram = {("e", "e"): 1, ("e", "f"): 1, ("f", "f"): 2, ("f", "g"): 1, ("g", "g"): 2}
+    third = Fraction(1, 3)
+    corr = Correspondence(
+        "fallback", a, ["e", "f", "g"],
+        {pair: {"u": c} for pair, c in gram.items()},
+        {(x, "u"): {x: 1} for x in "efg"},
+        {("u", "e"): {"e": 1, "f": -2 * third, "g": third}, ("u", "f"): {}, ("u", "g"): {}})
+    calls = []
+
+    def counted(rows, rhs):
+        out = solve(rows, rhs)
+        calls.append(out is not None)
+        return out
+
+    monkeypatch.setattr("corrkit.correspondences.solve", counted)
+    got = compact_decomposition(corr, {"u": 1})
+    assert calls == [False, True]
+    assert got.terms == dense_compact_decomposition(corr, {"u": 1}).terms
+    assert {next(iter(y)) for _, _, y in got.terms} == {"e", "f", "g"}
 
 
 def test_theta_and_ops_agree():
