@@ -500,11 +500,12 @@ def check_covariant_rep(corr: Correspondence, mod_images: dict, alg_images: dict
     rep = Report(f"covariant representation of {corr.name}")
     ok = True
     skipped = []
+    adjs = {g: mod_images[g].adj() for g in corr.gens}
     for g, h in _pairs(corr.gens):
         if (g, h) in corr.clipped:
             skipped.append(f"({g},{h})")
             continue
-        lhs = mod_images[g].adj() * mod_images[h]
+        lhs = adjs[g] * mod_images[h]
         rhs = engine.combine(corr.inner_product(corr.gen(g), corr.gen(h)), alg_images)
         if not engine.equals(lhs, rhs):
             ok = False

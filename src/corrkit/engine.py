@@ -14,19 +14,27 @@ A <= range(alpha) & range(beta), which makes the zero term detectable
 at construction time.
 
 Each engine memoises these reductions: it maps a term pair to its
-reduced term, or to None when the product vanishes.  That is sound
-because a term is an immutable (tuple, SetExpr, tuple) with value
-equality and the engine's graph never changes, so the reduction is a
-pure function of the two terms (the word-range cache rests on the same
-fact).  The memo lives and dies with its engine.
+reduced term, or to None when the product vanishes.  It also interns
+every reduced term, so equal terms from one engine are one object and
+the memo and dict probes on them end at the identity test instead of
+comparing vertex sets.  Both are sound because a term is an immutable
+(tuple, SetExpr, tuple) with value equality and the engine's graph
+never changes, so the reduction is a pure function of the two terms
+(the word-range cache rests on the same fact).  The memo and the
+interned terms live and die with their engine.
 
 Sums accumulate in place under one rule, the one `exactlinalg._axpy`
 follows: a term already present gets its coefficient plus the new one,
-and a new term gets the new coefficient itself
-(`out[t] = out[t] + c if t in out else c`), so no zero `Fraction` is
-built to start an entry.  Coefficients stay `Fraction`s, terms keep the
-order in which they first appear, and `Element` drops the entries that
-cancelled when it is made.
+and a new term gets the new coefficient itself, so no zero `Fraction`
+is built to start an entry; an entry that cancels is deleted on the
+spot.  The terms of one summand are distinct, so a deleted term cannot
+come back within it, and the survivors keep the order in which they
+first appeared.  Coefficients stay `Fraction`s.  A negation, an
+adjoint or a nonzero scalar multiple cannot make a zero, so those
+elements are stored as built, as are sums and `Engine.combine`, which
+delete as they go.  The zero filter of `Element` runs only where a
+merge can cancel and a cancelled term may come back in place: a
+product in which two term pairs reduced to one term, and an expansion.
 
 Equality is decided by moving a difference toward a common word level:
 a projection term over a set with finite non-empty label emission
@@ -73,33 +81,54 @@ class Element:
         self.engine = engine
         self.terms = {t: c for t, c in terms.items() if c}
 
+    @classmethod
+    def _of(cls, engine: "Engine", terms: dict) -> "Element":
+        """The element over `terms` as given, which must hold no zero."""
+        el = object.__new__(cls)
+        el.engine = engine
+        el.terms = terms
+        return el
+
     def __add__(self, other: "Element") -> "Element":
         out = dict(self.terms)
         for t, c in other.terms.items():
-            out[t] = out[t] + c if t in out else c
-        return Element(self.engine, out)
+            if t in out:
+                c = out[t] + c
+                if not c:
+                    del out[t]
+                    continue
+            out[t] = c
+        return Element._of(self.engine, out)
 
     def __sub__(self, other: "Element") -> "Element":
         out = dict(self.terms)
         for t, c in other.terms.items():
-            out[t] = out[t] - c if t in out else -c
-        return Element(self.engine, out)
+            if t in out:
+                c = out[t] - c
+                if not c:
+                    del out[t]
+                    continue
+            else:
+                c = -c
+            out[t] = c
+        return Element._of(self.engine, out)
 
     def __neg__(self) -> "Element":
-        return Element(self.engine, {t: -c for t, c in self.terms.items()})
+        return Element._of(self.engine, {t: -c for t, c in self.terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, Element):
             return self.engine._mul(self, other)
-        f = frac(other)
-        return Element(self.engine, {t: c * f for t, c in self.terms.items()})
+        return self._scaled(frac(other))
 
     def __rmul__(self, scalar) -> "Element":
-        f = frac(scalar)
-        return Element(self.engine, {t: c * f for t, c in self.terms.items()})
+        return self._scaled(frac(scalar))
+
+    def _scaled(self, f: Fraction) -> "Element":
+        return Element._of(self.engine, {t: c * f for t, c in self.terms.items()} if f else {})
 
     def adj(self) -> "Element":
-        return Element(self.engine, {(b, s, a): c for (a, s, b), c in self.terms.items()})
+        return Element._of(self.engine, {(b, s, a): c for (a, s, b), c in self.terms.items()})
 
     def level(self) -> int:
         return max((max(len(a), len(b)) for a, _, b in self.terms), default=0)
@@ -145,6 +174,7 @@ class Engine:
         self._labels_cache: dict[SetExpr, tuple] = {}
         self._lattice_ok: set = {EMPTY}
         self._products: dict[tuple, tuple | None] = {}
+        self._terms: dict[tuple, tuple] = {}
 
     # ------------------------------------------------------------ builders
 
@@ -153,7 +183,7 @@ class Engine:
 
     def element(self, alpha: tuple, s: SetExpr, beta: tuple) -> Element:
         t = self._term(tuple(alpha), s, tuple(beta))
-        return Element(self, {t: _ONE} if t else {})
+        return Element._of(self, {t: _ONE} if t else {})
 
     def p(self, s) -> Element:
         """Projection over a vertex set: a `SetExpr` or one vertex key.
@@ -178,11 +208,24 @@ class Engine:
         return self.element((label,), self._full, ())
 
     def combine(self, vec: dict, images: dict) -> Element:
-        """The element sum of c * images[sym] over the entries of vec."""
-        out = self.zero()
+        """The element sum of c * images[sym] over the entries of vec,
+        accumulated in one dict; a term that cancels and then comes back
+        goes to the end, as it would in a fold of `+`."""
+        out: dict = {}
         for sym, c in vec.items():
-            out = out + c * images[sym]
-        return out
+            terms = images[sym].terms
+            f = frac(c)
+            if not f:
+                continue
+            for t, e in terms.items():
+                e = e * f
+                if t in out:
+                    e = out[t] + e
+                    if not e:
+                        del out[t]
+                        continue
+                out[t] = e
+        return Element._of(self, out)
 
     # ----------------------------------------------------------- reduction
 
@@ -202,7 +245,8 @@ class Engine:
         s = s.intersect(self.word_range(alpha)).intersect(self.word_range(beta))
         if s.is_empty():
             return None
-        return (alpha, s, beta)
+        t = (alpha, s, beta)
+        return self._terms.setdefault(t, t)
 
     def _product(self, xt, yt):
         """The reduced term of the product of two terms, or None when it
@@ -219,6 +263,7 @@ class Engine:
 
     def _mul(self, x: Element, y: Element) -> Element:
         out: dict = {}
+        merged = False
         products = self._products
         for xt, c in x.terms.items():
             for yt, e in y.terms.items():
@@ -229,11 +274,17 @@ class Engine:
                     t = products[key] = self._product(xt, yt)
                 if t is not None:
                     ce = c * e
-                    out[t] = out[t] + ce if t in out else ce
+                    if t in out:
+                        out[t] = out[t] + ce
+                        merged = True
+                    else:
+                        out[t] = ce
         if len(out) > TERM_BUDGET:
             raise BudgetError(f"product of {len(x.terms)} x {len(y.terms)} terms "
                               f"grew past {TERM_BUDGET} terms")
-        return Element(self, out)
+        # only a merge can cancel, and the filter keeps a cancelled term's
+        # place should a later pair bring it back
+        return Element(self, out) if merged else Element._of(self, out)
 
     # ----------------------------------------------------------- expansion
 

@@ -141,6 +141,32 @@ def _arborescences(extra: tuple) -> list[tuple]:
     return sorted(out)
 
 
+def _rooted_and_acyclic(v_nodes: tuple, pairs) -> bool:
+    """Every vertex of `v_nodes` is reachable from w0 along the edges
+    `pairs`, and no cycle avoids w0: the tests `_structural_ok` makes
+    through `hereditary_closure` and `is_acyclic_among`, without a
+    `Graph`.  The loop at w0 changes neither, so it may be left out."""
+    succ: dict = {v: set() for v in v_nodes}
+    for a, b in pairs:
+        succ[a].add(b)
+    seen = {LOOP_VERTEX}
+    frontier = [LOOP_VERTEX]
+    while frontier:
+        for w in succ[frontier.pop()]:
+            if w not in seen:
+                seen.add(w)
+                frontier.append(w)
+    if len(seen) != len(v_nodes):
+        return False
+    left = seen - {LOOP_VERTEX}
+    while left:  # peel the vertices with no successor left; a cycle never peels
+        leaves = {v for v in left if not succ[v] & left}
+        if not leaves:
+            return False
+        left -= leaves
+    return True
+
+
 def _v_parts_wide(extra: tuple, budget: int) -> list[tuple]:
     """All V-internal edge multisets for the wide class: hereditary
     reachability from w0, single loop, nothing into w0, every extra
@@ -148,18 +174,20 @@ def _v_parts_wide(extra: tuple, budget: int) -> list[tuple]:
     v_nodes = (LOOP_VERTEX,) + extra + SINKS
     slots = [(s, d) for s in (LOOP_VERTEX,) + extra for d in v_nodes if d != LOOP_VERTEX]
     out = set()
+    # both tests read only which slots a multiset uses, and the 3 x 4
+    # slots at two extra vertices have at most 4096 subsets
+    verdicts: dict = {}
     max_extra_edges = budget - 1  # one edge is the loop
     for count in range(len(extra) + len(SINKS), max_extra_edges + 1):
         for combo in combinations_with_replacement(slots, count):
-            if not set(extra) <= {s for s, _ in combo}:
-                continue  # an extra vertex emits nothing: a third sink
-            pairs = ((LOOP_VERTEX, LOOP_VERTEX),) + combo
-            g = Candidate(v_nodes, pairs).graph()
-            if hereditary_closure(g, [LOOP_VERTEX]) != frozenset(v_nodes):
-                continue
-            if not is_acyclic_among(g, frozenset(v_nodes) - {LOOP_VERTEX}):
-                continue
-            out.add(_canonical(pairs, extra))
+            used = frozenset(combo)
+            ok = verdicts.get(used)
+            if ok is None:
+                # an extra vertex that emits nothing would be a third sink
+                ok = verdicts[used] = (set(extra) <= {s for s, _ in used}
+                                       and _rooted_and_acyclic(v_nodes, used))
+            if ok:
+                out.add(_canonical(((LOOP_VERTEX, LOOP_VERTEX),) + combo, extra))
     return sorted(out)
 
 

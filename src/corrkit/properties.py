@@ -5,8 +5,10 @@ replays an algebraic law verbatim, reporting the first counterexample
 with the inputs that produced it.  Two term engines are exercised: a
 small branchy concrete graph whose shared label forces genuinely
 labelled behaviour, and the indexed mirror-sphere space whose tail sets
-exercise the infinite side.  All scalars are rational, so every
-comparison is exact.
+exercise the infinite side.  One pair of engines is built per run and
+shared by the three engine suites, so each run stands alone and the
+product memo of each engine fills once.  All scalars are rational, so
+every comparison is exact.
 """
 from __future__ import annotations
 
@@ -78,15 +80,15 @@ def _random_element(rng: Random, eng, pool, terms=3):
     return out
 
 
-def associativity_suite(cases: int = DEFAULT_CASES,
+def associativity_suite(engines: list, cases: int = DEFAULT_CASES,
                         seed: int = DEFAULT_SEED) -> Report:
-    """(x y) z = x (y z) for random engine elements."""
+    """(x y) z = x (y z) for random engine elements.  `engines` holds
+    (engine, factor pool) pairs, as for the other engine suites."""
     rng = Random(seed)
     rep = Report("product associativity")
     nontrivial = 0
     bad = ""
-    for eng, labels, sets in _engines():
-        pool = _factor_pool(eng, labels, sets)
+    for eng, pool in engines:
         for _ in range(cases // 2):
             x = _random_element(rng, eng, pool)
             y = _random_element(rng, eng, pool)
@@ -103,14 +105,13 @@ def associativity_suite(cases: int = DEFAULT_CASES,
     return rep
 
 
-def involution_suite(cases: int = DEFAULT_CASES,
+def involution_suite(engines: list, cases: int = DEFAULT_CASES,
                      seed: int = DEFAULT_SEED) -> Report:
     """(x y)* = y* x*, x** = x, and additivity of the involution."""
     rng = Random(seed + 1)
     rep = Report("involution")
     bad_anti = bad_inv = bad_add = ""
-    for eng, labels, sets in _engines():
-        pool = _factor_pool(eng, labels, sets)
+    for eng, pool in engines:
         for _ in range(cases // 2):
             x = _random_element(rng, eng, pool)
             y = _random_element(rng, eng, pool)
@@ -132,7 +133,7 @@ def _degrees(el) -> set:
     return {len(a) - len(b) for (a, _, b) in el.terms}
 
 
-def grading_suite(cases: int = DEFAULT_CASES,
+def grading_suite(engines: list, cases: int = DEFAULT_CASES,
                   seed: int = DEFAULT_SEED) -> Report:
     """Products of homogeneous elements are homogeneous of the summed
     degree; generator words are homogeneous to begin with."""
@@ -140,8 +141,7 @@ def grading_suite(cases: int = DEFAULT_CASES,
     rep = Report("integer grading")
     bad_word = bad_prod = ""
     tested = 0
-    for eng, labels, sets in _engines():
-        pool = _factor_pool(eng, labels, sets)
+    for eng, pool in engines:
         for _ in range(cases // 2):
             x = _random_word(rng, pool)
             y = _random_word(rng, pool)
@@ -328,9 +328,11 @@ def run_property_suites(cases: int = DEFAULT_CASES,
     """All six suites under one report, with the case budget split
     evenly and the seed offset per suite so runs are reproducible."""
     rep = Report(f"property suites ({cases} cases, seed {seed})")
-    rep.merge(associativity_suite(cases, seed))
-    rep.merge(involution_suite(cases, seed))
-    rep.merge(grading_suite(cases, seed))
+    engines = [(eng, _factor_pool(eng, labels, sets))
+               for eng, labels, sets in _engines()]
+    rep.merge(associativity_suite(engines, cases, seed))
+    rep.merge(involution_suite(engines, cases, seed))
+    rep.merge(grading_suite(engines, cases, seed))
     rep.merge(range_cocycle_suite(cases, seed))
     rep.merge(setexpr_truncation_suite(cases, seed))
     rep.merge(snf_selfcheck_suite(cases, seed))

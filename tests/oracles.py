@@ -9,22 +9,27 @@ loops over every generator and basis index instead of sparse walks over
 the stored table entries or one comparison of two index maps,
 compact decompositions through a dense system over every generator pair
 instead of one built from the stored inner entries, engine products reduced pair by pair instead of through the engine's
-memo of term-pair products, sparse table sums through a dense loop over
-every key pair instead of the in-place accumulation of `_table_apply`,
-and a handful of presentation matrices frozen from hand reduction.
+memo of term-pair products, `Engine.combine` as a fold of filtered sums
+instead of one dict that deletes cancelled terms in place, sparse table
+sums through a dense loop over every key pair instead of the in-place
+accumulation of `_table_apply`, the wide class's V-parts through a
+`Graph` per edge multiset instead of tests on the pairs alone, and a
+handful of presentation matrices frozen from hand reduction.
 """
 from __future__ import annotations
 
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 from math import gcd
 
 from corrkit.correspondences import FiniteRankOp
 from corrkit.engine import Element, Engine
 from corrkit.exactlinalg import is_psd, solve, sort_key, vec_repr
+from corrkit.graphs import hereditary_closure, is_acyclic_among
 from corrkit.labelled import (label_set, relative_range, sink_set,
                               truncate_space)
+from corrkit.obstruction import LOOP_VERTEX, SINKS, Candidate, _canonical
 from corrkit.reports import Report
 from corrkit.setexpr import SetExpr
 
@@ -467,6 +472,45 @@ def reference_mul(engine: Engine, x: Element, y: Element) -> Element:
             if t is not None:
                 out[t] = out.get(t, Fraction(0)) + c * e
     return Element(engine, out)
+
+
+def fold_combine(engine: Engine, vec: dict, images: dict) -> Element:
+    """`Engine.combine` as it was: a fold of `out + c * images[sym]`,
+    with that `+` and scalar product spelled out on dicts: each step
+    scales one image, filters its zeros, merges it into a copy of the
+    running sum and filters again, so a term that cancels leaves and a
+    term that comes back later goes to the end."""
+    out: dict = {}
+    for sym, c in vec.items():
+        f = Fraction(c)
+        scaled = {t: e * f for t, e in images[sym].terms.items() if e * f}
+        merged = dict(out)
+        for t, e in scaled.items():
+            merged[t] = merged[t] + e if t in merged else e
+        out = {t: e for t, e in merged.items() if e}
+    return Element(engine, out)
+
+
+# ------------------------------------------------------- wide V-parts
+
+def graph_v_parts_wide(extra: tuple, budget: int) -> list[tuple]:
+    """`obstruction._v_parts_wide` as it was: one `Graph` per edge
+    multiset, tested with `hereditary_closure` and `is_acyclic_among`."""
+    v_nodes = (LOOP_VERTEX,) + extra + SINKS
+    slots = [(s, d) for s in (LOOP_VERTEX,) + extra for d in v_nodes if d != LOOP_VERTEX]
+    out = set()
+    for count in range(len(extra) + len(SINKS), budget):
+        for combo in combinations_with_replacement(slots, count):
+            if not set(extra) <= {s for s, _ in combo}:
+                continue
+            pairs = ((LOOP_VERTEX, LOOP_VERTEX),) + combo
+            g = Candidate(v_nodes, pairs).graph()
+            if hereditary_closure(g, [LOOP_VERTEX]) != frozenset(v_nodes):
+                continue
+            if not is_acyclic_among(g, frozenset(v_nodes) - {LOOP_VERTEX}):
+                continue
+            out.add(_canonical(pairs, extra))
+    return sorted(out)
 
 
 # --------------------------------------------------- truncation comparison

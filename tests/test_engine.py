@@ -11,7 +11,7 @@ from corrkit.properties import _engines, _factor_pool, _random_element
 from corrkit.labelled import build_space, concrete_graph, relative_range, truncate_space
 from corrkit.setexpr import atoms, tail
 from corrkit.spheres import SphereConfig, build_En_space
-from oracles import reference_mul
+from oracles import fold_combine, reference_mul
 
 
 @pytest.fixture(scope="module")
@@ -212,11 +212,12 @@ def _dense_sum(x: Element, y: Element, sign: int) -> dict:
 
 @pytest.mark.parametrize("which", [0, 1], ids=["branchy", "E_2"])
 def test_seeded_arithmetic_stores_only_nonzero_fractions(which):
-    """Sums, differences, scalar multiples, products and one expansion
-    round of seeded elements keep no zero and no non-`Fraction`
-    coefficient; sums and differences equal the dense accumulation,
-    products equal the pair-by-pair reduction in value and key order, and
-    an expansion round leaves the element unchanged."""
+    """Sums, differences, negations, adjoints, combinations, scalar
+    multiples, products and one expansion round of seeded elements keep
+    no zero and no non-`Fraction` coefficient; sums and differences equal
+    the dense accumulation in value and key order, products equal the
+    pair-by-pair reduction in value and key order, and an expansion
+    round leaves the element unchanged."""
     eng, labels, sets = _engines()[which]
     pool = _factor_pool(eng, labels, sets)
     rng = Random(6089 + which)
@@ -226,8 +227,14 @@ def test_seeded_arithmetic_stores_only_nonzero_fractions(which):
         y = _random_element(rng, eng, pool)
         for got, want in ((x + y, _dense_sum(x, y, 1)), (x - y, _dense_sum(x, y, -1))):
             _assert_stored(got)
-            assert got.terms == want
+            assert list(got.terms.items()) == list(want.items())
         assert not (x - x).terms and not (x + -x).terms
+        for got, want in ((-x, {t: -c for t, c in x.terms.items()}),
+                          (x.adj(), {(b, s, a): c for (a, s, b), c in x.terms.items()}),
+                          (eng.combine({"x": 2, "y": -1, "z": 0}, {"x": x, "y": y, "z": x}),
+                           fold_combine(eng, {"x": 2, "y": -1}, {"x": x, "y": y}).terms)):
+            _assert_stored(got)
+            assert list(got.terms.items()) == list(want.items())
         for scalar in (0, 2, Fraction(-3, 4), "1/3"):
             for got in (scalar * x, x * scalar):
                 _assert_stored(got)
@@ -241,3 +248,42 @@ def test_seeded_arithmetic_stores_only_nonzero_fractions(which):
         expanded += once.terms != x.terms
         assert eng.equals(once, x)
     assert expanded > 0
+
+
+@pytest.mark.parametrize("which", [0, 1], ids=["branchy", "E_2"])
+def test_combine_matches_the_fold_of_sums(which):
+    """`combine` equals the fold of `out + c * images[sym]` in value and
+    key order on seeded elements: with no cancellation forced, with
+    terms that cancel, with terms that cancel and then come back (they
+    go to the end), and with zero coefficients."""
+    eng, labels, sets = _engines()[which]
+    pool = _factor_pool(eng, labels, sets)
+    rng = Random(7193 + which)
+    for _ in range(40):
+        x, y, z = (_random_element(rng, eng, pool) for _ in range(3))
+        images = {"x": x, "y": y, "z": z, "-x": -x, "w": x + z}
+        for vec in ({"x": 1, "y": Fraction(-2, 3), "z": 3},
+                    {"x": 2, "w": -2, "z": 2},
+                    {"x": 1, "-x": 1, "w": 1},
+                    {"y": 0, "x": Fraction(1, 2), "-x": Fraction(1, 2), "z": -1},
+                    {"z": 0}):
+            got = eng.combine(vec, images)
+            assert list(got.terms.items()) == list(fold_combine(eng, vec, images).terms.items())
+        back = eng.combine({"x": 1, "-x": 1, "w": 1}, images)
+        assert list(back.terms.items()) == list((x + z).terms.items())
+
+
+def test_equal_terms_are_one_object():
+    """One engine hands out one object per term: the same term built twice
+    through `element`, from equal but distinct vertex sets, and once more
+    as a product, is the identical tuple (so probes on it never compare
+    vertex sets); another engine over the same space builds its own."""
+    eng = _engines()[1][0]
+    a, b = tail("v", 3), tail("v", 3)
+    assert a == b and a is not b
+    [t1] = eng.element(("g",), a, ()).terms
+    [t2] = eng.element(("g",), b, ()).terms
+    [t3] = (eng.s("g") * eng.p(tail("v", 3))).terms
+    assert t1 is t2 and t1 is t3
+    [t4] = Engine(eng.space).element(("g",), b, ()).terms
+    assert t4 == t1 and t4 is not t1

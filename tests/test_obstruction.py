@@ -1,7 +1,8 @@
 """Counterexample sweep over small ad-hoc graph models."""
 import pytest
 
-from corrkit.obstruction import enumerate_candidates, sweep
+from corrkit.obstruction import _v_parts_wide, enumerate_candidates, sweep
+from oracles import graph_v_parts_wide
 
 
 def test_enumeration_count_small():
@@ -67,3 +68,12 @@ def test_candidates_at_five_vertices_are_pairwise_non_isomorphic():
                 reps.append(g)
         classes += len(reps)
     assert len(cands) == classes == 806
+
+
+@pytest.mark.parametrize("extra", [(), ("x1",), ("x1", "x2")], ids=["0", "1", "2"])
+def test_wide_v_parts_match_the_graph_loop(extra):
+    """The pair-level reachability and acyclicity tests keep exactly the
+    V-parts the per-multiset `Graph` loop kept, in the same order."""
+    got = _v_parts_wide(extra, 10)
+    assert got == graph_v_parts_wide(extra, 10)
+    assert got

@@ -1,4 +1,5 @@
 """Randomized invariant suites: reproducibility and health."""
+from corrkit.engine import Engine
 from corrkit.properties import DEFAULT_SEED, run_property_suites
 
 
@@ -25,3 +26,20 @@ def test_case_counts_reported():
     rep = run_property_suites(cases=90, seed=3)
     # the requested budget is visible in the rendered checks
     assert sum("90" in c.name or "90" in c.detail for c in rep.checks) >= 3
+
+
+def test_one_run_builds_one_pair_of_engines(monkeypatch):
+    """The three engine suites share the two engines of one run, so the
+    product memo of each fills once; a second run builds its own pair."""
+    built = []
+    init = Engine.__init__
+
+    def counted(self, space):
+        built.append(self)
+        init(self, space)
+
+    monkeypatch.setattr(Engine, "__init__", counted)
+    run_property_suites(cases=20, seed=5)
+    assert len(built) == 2
+    run_property_suites(cases=20, seed=5)
+    assert len(built) == 4 and not set(built[:2]) & set(built[2:])
