@@ -29,8 +29,9 @@ class CommAlgebra:
     """Commutative algebra spanned by named idempotents.
 
     `table` maps ordered basis pairs to product vectors; omitted pairs
-    multiply to zero.  Both orders of a pair must agree (or only one may
-    be given, the other is filled in by symmetry).
+    multiply to zero.  Both orders of a pair must agree, an explicit
+    zero included (or only one may be given, the other is filled in by
+    symmetry).
     """
 
     __slots__ = ("name", "basis", "_table", "_basis_set")
@@ -46,7 +47,7 @@ class CommAlgebra:
         self._basis_set = frozenset(self.basis)
         if len(self._basis_set) != len(self.basis):
             raise PresentationError(f"{name}: duplicate basis symbols")
-        tab: dict[tuple[str, str], Vec] = {}
+        given: dict[tuple[str, str], Vec] = {}
         for (l, r), out in table.items():
             if l not in self._basis_set or r not in self._basis_set:
                 raise PresentationError(f"{name}: table entry ({l},{r}) uses unknown symbols")
@@ -54,16 +55,13 @@ class CommAlgebra:
             for k in v:
                 if k not in self._basis_set:
                     raise PresentationError(f"{name}: product ({l},{r}) leaves the span ({k})")
-            if v:
-                tab[(l, r)] = v
-        # fill in / check symmetry
+            # an explicit zero is compared with its mirror like any entry
+            if (r, l) in given and given[(r, l)] != v:
+                raise PresentationError(f"{name}: table not symmetric at ({r},{l})")
+            given[(l, r)] = v
+        tab = {pair: v for pair, v in given.items() if v}
         for (l, r) in list(tab):
-            mirror = (r, l)
-            if mirror in tab:
-                if tab[mirror] != tab[(l, r)]:
-                    raise PresentationError(f"{name}: table not symmetric at ({l},{r})")
-            else:
-                tab[mirror] = tab[(l, r)]
+            tab.setdefault((r, l), tab[(l, r)])
         self._table = tab
         rep = self.validate()
         if not rep.ok:
@@ -86,14 +84,6 @@ class CommAlgebra:
 
     def validate(self) -> Report:
         rep = Report(f"algebra {self.name}")
-        sym_ok = True
-        for a in self.basis:
-            for b in self.basis:
-                if self._table.get((a, b), {}) != self._table.get((b, a), {}):
-                    sym_ok = False
-                    rep.add("commutativity", False, f"{a}*{b} != {b}*{a}")
-        if sym_ok:
-            rep.add("commutativity", True)
         idem_ok = True
         for a in self.basis:
             if self._table.get((a, a), {}) != {a: Fraction(1)}:

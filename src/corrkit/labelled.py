@@ -362,19 +362,20 @@ def is_left_resolving(g: LabelledGraph):
 
 
 def is_weakly_left_resolving(space: LabelledSpace):
-    """r(A&B, a) == r(A,a) & r(B,a) across the core family.  Returns
-    (ok, witness) with witness = (A, B, label, got, expected)."""
+    """r(A&B, a) == r(A,a) & r(B,a) across the core family, with each
+    r(A, a) computed once per core set and label.  Returns (ok, witness)
+    with witness = (A, B, label, got, expected)."""
     g = space.graph
     labels = label_instances(g, space.horizon)
-    n = len(space.core)
-    for i in range(n):
-        a = space.core[i]
-        for j in range(i, n):
-            b = space.core[j]
+    core = space.core
+    ranges = [[relative_range(g, a, lab) for lab in labels] for a in core]
+    for i, a in enumerate(core):
+        for j in range(i, len(core)):
+            b = core[j]
             ab = a.intersect(b)
-            for lab in labels:
+            for lab, ra, rb in zip(labels, ranges[i], ranges[j]):
                 got = relative_range(g, ab, lab)
-                want = relative_range(g, a, lab).intersect(relative_range(g, b, lab))
+                want = ra.intersect(rb)
                 if got != want:
                     return False, (a, b, lab, got, want)
     return True, None

@@ -48,8 +48,7 @@ def _engines():
     eng2 = Engine(build_En_space(SphereConfig(2, 4)))
     return [(eng1, sorted(label_instances(cg, eng1.space.horizon)),
              [atom_set(v) for v in "abcd"]),
-            (eng2, sorted(label_instances(build_En_graph(SphereConfig(2, 4)),
-                                          eng2.space.horizon)),
+            (eng2, sorted(label_instances(eng2.graph, eng2.space.horizon)),
              [atom_set("u1"), atom_set("w1"), tail("v", 1), tail("v", 3),
               atom_set("w2").union(tail("v", 1))])]
 

@@ -57,20 +57,6 @@ class SphereConfig:
             raise ValueError("truncation bound N must be at least 2")
 
 
-def _ij(sym: str) -> tuple[int, int]:
-    parts = sym.split("_")
-    return int(parts[-2]), int(parts[-1])
-
-
-def _single(vec) -> str | None:
-    """The symbol of a one-term coefficient-one vector, else None."""
-    if len(vec) == 1:
-        (sym, c), = vec.items()
-        if c == 1:
-            return sym
-    return None
-
-
 # ----------------------------------------------------------- row pattern
 
 
@@ -715,91 +701,57 @@ def build_En_space(cfg: SphereConfig):
     return build_space(g, generators=seeds, horizon=max(8, cfg.N + 4))
 
 
-def rho_sum_images(cfg: SphereConfig, rsum, eng: Engine):
-    """Images of the glued generators in the labelled-space engine.
+def rho_sum_images(cfg: SphereConfig, eng: Engine):
+    """Images of the generators of X and Y and of the bases of A and B in
+    the labelled-space engine.
 
-    Rows are matched structurally from the computed tables, so a change
-    in basis shape fails loudly instead of silently mapping the wrong
-    element.  Returns (module images, algebra images, legend) with the
-    legend mapping semantic keys to row names.
+    The realization is linear on X (+) Y: a glued generator row (x, y)
+    goes to rho(x) + rho(y), and a pair atom (a, b) to rho(a) + rho(b).
+    So these four families fix the image of every row the restricted
+    direct sum computes, and no row is read by name: a row of any shape
+    goes where its coordinates send it, and the covariance and coverage
+    checks of `verify_En_representation` certify the result.  A generator whose pair partner carries the image goes to
+    zero: x_{i,j} for j <= n (paired with w_{i,j}), y (paired with
+    w_{n,n}) and R_1..R_n (paired with P_1..P_n).  With these, the loop
+    atom (P_n, R_n - sum Q_j) telescopes to the tail projection
+    p_{A_{N+1}}.  Returns (X images, Y images, A images, B images).
     """
     n, N = cfg.n, cfg.N
-    a1 = tail("v", 1)
-    w2a1 = atom_set("w2").union(a1)
-    pw1 = eng.p(atom_set("w1"))
 
     def pa(k: int):
         return eng.p(tail("v", k))
 
-    legend: dict = {}
-    mod: dict = {}
-    for name, vx, vy in rsum.gen_table:
-        sx, sy = _single(vx), _single(vy)
-        el = None
-        if sx is not None and sy is not None:
-            if sx.startswith("w_") and sy.startswith("x_") and _ij(sx) == _ij(sy):
-                i, j = _ij(sx)
-                if j <= n - 1:
-                    el = eng.s(f"e_{i}_{j}") * eng.p(atom_set(f"u{j}"))
-                elif j == n:
-                    el = eng.s(f"f{i}") * eng.p(a1)
-                legend[("wx", i, j)] = name
-            elif sx == f"w_{n}_{n}" and sy == "y":
-                el = eng.s("g") * eng.p(a1)
-                legend[("boundary",)] = name
-        elif sx is not None and not vy and sx.startswith("w_"):
-            i, j = _ij(sx)
-            if j == n + 1:
-                el = (eng.s(f"f{i}") if i < n else eng.s("h")) * pw1
-                legend[("sink", i)] = name
-        elif sy is not None and not vx:
-            if sy.startswith("x_"):
-                i, j = _ij(sy)
-                if j == n + 1:
-                    el = eng.s(f"f{i}") * (eng.p(w2a1) - eng.p(a1))
-                    legend[("xtail", i)] = name
-            elif sy.startswith("xn_"):
-                i, j = _ij(sy)
-                el = eng.s(f"f{i}") * (pa(j) - pa(j + 1))
-                legend[("xn", i, j)] = name
-            elif sy == "yp":
-                el = eng.s("g") * (pa(1) - pa(2))
-                legend[("yp",)] = name
-            elif sy.startswith("y_"):
-                i = int(sy.split("_")[1])
-                el = eng.s("g") * (pa(i + 1) - pa(i + 2))
-                legend[("yi", i)] = name
-        if el is None:
-            raise ValueError(f"unrecognized pair generator row {name}")
-        mod[name] = el
-
-    exp_resid = {f"R{n}": ONE}
+    pw1 = eng.p(atom_set("w1"))
+    seed = eng.p(atom_set("w2").union(tail("v", 1))) - pa(1)
+    corner = {j: pa(j) - pa(j + 1) for j in range(1, N + 2)}
+    zero = eng.zero()
+    x_mod: dict = {}
+    y_mod: dict = {}
+    for i in range(1, n):
+        f = eng.s(f"f{i}")
+        for j in range(i, n):
+            x_mod[f"w_{i}_{j}"] = eng.s(f"e_{i}_{j}") * eng.p(atom_set(f"u{j}"))
+        x_mod[f"w_{i}_{n}"] = f * pa(1)
+        x_mod[f"w_{i}_{n + 1}"] = f * pw1
+        y_mod.update((f"x_{i}_{j}", zero) for j in range(i, n + 1))
+        y_mod[f"x_{i}_{n + 1}"] = f * seed
+        for j in range(1, N + 1):
+            y_mod[f"xn_{i}_{j}"] = f * corner[j]
+    g = eng.s("g")
+    x_mod[f"w_{n}_{n}"] = g * pa(1)
+    x_mod[f"w_{n}_{n + 1}"] = eng.s("h") * pw1
+    y_mod["y"] = zero
+    y_mod["yp"] = g * corner[1]
+    for i in range(1, N + 1):
+        y_mod[f"y_{i}"] = g * corner[i + 1]
+    a_alg = {f"P{i}": eng.p(atom_set(f"u{i}")) for i in range(1, n)}
+    a_alg[f"P{n}"] = pa(1)
+    a_alg[f"P{n + 1}"] = pw1
+    b_alg = {f"R{i}": zero for i in range(1, n + 1)}
+    b_alg[f"R{n + 1}"] = seed
     for j in range(1, N + 1):
-        exp_resid[f"Q{j}"] = -ONE
-    alg: dict = {}
-    for name, va, vb in rsum.atom_table:
-        sa, sb = _single(va), _single(vb)
-        el = None
-        if (sa is not None and sb is not None and sa.startswith("P")
-                and sb == "R" + sa[1:] and int(sa[1:]) <= n - 1):
-            el = eng.p(atom_set(f"u{sa[1:]}"))
-            legend[("PR", int(sa[1:]))] = name
-        elif sa == f"P{n}" and vb == exp_resid:
-            el = pa(N + 1)
-            legend[("resid",)] = name
-        elif sa == f"P{n + 1}" and not vb:
-            el = pw1
-            legend[("Psink",)] = name
-        elif not va and sb == f"R{n + 1}":
-            el = eng.p(w2a1) - pa(1)
-            legend[("Rsink",)] = name
-        elif not va and sb is not None and sb.startswith("Q"):
-            el = pa(int(sb[1:])) - pa(int(sb[1:]) + 1)
-            legend[("Q", int(sb[1:]))] = name
-        if el is None:
-            raise ValueError(f"unrecognized pair atom row {name}")
-        alg[name] = el
-    return mod, alg, legend
+        b_alg[f"Q{j}"] = corner[j]
+    return x_mod, y_mod, a_alg, b_alg
 
 
 def verify_En_representation(cfg: SphereConfig, rsum) -> Report:
@@ -809,7 +761,8 @@ def verify_En_representation(cfg: SphereConfig, rsum) -> Report:
     resolving), the covariant representation of the glued module, exact
     engine identities for every guarded instance, injectivity on the
     pair algebra, and that the images exhaust the generators of the
-    labelled algebra.
+    labelled algebra.  Each computed row is imaged through the linear
+    map of `rho_sum_images`.
     """
     n, N = cfg.n, cfg.N
     rep = Report(f"labelled realization (n={n}, N={N})")
@@ -824,27 +777,36 @@ def verify_En_representation(cfg: SphereConfig, rsum) -> Report:
             else "no repeated incoming label found")
 
     eng = Engine(space)
-    mod, alg, legend = rho_sum_images(cfg, rsum, eng)
+    x_mod, y_mod, a_alg, b_alg = rho_sum_images(cfg, eng)
+
+    def image(u, v, left, right):
+        return eng.combine(u, left) + eng.combine(v, right)
+
+    mod = {name: image(vx, vy, x_mod, y_mod) for name, vx, vy in rsum.gen_table}
+    alg = {name: image(va, vb, a_alg, b_alg) for name, va, vb in rsum.atom_table}
     rep.merge(check_covariant_rep(rsum.corr, mod, alg, eng), prefix="glued representation")
 
     def pa(k: int):
         return eng.p(tail("v", k))
 
+    boundary, sink = x_mod[f"w_{n}_{n}"], x_mod[f"w_{n}_{n + 1}"]
     nxt = pa(N + 1) - pa(N + 2)
-    ytail = mod[legend[("yi", N)]]
-    okb = (eng.equals(mod[legend[("boundary",)]].adj() * ytail, nxt)
+    ytail = y_mod[f"y_{N}"]
+    okb = (eng.equals(boundary.adj() * ytail, nxt)
            and eng.equals(ytail.adj() * ytail, nxt))
     rep.add("clipped inner products equal the next corner projection", okb)
 
-    okq = eng.equals(ytail * ytail.adj(), alg[legend[("Q", N)]])
-    okqs = all(eng.equals(mod[legend[("yi", i)]] * mod[legend[("yi", i)]].adj(),
-                          alg[legend[("Q", i)]])
+    okq = eng.equals(ytail * ytail.adj(), b_alg[f"Q{N}"])
+    okqs = all(eng.equals(y_mod[f"y_{i}"] * y_mod[f"y_{i}"].adj(), b_alg[f"Q{i}"])
                for i in range(1, N + 1))
-    u = mod[legend[("boundary",)]] - mod[legend[("yp",)]]
-    lhs = u * u.adj() + mod[legend[("sink", n)]] * mod[legend[("sink", n)]].adj()
+    resid_b = {f"R{n}": ONE}
+    resid_b.update((f"Q{j}", -ONE) for j in range(1, N + 1))
+    resid = image({f"P{n}": ONE}, resid_b, a_alg, b_alg)
+    u = boundary - y_mod["yp"]
+    lhs = u * u.adj() + sink * sink.adj()
     for i in range(1, N + 1):
-        lhs = lhs - mod[legend[("yi", i)]] * mod[legend[("yi", i)]].adj()
-    okr = eng.equals(lhs, alg[legend[("resid",)]])
+        lhs = lhs - y_mod[f"y_{i}"] * y_mod[f"y_{i}"].adj()
+    okr = eng.equals(lhs, resid)
     rep.add("guarded ideal atoms realized exactly", okq and okqs and okr,
             "every corner projection and the loop remainder resolve as sums of rank-one images")
 
@@ -857,30 +819,26 @@ def verify_En_representation(cfg: SphereConfig, rsum) -> Report:
     cov = True
     for i in range(1, n):
         for j in range(i, n):
-            cov = cov and eng.equals(eng.s(f"e_{i}_{j}"),
-                                     mod[legend[("wx", i, j)]])
-        total = (mod[legend[("wx", i, n)]] + mod[legend[("sink", i)]]
-                 + mod[legend[("xtail", i)]])
+            cov = cov and eng.equals(eng.s(f"e_{i}_{j}"), x_mod[f"w_{i}_{j}"])
+        total = x_mod[f"w_{i}_{n}"] + x_mod[f"w_{i}_{n + 1}"] + y_mod[f"x_{i}_{n + 1}"]
         cov = cov and eng.equals(eng.s(f"f{i}"), total)
-    cov = cov and eng.equals(eng.s("g"), mod[legend[("boundary",)]])
-    cov = cov and eng.equals(eng.s("h"), mod[legend[("sink", n)]])
+    cov = cov and eng.equals(eng.s("g"), boundary)
+    cov = cov and eng.equals(eng.s("h"), sink)
     rep.add("label generators covered by module images", cov)
 
     covp = True
     for i in range(1, n):
-        covp = covp and eng.equals(eng.p(atom_set(f"u{i}")),
-                                   alg[legend[("PR", i)]])
-    covp = covp and eng.equals(eng.p(atom_set("w1")), alg[legend[("Psink",)]])
-    a1img = alg[legend[("resid",)]]
+        covp = covp and eng.equals(eng.p(atom_set(f"u{i}")), a_alg[f"P{i}"])
+    covp = covp and eng.equals(eng.p(atom_set("w1")), a_alg[f"P{n + 1}"])
+    a1img = resid
     for j in range(1, N + 1):
-        a1img = a1img + alg[legend[("Q", j)]]
+        a1img = a1img + b_alg[f"Q{j}"]
     covp = covp and eng.equals(pa(1), a1img)
     covp = covp and eng.equals(eng.p(atom_set("w2").union(tail("v", 1))),
-                               alg[legend[("Rsink",)]] + a1img)
+                               b_alg[f"R{n + 1}"] + a1img)
     rep.add("vertex-set projections covered by algebra images", covp)
     rep.add("deeper tail projections reached by conjugation",
-            eng.equals(eng.s("g").adj() * alg[legend[("resid",)]] * eng.s("g"),
-                       pa(N + 2)))
+            eng.equals(eng.s("g").adj() * resid * eng.s("g"), pa(N + 2)))
     return rep
 
 

@@ -13,7 +13,9 @@ memo of term-pair products, `Engine.combine` as a fold of filtered sums
 instead of one dict that deletes cancelled terms in place, sparse table
 sums through a dense loop over every key pair instead of the in-place
 accumulation of `_table_apply`, the wide class's V-parts through a
-`Graph` per edge multiset instead of tests on the pairs alone, and a
+`Graph` per edge multiset instead of tests on the pairs alone, the
+glued module's labelled-space images by recognising each pair row's
+generator names instead of extending generator images linearly, and a
 handful of presentation matrices frozen from hand reduction.
 """
 from __future__ import annotations
@@ -31,7 +33,7 @@ from corrkit.labelled import (label_set, relative_range, sink_set,
                               truncate_space)
 from corrkit.obstruction import LOOP_VERTEX, SINKS, Candidate, _canonical
 from corrkit.reports import Report
-from corrkit.setexpr import SetExpr
+from corrkit.setexpr import SetExpr, atoms as atom_set, tail
 
 ONE = Fraction(1)
 
@@ -489,6 +491,93 @@ def fold_combine(engine: Engine, vec: dict, images: dict) -> Element:
             merged[t] = merged[t] + e if t in merged else e
         out = {t: e for t, e in merged.items() if e}
     return Element(engine, out)
+
+
+# ----------------------------------------------- glued images by row name
+
+def _single(vec) -> str | None:
+    """The symbol of a one-term coefficient-one vector, else None."""
+    if len(vec) == 1:
+        (sym, c), = vec.items()
+        if c == 1:
+            return sym
+    return None
+
+
+def _ij(sym: str) -> tuple[int, int]:
+    parts = sym.split("_")
+    return int(parts[-2]), int(parts[-1])
+
+
+def row_name_sum_images(cfg, rsum, eng: Engine):
+    """`spheres.rho_sum_images` as it was: each computed pair row is
+    recognised by the names of its generators and sent to its image
+    directly, and a row of unknown shape raises ValueError.  Returns
+    (module images, algebra images), keyed by row name."""
+    n, N = cfg.n, cfg.N
+    a1 = tail("v", 1)
+    w2a1 = atom_set("w2").union(a1)
+    pw1 = eng.p(atom_set("w1"))
+
+    def pa(k: int):
+        return eng.p(tail("v", k))
+
+    mod: dict = {}
+    for name, vx, vy in rsum.gen_table:
+        sx, sy = _single(vx), _single(vy)
+        el = None
+        if sx is not None and sy is not None:
+            if sx.startswith("w_") and sy.startswith("x_") and _ij(sx) == _ij(sy):
+                i, j = _ij(sx)
+                if j <= n - 1:
+                    el = eng.s(f"e_{i}_{j}") * eng.p(atom_set(f"u{j}"))
+                elif j == n:
+                    el = eng.s(f"f{i}") * eng.p(a1)
+            elif sx == f"w_{n}_{n}" and sy == "y":
+                el = eng.s("g") * eng.p(a1)
+        elif sx is not None and not vy and sx.startswith("w_"):
+            i, j = _ij(sx)
+            if j == n + 1:
+                el = (eng.s(f"f{i}") if i < n else eng.s("h")) * pw1
+        elif sy is not None and not vx:
+            if sy.startswith("x_"):
+                i, j = _ij(sy)
+                if j == n + 1:
+                    el = eng.s(f"f{i}") * (eng.p(w2a1) - eng.p(a1))
+            elif sy.startswith("xn_"):
+                i, j = _ij(sy)
+                el = eng.s(f"f{i}") * (pa(j) - pa(j + 1))
+            elif sy == "yp":
+                el = eng.s("g") * (pa(1) - pa(2))
+            elif sy.startswith("y_"):
+                i = int(sy.split("_")[1])
+                el = eng.s("g") * (pa(i + 1) - pa(i + 2))
+        if el is None:
+            raise ValueError(f"unrecognized pair generator row {name}")
+        mod[name] = el
+
+    exp_resid = {f"R{n}": ONE}
+    for j in range(1, N + 1):
+        exp_resid[f"Q{j}"] = -ONE
+    alg: dict = {}
+    for name, va, vb in rsum.atom_table:
+        sa, sb = _single(va), _single(vb)
+        el = None
+        if (sa is not None and sb is not None and sa.startswith("P")
+                and sb == "R" + sa[1:] and int(sa[1:]) <= n - 1):
+            el = eng.p(atom_set(f"u{sa[1:]}"))
+        elif sa == f"P{n}" and vb == exp_resid:
+            el = pa(N + 1)
+        elif sa == f"P{n + 1}" and not vb:
+            el = pw1
+        elif not va and sb == f"R{n + 1}":
+            el = eng.p(w2a1) - pa(1)
+        elif not va and sb is not None and sb.startswith("Q"):
+            el = pa(int(sb[1:])) - pa(int(sb[1:]) + 1)
+        if el is None:
+            raise ValueError(f"unrecognized pair atom row {name}")
+        alg[name] = el
+    return mod, alg
 
 
 # ------------------------------------------------------- wide V-parts

@@ -31,6 +31,19 @@ def test_asymmetric_table_rejected():
         })
 
 
+@pytest.mark.parametrize("zero_first", [False, True])
+def test_explicit_zero_against_nonzero_mirror_rejected(zero_first):
+    """An explicit zero entry is compared with its mirror like any other
+    entry, so a zero on one side and a nonzero on the other is refused
+    instead of being filled in from the nonzero side."""
+    entries = [(("p", "q"), {"p": 1}), (("q", "p"), {})]
+    if zero_first:
+        entries.reverse()
+    with pytest.raises(PresentationError, match="not symmetric"):
+        CommAlgebra("T", ["p", "q"], {("p", "p"): {"p": 1}, ("q", "q"): {"q": 1},
+                                      **dict(entries)})
+
+
 def test_non_idempotent_basis_rejected():
     with pytest.raises(PresentationError):
         CommAlgebra("B", ["e"], {("e", "e"): {"e": 2}})

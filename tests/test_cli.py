@@ -66,6 +66,27 @@ def test_corr_check_single_ok():
     assert "FAIL" not in proc.stdout
 
 
+def test_corr_check_asymmetric_algebra_exits_3(tmp_path):
+    """A mult table whose (q,u) entry is an explicit `"out": []` while
+    (u,q) is u is not commutative; without the zero it would be a valid
+    algebra with u under q, and the correspondence over it would pass."""
+    doc = json.loads((DATA / "hilbert_1dim.json").read_text())
+    corr = doc["correspondence"]
+    corr["algebra"]["basis"] = ["u", "q"]
+    corr["algebra"]["mult"] = [
+        {"l": "u", "r": "u", "out": [["u", "1"]]},
+        {"l": "q", "r": "q", "out": [["q", "1"]]},
+        {"l": "u", "r": "q", "out": [["u", "1"]]},
+        {"l": "q", "r": "u", "out": []},
+    ]
+    corr["right"].append({"gen": "e", "alg": "q", "out": [["e", "1"]]})
+    corr["left"].append({"alg": "q", "gen": "e", "out": [["e", "1"]]})
+    bad = tmp_path / "asym.json"
+    bad.write_text(json.dumps(doc))
+    proc = run("corr-check", bad, expect=3)
+    assert "table not symmetric at (u,q)" in proc.stderr
+
+
 def test_exit_parse_error():
     proc = run("ktheory", DATA / "no_such_file.json", expect=2)
     assert "error:" in proc.stderr

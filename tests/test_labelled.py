@@ -56,6 +56,15 @@ def test_resolving_properties(e2):
     assert ok
 
 
+def test_weakly_left_resolving_failure_witness():
+    """Two disjoint sets with edges of one label into the same vertex:
+    r({a} & {b}, l) is empty but r({a}, l) & r({b}, l) is {c}."""
+    g = concrete_graph(["a", "b", "c"], [("e1", "a", "c", "l"), ("e2", "b", "c", "l")])
+    sp = build_space(g, generators=[atoms("a"), atoms("b")])
+    assert is_weakly_left_resolving(sp) == (
+        False, (atoms("a"), atoms("b"), "l", atoms(), atoms("c")))
+
+
 def test_lattice_membership(e2):
     _, sp = e2
     assert sp.in_lattice(tail("v", 1))

@@ -2,11 +2,13 @@
 import pytest
 
 from corrkit import correspondences, spheres
+from corrkit.engine import Engine
 from corrkit.spheres import (
     SphereConfig,
     _nonzero_orthogonal,
     _row_engine,
     build_beta,
+    build_En_space,
     build_mirror_sum,
     build_omega,
     build_X_A,
@@ -16,10 +18,12 @@ from corrkit.spheres import (
     expected_pair_generators,
     mirror_span_report,
     lemma_suite,
+    rho_sum_images,
     verify_En_representation,
     verify_XY_isomorphism,
     verify_sphere_suite,
 )
+from oracles import row_name_sum_images
 
 
 def test_config_validation():
@@ -86,6 +90,25 @@ def test_en_representation(n):
     rsum, _, _ = build_mirror_sum(cfg)
     rep = verify_En_representation(cfg, rsum)
     assert rep.ok, rep.render()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("N", [None, 6])
+def test_linear_sum_images_match_row_name_images(n, N):
+    """Imaging each computed row linearly through the generator and basis
+    images gives the element, term for term and in the same order, that
+    recognising the row by its generator names gave."""
+    cfg = SphereConfig(n) if N is None else SphereConfig(n, N)
+    rsum, _, _ = build_mirror_sum(cfg)
+    eng = Engine(build_En_space(cfg))
+    want_mod, want_alg = row_name_sum_images(cfg, rsum, eng)
+    x_mod, y_mod, a_alg, b_alg = rho_sum_images(cfg, eng)
+    for name, vx, vy in rsum.gen_table:
+        got = eng.combine(vx, x_mod) + eng.combine(vy, y_mod)
+        assert list(got.terms.items()) == list(want_mod[name].terms.items()), name
+    for name, va, vb in rsum.atom_table:
+        got = eng.combine(va, a_alg) + eng.combine(vb, b_alg)
+        assert list(got.terms.items()) == list(want_alg[name].terms.items()), name
 
 
 def test_full_suite_smallest_case():
