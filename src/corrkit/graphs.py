@@ -12,10 +12,14 @@ class Graph:
 
     Edges are named; parallel edges are distinct names with equal
     endpoints.  Vertex and edge order is preserved as given (used for
-    deterministic matrix layouts).
+    deterministic matrix layouts).  `out` indexes the edges by source:
+    each vertex, and each source named by an edge but not listed among
+    the vertices, maps to the names of its edges in the given edge
+    order, so the queries below read one vertex's edges instead of
+    scanning every edge.
     """
 
-    __slots__ = ("vertices", "edges", "src", "dst")
+    __slots__ = ("vertices", "edges", "src", "dst", "out")
 
     def __init__(
         self,
@@ -33,6 +37,12 @@ class Graph:
         self.edges = tuple(names)
         self.src = src
         self.dst = dst
+        out: dict = {v: [] for v in self.vertices}
+        # read from the final `src`, so a repeated edge name is listed under
+        # its last source once per occurrence, as a scan of `edges` finds it
+        for name in names:
+            out.setdefault(src[name], []).append(name)
+        self.out = out
 
     def validate(self) -> Report:
         rep = Report("graph")
@@ -50,16 +60,14 @@ class Graph:
         return rep
 
     def out_edges(self, v: str) -> list[str]:
-        return [e for e in self.edges if self.src[e] == v]
+        return list(self.out.get(v, ()))
 
     def sinks(self) -> list[str]:
-        emitting = {self.src[e] for e in self.edges}
-        return [v for v in self.vertices if v not in emitting]
+        return [v for v in self.vertices if not self.out[v]]
 
     def regular_vertices(self) -> list[str]:
         """Vertices emitting at least one edge (all emitters are finite here)."""
-        emitting = {self.src[e] for e in self.edges}
-        return [v for v in self.vertices if v in emitting]
+        return [v for v in self.vertices if self.out[v]]
 
     def __repr__(self) -> str:
         return f"Graph({len(self.vertices)} vertices, {len(self.edges)} edges)"
@@ -70,11 +78,11 @@ def hereditary_closure(g: Graph, seed: Iterable[str]) -> frozenset:
     seen = set(seed)
     frontier = list(seen)
     while frontier:
-        v = frontier.pop()
-        for e in g.edges:
-            if g.src[e] == v and g.dst[e] not in seen:
-                seen.add(g.dst[e])
-                frontier.append(g.dst[e])
+        for e in g.out.get(frontier.pop(), ()):
+            w = g.dst[e]
+            if w not in seen:
+                seen.add(w)
+                frontier.append(w)
     return frozenset(seen)
 
 
@@ -85,9 +93,9 @@ def is_acyclic_among(g: Graph, verts: frozenset) -> bool:
 
     def dfs(v: str) -> bool:
         color[v] = 1
-        for e in g.edges:
-            if g.src[e] == v and g.dst[e] in verts:
-                w = g.dst[e]
+        for e in g.out[v]:
+            w = g.dst[e]
+            if w in verts:
                 if color[w] == 1:
                     return False
                 if color[w] == 0 and not dfs(w):
@@ -104,6 +112,13 @@ def canonical_encoding(g: Graph) -> tuple:
     return (tuple(sorted(g.vertices, key=sort_key)), tuple(edges))
 
 
+# edge names for `from_edge_pairs`, enough for the obstruction sweep's 14 edges
+_EDGE_NAMES = tuple(f"e{i}" for i in range(16))
+
+
 def from_edge_pairs(vertices: Sequence[str], pairs: Iterable[tuple[str, str]]) -> Graph:
-    edges = [(f"e{i}", s, d) for i, (s, d) in enumerate(pairs)]
-    return Graph(vertices, edges)
+    """A graph whose edges are `pairs`, named e0, e1, ... in order."""
+    pairs = tuple(pairs)
+    names = (_EDGE_NAMES if len(pairs) <= len(_EDGE_NAMES)
+             else [f"e{i}" for i in range(len(pairs))])
+    return Graph(vertices, [(e, s, d) for e, (s, d) in zip(names, pairs)])

@@ -14,7 +14,10 @@ x[j] = 0 in every solution, so row i and column j can both go; a zero
 row with b[i] = 0 goes as well.  Repeating this until nothing changes
 gives a reduced system (M', b') whose integer solutions are exactly the
 restrictions of the solutions of M x = b, and a solution of (M', b')
-lifted with zeros solves M x = b.  In graph terms the reduction peels
+lifted with zeros solves M x = b.  The reduced system does not depend on
+the order in which rows are visited: dropping a column only makes rows
+sparser, so a row that qualifies once qualifies for good, and every
+order drops the same rows and columns.  In graph terms the reduction peels
 away regular vertices without target weight that receive no edge from
 a remaining regular vertex; on the obstruction sweep's narrow class
 that is every vertex outside the hereditary closure of w0, and the
@@ -29,6 +32,7 @@ witness.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 
 from .graphs import Graph
 from .smith import integer_solve, invariant_factors
@@ -97,21 +101,27 @@ def k_theory(g: Graph) -> KTheoryResult:
 def _forced_zero_presolve(m, b: list) -> tuple[list, list]:
     """Indices of the rows and columns of M x = b left once the
     forced-zero rows (module docstring) and their columns are dropped,
-    repeated until nothing changes; both lists keep the original order."""
-    rows = list(range(len(m)))
+    repeated until nothing changes; both lists keep the original order.
+    A row's nonzero columns are read from M once, on its first visit;
+    later passes only drop the columns gone since."""
     cols = list(range(len(m[0]) if m else 0))
+    support: dict = {}  # row with b[i] = 0 -> its nonzero columns still kept
+    rows = list(range(len(m)))
     shrinking = True
     while shrinking:
         shrinking = False
         kept = []
         for i in rows:
             if not b[i]:
-                row = m[i]
-                nonzero = [j for j in cols if row[j]]
+                if i in support:
+                    nonzero = support[i] = [j for j in support[i] if j in cols]
+                else:
+                    row = m[i]
+                    nonzero = support[i] = [j for j in cols if row[j]]
                 if not nonzero:
                     shrinking = True
                     continue
-                if len(nonzero) == 1 and row[nonzero[0]] in (1, -1):
+                if len(nonzero) == 1 and m[i][nonzero[0]] in (1, -1):
                     cols.remove(nonzero[0])
                     shrinking = True
                     continue
@@ -156,11 +166,10 @@ def _shared_solve(pres: IntMatrix, b: list, memo: dict) -> list | None:
         if x is not None:
             memo[key] = tuple([x[j] for j in cols])
         return x
-    lifted = [(j, c) for j, c in zip(cols, y) if c]
-    for row, bi in zip(m, b):
-        if sum([row[j] * c for j, c in lifted]) != bi:
-            raise AssertionError("internal: lifted K0 solution fails M x = b")
     x = [0] * len(pres.col_labels)
-    for j, c in lifted:
+    for j, c in zip(cols, y):
         x[j] = c
+    for row, bi in zip(m, b):
+        if sum(map(mul, row, x)) != bi:
+            raise AssertionError("internal: lifted K0 solution fails M x = b")
     return x

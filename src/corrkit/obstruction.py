@@ -52,10 +52,17 @@ def _structural_ok(g: Graph, wide: bool) -> tuple[bool, str]:
     sinks = set(g.sinks())
     if sinks != set(SINKS):
         return False, f"sinks are {sorted(sinks)}, need exactly {list(SINKS)}"
-    loops = [e for e in g.edges if g.src[e] == g.dst[e]]
-    if len(loops) != 1 or g.src[loops[0]] != LOOP_VERTEX:
+    src, dst = g.src, g.dst
+    loops = []
+    entering = False  # an edge into w0 from another vertex
+    for e in g.edges:
+        if src[e] == dst[e]:
+            loops.append(e)
+        elif dst[e] == LOOP_VERTEX:
+            entering = True
+    if len(loops) != 1 or src[loops[0]] != LOOP_VERTEX:
         return False, "need exactly one loop, at w0"
-    if any(g.dst[e] == LOOP_VERTEX and g.src[e] != LOOP_VERTEX for e in g.edges):
+    if entering:
         return False, "edge into w0 from elsewhere"
     v_set = hereditary_closure(g, [LOOP_VERTEX])
     if not set(SINKS) <= v_set:
@@ -67,35 +74,55 @@ def _structural_ok(g: Graph, wide: bool) -> tuple[bool, str]:
         if not g.out_edges(v):
             return False, f"{v} outside V emits nothing (third sink)"
     if not wide:
+        feeds = dict.fromkeys(v_set, 0)  # edges from V into each vertex of V
+        loop_feed = 0  # edges into w0 from anywhere
+        for e in g.edges:
+            d = dst[e]
+            if src[e] in v_set:
+                feeds[d] += 1  # V is hereditary, so d is in V
+            if d == LOOP_VERTEX:
+                loop_feed += 1
         for v in sorted(v_set - {LOOP_VERTEX}):
-            feed = [e for e in g.edges if g.dst[e] == v and g.src[e] in v_set]
-            if len(feed) != 1:
-                return False, f"{v} receives {len(feed)} edges from V (need exactly 1)"
-        loop_feed = [e for e in g.edges if g.dst[e] == LOOP_VERTEX]
-        if len(loop_feed) != 1:
+            if feeds[v] != 1:
+                return False, f"{v} receives {feeds[v]} edges from V (need exactly 1)"
+        if loop_feed != 1:
             return False, "w0 receives more than its loop"
     return True, ""
 
 
-def _canonical(pairs, movable: tuple, forward: bool = False) -> tuple:
-    """Least sorted edge tuple over the renamings of the interchangeable
-    `movable` vertices; all other vertices stay fixed.  With `forward`,
-    renamings that turn an edge between movable vertices against their
-    listed order are skipped."""
+def _renamings(movable: tuple, slots, forward: bool = False) -> list[dict]:
+    """One dict per renaming of the interchangeable `movable` vertices
+    other than the identity, mapping each pair of `slots` to its image;
+    all other vertices stay fixed.  The images must lie in `slots`.
+    With `forward`, a pair whose image turns an edge between movable
+    vertices against their listed order maps to None instead."""
     order = {v: i for i, v in enumerate(movable)}
-    # the identity renaming gives the given pairs; keeping their tuple
-    # objects when nothing is smaller lets candidates share them (fresh
-    # tuples cost about 2 MB of peak memory at 6 vertices)
-    best = tuple(sorted(pairs))
+    # images are the slot tuples themselves, so canonical forms of slot
+    # combinations share their pair objects whichever renaming wins
+    # (fresh tuples cost about 2 MB of peak memory at 6 vertices)
+    slots = {p: p for p in slots}
+    out = []
     for perm in islice(permutations(movable), 1, None):
         rename = dict(zip(movable, perm))
-        renamed = []
-        for a, b in pairs:
-            a, b = rename.get(a, a), rename.get(b, b)
+        image = {}
+        for p in slots:
+            a, b = rename.get(p[0], p[0]), rename.get(p[1], p[1])
             if forward and a in order and b in order and order[a] >= order[b]:
-                break
-            renamed.append((a, b))
-        else:
+                image[p] = None
+            else:
+                image[p] = slots[a, b]
+        out.append(image)
+    return out
+
+
+def _canonical(pairs, renamings: list[dict]) -> tuple:
+    """Least sorted edge tuple over the identity and `renamings` (see
+    `_renamings`) of `pairs`, skipping a renaming that maps any pair to
+    None."""
+    best = tuple(sorted(pairs))
+    for image in renamings:
+        renamed = list(map(image.__getitem__, pairs))
+        if None not in renamed:
             cand = tuple(sorted(renamed))
             if cand < best:
                 best = cand
@@ -113,6 +140,7 @@ def _arborescences(extra: tuple) -> list[tuple]:
         # sinks cannot be parents
         opts = [LOOP_VERTEX] + [x for x in extra if x != v]
         parents_choices.append(opts)
+    renamings = _renamings(extra, [(p, v) for v, opts in zip(nodes, parents_choices) for p in opts])
     out = set()
     for assignment in product(*parents_choices):
         parent = dict(zip(nodes, assignment))
@@ -137,7 +165,7 @@ def _arborescences(extra: tuple) -> list[tuple]:
                 children[parent[v]] += 1
         if any(c == 0 for c in children.values()):
             continue
-        out.add(_canonical(tuple((parent[v], v) for v in nodes), extra))
+        out.add(_canonical(tuple((parent[v], v) for v in nodes), renamings))
     return sorted(out)
 
 
@@ -173,6 +201,8 @@ def _v_parts_wide(extra: tuple, budget: int) -> list[tuple]:
     vertex emits (no third sink), total edges <= budget."""
     v_nodes = (LOOP_VERTEX,) + extra + SINKS
     slots = [(s, d) for s in (LOOP_VERTEX,) + extra for d in v_nodes if d != LOOP_VERTEX]
+    loop = (LOOP_VERTEX, LOOP_VERTEX)
+    renamings = _renamings(extra, [loop] + slots)
     out = set()
     # both tests read only which slots a multiset uses, and the 3 x 4
     # slots at two extra vertices have at most 4096 subsets
@@ -187,7 +217,7 @@ def _v_parts_wide(extra: tuple, budget: int) -> list[tuple]:
                 ok = verdicts[used] = (set(extra) <= {s for s, _ in used}
                                        and _rooted_and_acyclic(v_nodes, used))
             if ok:
-                out.add(_canonical(((LOOP_VERTEX, LOOP_VERTEX),) + combo, extra))
+                out.add(_canonical((loop,) + combo, renamings))
     return sorted(out)
 
 
@@ -202,13 +232,14 @@ def _h_parts(h_nodes: tuple, v_targets: tuple, budget: int) -> list[tuple]:
     for i, h in enumerate(h_nodes):
         for t in v_targets + h_nodes[i + 1 :]:
             slots.append((h, t))
+    renamings = _renamings(h_nodes, slots, forward=True)
     out = set()
     for count in range(len(h_nodes), budget + 1):
         for combo in combinations_with_replacement(slots, count):
             srcs = {s for s, _ in combo}
             if len(srcs) != len(h_nodes):
                 continue  # some h-vertex emits nothing
-            out.add(_canonical(combo, h_nodes, forward=True))
+            out.add(_canonical(combo, renamings))
     return sorted(out)
 
 
@@ -234,13 +265,20 @@ def enumerate_candidates(max_vertices: int, max_edges: int = 10, wide: bool = Fa
         for n_h in range(spare - n_extra + 1):
             h_nodes = tuple(f"t{i+1}" for i in range(n_h))
             v_targets = extra + SINKS
+            h_parts: dict = {}  # remaining edge budget -> its h-parts
             for v_pairs in v_parts:
                 rem = max_edges - len(v_pairs)
                 if rem < len(h_nodes):
                     continue
-                for h_pairs in _h_parts(h_nodes, v_targets, rem):
+                if rem not in h_parts:
+                    h_parts[rem] = _h_parts(h_nodes, v_targets, rem)
+                for h_pairs in h_parts[rem]:
                     cands.append(Candidate(v_nodes + h_nodes, tuple(sorted(v_pairs + h_pairs))))
-    # dedupe whole candidates (h-parts into different arborescences can collide)
+    # This pass drops only exact duplicates, and construction makes none:
+    # V-sourced and h-sourced edges have disjoint sources, and the V-parts
+    # are distinct.  It stays because perfbench counts its
+    # `canonical_encoding` calls.  Isomorphic candidates are not merged
+    # here; isomorph-free generation is an open roadmap item.
     seen = set()
     uniq = []
     for c in cands:
@@ -262,20 +300,24 @@ class SweepResult:
 def sweep(max_vertices: int, max_edges: int = 10, wide: bool = False) -> SweepResult:
     """Check [p_w1]+[p_w2] = 0 in K0 on every enumerated candidate.
 
-    The candidates share one memo of reduced K0 systems (see `ktheory`),
-    so each distinct reduced system is factored once per sweep; every
+    Each candidate's `Graph` is built for its structural check and K0
+    test and dropped after them, so the sweep holds one at a time
+    (the 7696 graphs at 6 vertices would take about 10 MB).  The
+    candidates share one memo of reduced K0 systems (see `ktheory`), so
+    each distinct reduced system is factored once per sweep; every
     verdict is still checked on the candidate's own presentation."""
     cands = enumerate_candidates(max_vertices, max_edges, wide)
     rep = Report(f"obstruction sweep ({'wide' if wide else 'default'} class, "
                  f"<= {max_vertices} vertices, <= {max_edges} edges)")
     violations = []
     memo: dict = {}  # reduced K0 system -> one of its solutions, for this sweep only
+    target = {SINKS[0]: 1, SINKS[1]: 1}
     for c in cands:
         g = c.graph()
         ok, why = _structural_ok(g, wide)
         if not ok:
             raise AssertionError(f"enumerator produced out-of-class candidate: {why}: {c.pairs}")
-        member, _ = k0_class_membership(g, {SINKS[0]: 1, SINKS[1]: 1}, memo=memo)
+        member, _ = k0_class_membership(g, target, memo=memo)
         if not member:
             violations.append(c)
     rep.add("candidates enumerated", True, str(len(cands)))

@@ -15,23 +15,28 @@ sums through a dense loop over every key pair instead of the in-place
 accumulation of `_table_apply`, the wide class's V-parts through a
 `Graph` per edge multiset instead of tests on the pairs alone, the
 glued module's labelled-space images by recognising each pair row's
-generator names instead of extending generator images linearly, and a
-handful of presentation matrices frozen from hand reduction.
+generator names instead of extending generator images linearly, graph
+queries by scanning every edge instead of reading the out-edge index,
+the forced-zero presolve on dense rows instead of each row's support
+listed once, the sweep's canonical edge tuples by renaming every pair
+of every multiset under every permutation instead of through images
+built once per call, and a handful of presentation matrices frozen from
+hand reduction.
 """
 from __future__ import annotations
 
 import random
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations, combinations_with_replacement, islice, permutations
 from math import gcd
 
 from corrkit.correspondences import FiniteRankOp
 from corrkit.engine import Element, Engine
 from corrkit.exactlinalg import is_psd, solve, sort_key, vec_repr
-from corrkit.graphs import hereditary_closure, is_acyclic_among
+from corrkit.graphs import Graph
 from corrkit.labelled import (label_set, relative_range, sink_set,
                               truncate_space)
-from corrkit.obstruction import LOOP_VERTEX, SINKS, Candidate, _canonical
+from corrkit.obstruction import LOOP_VERTEX, SINKS, Candidate, _canonical, _renamings
 from corrkit.reports import Report
 from corrkit.setexpr import SetExpr, atoms as atom_set, tail
 
@@ -580,25 +585,121 @@ def row_name_sum_images(cfg, rsum, eng: Engine):
     return mod, alg
 
 
-# ------------------------------------------------------- wide V-parts
+# ------------------------------------------------- graph queries by scan
+
+def scan_out_edges(g: Graph, v: str) -> list:
+    return [e for e in g.edges if g.src[e] == v]
+
+
+def scan_sinks(g: Graph) -> list:
+    emitting = {g.src[e] for e in g.edges}
+    return [v for v in g.vertices if v not in emitting]
+
+
+def scan_regular_vertices(g: Graph) -> list:
+    emitting = {g.src[e] for e in g.edges}
+    return [v for v in g.vertices if v in emitting]
+
+
+def scan_hereditary_closure(g: Graph, seed) -> frozenset:
+    seen = set(seed)
+    frontier = list(seen)
+    while frontier:
+        v = frontier.pop()
+        for e in g.edges:
+            if g.src[e] == v and g.dst[e] not in seen:
+                seen.add(g.dst[e])
+                frontier.append(g.dst[e])
+    return frozenset(seen)
+
+
+def scan_is_acyclic_among(g: Graph, verts: frozenset) -> bool:
+    order = [v for v in g.vertices if v in verts]
+    color = {v: 0 for v in order}
+
+    def dfs(v: str) -> bool:
+        color[v] = 1
+        for e in g.edges:
+            if g.src[e] == v and g.dst[e] in verts:
+                w = g.dst[e]
+                if color[w] == 1:
+                    return False
+                if color[w] == 0 and not dfs(w):
+                    return False
+        color[v] = 2
+        return True
+
+    return all(color[v] == 2 or dfs(v) for v in order)
+
+
+# ------------------------------------------------- dense forced-zero presolve
+
+def dense_forced_zero_presolve(m, b: list) -> tuple[list, list]:
+    """`ktheory._forced_zero_presolve` as it was: every pass rescans each
+    kept row over every remaining column."""
+    rows = list(range(len(m)))
+    cols = list(range(len(m[0]) if m else 0))
+    shrinking = True
+    while shrinking:
+        shrinking = False
+        kept = []
+        for i in rows:
+            if not b[i]:
+                row = m[i]
+                nonzero = [j for j in cols if row[j]]
+                if not nonzero:
+                    shrinking = True
+                    continue
+                if len(nonzero) == 1 and row[nonzero[0]] in (1, -1):
+                    cols.remove(nonzero[0])
+                    shrinking = True
+                    continue
+            kept.append(i)
+        rows = kept
+    return rows, cols
+
+
+# ------------------------------------------------- sweep canonical forms
+
+def permutation_canonical(pairs, movable: tuple, forward: bool = False) -> tuple:
+    """`obstruction._canonical` as it was: a renaming dict per permutation
+    of the `movable` vertices, applied to every pair of `pairs`."""
+    order = {v: i for i, v in enumerate(movable)}
+    best = tuple(sorted(pairs))
+    for perm in islice(permutations(movable), 1, None):
+        rename = dict(zip(movable, perm))
+        renamed = []
+        for a, b in pairs:
+            a, b = rename.get(a, a), rename.get(b, b)
+            if forward and a in order and b in order and order[a] >= order[b]:
+                break
+            renamed.append((a, b))
+        else:
+            cand = tuple(sorted(renamed))
+            if cand < best:
+                best = cand
+    return best
+
 
 def graph_v_parts_wide(extra: tuple, budget: int) -> list[tuple]:
     """`obstruction._v_parts_wide` as it was: one `Graph` per edge
-    multiset, tested with `hereditary_closure` and `is_acyclic_among`."""
+    multiset, tested with the edge-scan closure and acyclicity queries."""
     v_nodes = (LOOP_VERTEX,) + extra + SINKS
     slots = [(s, d) for s in (LOOP_VERTEX,) + extra for d in v_nodes if d != LOOP_VERTEX]
+    loop = (LOOP_VERTEX, LOOP_VERTEX)
+    renamings = _renamings(extra, [loop] + slots)
     out = set()
     for count in range(len(extra) + len(SINKS), budget):
         for combo in combinations_with_replacement(slots, count):
             if not set(extra) <= {s for s, _ in combo}:
                 continue
-            pairs = ((LOOP_VERTEX, LOOP_VERTEX),) + combo
+            pairs = (loop,) + combo
             g = Candidate(v_nodes, pairs).graph()
-            if hereditary_closure(g, [LOOP_VERTEX]) != frozenset(v_nodes):
+            if scan_hereditary_closure(g, [LOOP_VERTEX]) != frozenset(v_nodes):
                 continue
-            if not is_acyclic_among(g, frozenset(v_nodes) - {LOOP_VERTEX}):
+            if not scan_is_acyclic_among(g, frozenset(v_nodes) - {LOOP_VERTEX}):
                 continue
-            out.add(_canonical(pairs, extra))
+            out.add(_canonical(pairs, renamings))
     return sorted(out)
 
 

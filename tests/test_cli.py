@@ -50,9 +50,11 @@ def test_verify_sphere_smallest():
     assert "all passed" in out or "PASS" in out or "ok" in out.lower()
 
 
-def test_obstruction_headline():
-    out = run("obstruction", "--max-vertices", 4).stdout
-    assert "0 counterexamples among 39 candidates" in out
+def test_obstruction_headline(capsys):
+    from corrkit.cli import main
+
+    assert main(["obstruction", "--max-vertices", "4"]) == 0
+    assert "0 counterexamples among 39 candidates" in capsys.readouterr().out
 
 
 def test_corr_check_failure_exit():
@@ -248,9 +250,13 @@ def test_internal_error_exits_5_without_traceback(monkeypatch, capsys):
     assert err == "error: internal: AssertionError: SNF verification: U*M*V != S\n"
 
 
-def test_json_deterministic_across_jobs():
-    a = run("obstruction", "--max-vertices", 4, "--jobs", 1, "--format", "json").stdout
-    b = run("obstruction", "--max-vertices", 4, "--jobs", 3, "--format", "json").stdout
+def test_json_deterministic_across_jobs(capsys):
+    from corrkit.cli import main
+
+    assert main(["obstruction", "--max-vertices", "4", "--jobs", "1", "--format", "json"]) == 0
+    a = capsys.readouterr().out
+    assert main(["obstruction", "--max-vertices", "4", "--jobs", "3", "--format", "json"]) == 0
+    b = capsys.readouterr().out
     assert a == b
     for line in a.splitlines():
         json.loads(line)
@@ -297,13 +303,18 @@ def test_verify_sphere_json_stream_is_pinned(n, capsys):
 # stream), recorded at commit 0c93932.  1173 of its 1212 candidates are
 # non-members, each certified by the dual witness of `integer_solve`; a change
 # to that path that alters one verdict shows here.  The wide class only
-# collects verdicts, so its report passes and the exit code is 0.
+# collects verdicts, so its report passes and the exit code is 0.  Both
+# obstruction streams are taken in-process: the sweep's output does not
+# depend on the hash seed.
 OBSTRUCTION_WIDE_JSON = (0, "8c7945584f9ac205528e453bec7e7feeacddc486cbb5269e8198333793c08b4d")
 
 
-def test_obstruction_wide_json_stream_is_pinned():
+def test_obstruction_wide_json_stream_is_pinned(capsys):
+    from corrkit.cli import main
+
     code, digest = OBSTRUCTION_WIDE_JSON
-    out = run("obstruction", "--max-vertices", 4, "--wide", "--format", "json", expect=code).stdout
+    assert main(["obstruction", "--max-vertices", "4", "--wide", "--format", "json"]) == code
+    out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
@@ -315,9 +326,12 @@ def test_obstruction_wide_json_stream_is_pinned():
 OBSTRUCTION_V5_JSON = (0, "d31e7090fffdd825b28995469fcfe85b63c5b92d94ee7d6e82bffc93dcb4f59c")
 
 
-def test_obstruction_narrow_json_stream_is_pinned():
+def test_obstruction_narrow_json_stream_is_pinned(capsys):
+    from corrkit.cli import main
+
     code, digest = OBSTRUCTION_V5_JSON
-    out = run("obstruction", "--max-vertices", 5, "--format", "json", expect=code).stdout
+    assert main(["obstruction", "--max-vertices", "5", "--format", "json"]) == code
+    out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 

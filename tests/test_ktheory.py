@@ -1,4 +1,6 @@
 """K-theory of graph algebras against hand-reduced Smith forms."""
+import random
+
 import pytest
 
 import corrkit.ktheory
@@ -9,7 +11,7 @@ from corrkit.obstruction import enumerate_candidates
 from corrkit.smith import integer_solve
 from corrkit.spheres import SphereConfig, build_disc_graph, build_z_graph
 
-from oracles import HAND_SMITH
+from oracles import HAND_SMITH, dense_forced_zero_presolve
 
 
 def _loop():
@@ -193,3 +195,43 @@ def test_corrupted_memo_entry_raises_and_gives_no_verdict():
         memo[key] = (0,) * len(sol)
     with pytest.raises(AssertionError, match="lifted K0 solution fails M x = b"):
         k0_class_membership(cands[0].graph(), SINK_PAIR, memo=memo)
+
+
+def _chain_system(rng: random.Random) -> tuple[list, list]:
+    """A small integer system M x = b holding a forced-zero chain: link
+    k has b = 0, +-1 at column c_k and otherwise entries only at
+    c_1..c_{k-1}, so it qualifies once the links before it have dropped
+    their columns.  The links are listed last first, against the drop
+    order, so each pass of the presolve frees one more; random rows with
+    random targets follow."""
+    n_cols = rng.randint(1, 6)
+    cols = rng.sample(range(n_cols), n_cols)
+    m, b = [], []
+    for k in range(rng.randint(0, n_cols)):
+        row = [0] * n_cols
+        row[cols[k]] = rng.choice((1, -1))
+        for j in cols[:k]:
+            row[j] = rng.choice((0, 0, 1, -1, 2, -3))
+        m.insert(0, row)
+        b.insert(0, 0)
+    for _ in range(rng.randint(0 if m else 1, 4)):
+        m.append([rng.choice((0, 0, 0, 1, -1, 2)) for _ in range(n_cols)])
+        b.append(rng.choice((0, 0, 1, -1)))
+    return m, b
+
+
+def test_presolve_matches_the_dense_rescan_in_any_row_order():
+    """Each row's support listed once gives the rows and columns the
+    dense rescan gave; shuffling the rows drops the same ones (the
+    module docstring's order argument)."""
+    rng = random.Random(2982)
+    longest = 0
+    for _ in range(500):
+        m, b = _chain_system(rng)
+        rows, cols = _forced_zero_presolve(m, b)
+        assert (rows, cols) == dense_forced_zero_presolve(m, b)
+        longest = max(longest, len(m[0]) - len(cols))
+        perm = rng.sample(range(len(m)), len(m))
+        p_rows, p_cols = _forced_zero_presolve([m[i] for i in perm], [b[i] for i in perm])
+        assert sorted(perm[i] for i in p_rows) == rows and p_cols == cols
+    assert longest == 6  # some chain ran through every column
