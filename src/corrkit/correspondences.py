@@ -68,16 +68,14 @@ def _compose(table: dict, index: dict, key) -> dict:
     return out
 
 
-def _report_axiom(rep: Report, summary: str, label: str, lhs: dict, rhs: dict,
-                  detail: bool) -> None:
-    """One failed check per index where the two sides differ (a missing
-    index is the zero vector), in the order of nested loops over sorted
-    symbols, then the summary check."""
+def _axiom_failures(label: str, lhs: dict, rhs: dict, detail: bool):
+    """One failure per index where the two sides differ (a missing index
+    is the zero vector), in the order of nested loops over sorted
+    symbols."""
     bad = [k for k in lhs.keys() | rhs.keys() if lhs.get(k, {}) != rhs.get(k, {})]
     for k in sorted(bad, key=lambda k: tuple(map(sort_key, k))):
-        rep.add(f"{label} at ({','.join(map(str, k))})", False,
-                f"{vec_repr(lhs.get(k, {}))} != {vec_repr(rhs.get(k, {}))}" if detail else "")
-    rep.add(summary, not bad)
+        yield (f"{label} at ({','.join(map(str, k))})",
+               f"{vec_repr(lhs.get(k, {}))} != {vec_repr(rhs.get(k, {}))}" if detail else "")
 
 
 class Correspondence:
@@ -185,35 +183,36 @@ class Correspondence:
 
         upper = {(g, h): v for (g, h), v in self._inner.items() if sort_key(g) <= sort_key(h)}
         lower = {(h, g): v for (g, h), v in self._inner.items() if sort_key(h) <= sort_key(g)}
-        _report_axiom(rep, "inner product symmetric", "inner symmetric", upper, lower, False)
+        rep.tally("inner product symmetric",
+                  _axiom_failures("inner symmetric", upper, lower, False))
         # (g a) b = g (ab)
-        _report_axiom(rep, "right action is a module action", "right assoc",
-                      _compose(self._right, right_by_gen, lambda g, a, b: (g, a, b)),
-                      _compose(products, right_by_basis, lambda a, b, g: (g, a, b)), True)
+        rep.tally("right action is a module action", _axiom_failures(
+            "right assoc", _compose(self._right, right_by_gen, lambda g, a, b: (g, a, b)),
+            _compose(products, right_by_basis, lambda a, b, g: (g, a, b)), True))
         # <g, h b> = <g, h> b
-        _report_axiom(rep, "inner product compatible with right action", "compat",
-                      _compose(self._right, inner_by_col, lambda h, b, g: (g, h, b)),
-                      _compose(self._inner, prod_by_first, lambda g, h, b: (g, h, b)), True)
+        rep.tally("inner product compatible with right action", _axiom_failures(
+            "compat", _compose(self._right, inner_by_col, lambda h, b, g: (g, h, b)),
+            _compose(self._inner, prod_by_first, lambda g, h, b: (g, h, b)), True))
         # a (b g) = (ab) g
-        _report_axiom(rep, "left action is a homomorphism", "left hom",
-                      _compose(self._left, left_by_gen, lambda b, g, a: (a, b, g)),
-                      _compose(products, left_by_basis, lambda a, b, g: (a, b, g)), False)
+        rep.tally("left action is a homomorphism", _axiom_failures(
+            "left hom", _compose(self._left, left_by_gen, lambda b, g, a: (a, b, g)),
+            _compose(products, left_by_basis, lambda a, b, g: (a, b, g)), False))
         # <b g, h> = <g, b h>
-        _report_axiom(rep, "left action adjointable", "adjointable",
-                      _compose(self._left, inner_by_row, lambda b, g, h: (b, g, h)),
-                      _compose(self._left, inner_by_col, lambda b, h, g: (b, g, h)), False)
+        rep.tally("left action adjointable", _axiom_failures(
+            "adjointable", _compose(self._left, inner_by_row, lambda b, g, h: (b, g, h)),
+            _compose(self._left, inner_by_col, lambda b, h, g: (b, g, h)), False))
 
-        ok = True
-        for name, atom in self.atoms():
-            gram = {}
-            for (g, h), v in upper.items():
-                if c := self.algebra.eval_at_atom(v, atom):
-                    gram[(g, h)] = gram[(h, g)] = c
-            support = sorted({g for g, _ in gram}, key=sort_key)
-            if not is_psd([[gram.get((g, h), 0) for h in support] for g in support]):
-                ok = False
-                rep.add(f"Gram PSD at atom {name}", False)
-        rep.add("inner product positive (per-atom Gram)", ok)
+        def not_psd():
+            for name, atom in self.atoms():
+                gram = {}
+                for (g, h), v in upper.items():
+                    if c := self.algebra.eval_at_atom(v, atom):
+                        gram[(g, h)] = gram[(h, g)] = c
+                support = sorted({g for g, _ in gram}, key=sort_key)
+                if not is_psd([[gram.get((g, h), 0) for h in support] for g in support]):
+                    yield f"Gram PSD at atom {name}", ""
+
+        rep.tally("inner product positive (per-atom Gram)", not_psd())
         return rep
 
     def __repr__(self) -> str:
@@ -430,54 +429,46 @@ def check_morphism(m: Morphism) -> Report:
     ab = [(a, b) for a in basis for b in basis]
     gb = [(g, b) for g in gens for b in basis]
     gh = list(_pairs(src.gens))
-    _report_axiom(rep, "algebra map multiplicative", "multiplicative",
-                  {(a, b): m.apply_alg(src.algebra.basis_product(a, b)) for a, b in ab},
-                  {(a, b): dst.algebra.mul(m.alg_map[a], m.alg_map[b]) for a, b in ab}, True)
-    _report_axiom(rep, "(C1) inner products preserved", "(C1)",
-                  {(g, h): dst.inner_product(m.mod_map[g], m.mod_map[h]) for g, h in gh},
-                  {(g, h): m.apply_alg(src.inner_product(src.gen(g), src.gen(h)))
-                   for g, h in gh}, True)
-    _report_axiom(rep, "module map respects right action", "right action",
-                  {(g, b): m.apply_mod(src.right_action(src.gen(g), {b: 1})) for g, b in gb},
-                  {(g, b): dst.right_action(m.mod_map[g], m.alg_map[b]) for g, b in gb}, False)
-    _report_axiom(rep, "(C2) left actions intertwined", "(C2)",
-                  {(b, g): m.apply_mod(src.left_action({b: 1}, src.gen(g))) for g, b in gb},
-                  {(b, g): dst.left_action(m.alg_map[b], m.mod_map[g]) for g, b in gb}, True)
+    rep.tally("algebra map multiplicative", _axiom_failures(
+        "multiplicative", {(a, b): m.apply_alg(src.algebra.basis_product(a, b)) for a, b in ab},
+        {(a, b): dst.algebra.mul(m.alg_map[a], m.alg_map[b]) for a, b in ab}, True))
+    rep.tally("(C1) inner products preserved", _axiom_failures(
+        "(C1)", {(g, h): dst.inner_product(m.mod_map[g], m.mod_map[h]) for g, h in gh},
+        {(g, h): m.apply_alg(src.inner_product(src.gen(g), src.gen(h))) for g, h in gh}, True))
+    rep.tally("module map respects right action", _axiom_failures(
+        "right action",
+        {(g, b): m.apply_mod(src.right_action(src.gen(g), {b: 1})) for g, b in gb},
+        {(g, b): dst.right_action(m.mod_map[g], m.alg_map[b]) for g, b in gb}, False))
+    rep.tally("(C2) left actions intertwined", _axiom_failures(
+        "(C2)", {(b, g): m.apply_mod(src.left_action({b: 1}, src.gen(g))) for g, b in gb},
+        {(b, g): dst.left_action(m.alg_map[b], m.mod_map[g]) for g, b in gb}, True))
 
     src_ideals = kernel_and_jx(src)
     dst_ideals = kernel_and_jx(dst)
     allowed = {n for n, _ in dst_ideals.katsura} | {n for n, _ in dst_ideals.deferred}
-    ok = True
-    for name, atom in src_ideals.katsura + src_ideals.deferred:
-        img = m.apply_alg(atom)
-        for dname, datom in dst.atoms():
-            if dname in allowed:
-                continue
-            if dst.algebra.eval_at_atom(img, datom):
-                ok = False
-                rep.add(f"(C3) image of {name}", False,
-                        f"meets non-ideal atom {dname}")
-    rep.add("(C3) ideal maps into ideal", ok)
+    images = {name: m.apply_alg(atom) for name, atom in src_ideals.katsura + src_ideals.deferred}
+    rep.tally("(C3) ideal maps into ideal", (
+        (f"(C3) image of {name}", f"meets non-ideal atom {dname}")
+        for name, img in images.items() for dname, datom in dst.atoms()
+        if dname not in allowed and dst.algebra.eval_at_atom(img, datom)))
 
-    ok = True
-    for name, atom in src_ideals.katsura:
-        pushed = plus_map(m, src_ideals.decompositions[name])
-        target_action = {g: dst.left_action(m.apply_alg(atom), dst.gen(g))
-                         for g in dst.gens}
-        for g in sorted(dst.gens, key=sort_key):
-            got = pushed.apply(dst, dst.gen(g))
-            if got != target_action[g]:
-                ok = False
-                dst_dec = compact_decomposition(dst, m.apply_alg(atom))
-                detail = f"pushed {pushed.render()}"
-                if dst_dec is not None:
-                    detail += f" vs {dst_dec.render()}"
-                detail += f"; first mismatch on {g}: {vec_repr(got)} != {vec_repr(target_action[g])}"
-                rep.add(f"(C4) at {name}", False, detail)
-                break
+    def noncovariant():
+        for name, _ in src_ideals.katsura:
+            pushed = plus_map(m, src_ideals.decompositions[name])
+            for g in sorted(dst.gens, key=sort_key):
+                got = pushed.apply(dst, dst.gen(g))
+                if got != (want := dst.left_action(images[name], dst.gen(g))):
+                    dst_dec = compact_decomposition(dst, images[name])
+                    detail = f"pushed {pushed.render()}"
+                    if dst_dec is not None:
+                        detail += f" vs {dst_dec.render()}"
+                    yield (f"(C4) at {name}",
+                           f"{detail}; first mismatch on {g}: {vec_repr(got)} != {vec_repr(want)}")
+                    break
+
     skipped = [name for name, _ in src_ideals.deferred]
-    rep.add("(C4) covariance on the ideal", ok,
-            f"deferred atoms: {', '.join(skipped)}" if skipped else "")
+    rep.tally("(C4) covariance on the ideal", noncovariant(),
+              f"deferred atoms: {', '.join(skipped)}" if skipped else "")
     return rep
 
 
@@ -498,60 +489,42 @@ def check_covariant_rep(corr: Correspondence, mod_images: dict, alg_images: dict
     expected to verify them against the exact value in the engine.
     """
     rep = Report(f"covariant representation of {corr.name}")
-    ok = True
-    skipped = []
     adjs = {g: mod_images[g].adj() for g in corr.gens}
-    for g, h in _pairs(corr.gens):
-        if (g, h) in corr.clipped:
-            skipped.append(f"({g},{h})")
-            continue
-        lhs = adjs[g] * mod_images[h]
-        rhs = engine.combine(corr.inner_product(corr.gen(g), corr.gen(h)), alg_images)
-        if not engine.equals(lhs, rhs):
-            ok = False
-            rep.add(f"(C1) at ({g},{h})", False)
-    rep.add("(C1) inner products realized", ok,
-            f"boundary pairs deferred: {', '.join(skipped)}" if skipped else "")
+    pairs = list(_pairs(corr.gens))
+    skipped = [f"({g},{h})" for g, h in pairs if (g, h) in corr.clipped]
+    rep.tally("(C1) inner products realized", engine.mismatches(
+        (f"(C1) at ({g},{h})", adjs[g] * mod_images[h],
+         engine.combine(corr.inner_product(corr.gen(g), corr.gen(h)), alg_images))
+        for g, h in pairs if (g, h) not in corr.clipped),
+        f"boundary pairs deferred: {', '.join(skipped)}" if skipped else "")
 
     basis = corr.algebra.sorted_basis()
-    ok = True
-    for a in basis:
-        for b in basis:
-            lhs = alg_images[a] * alg_images[b]
-            rhs = engine.combine(corr.algebra.basis_product(a, b), alg_images)
-            if not engine.equals(lhs, rhs):
-                ok = False
-                rep.add(f"algebra relations at ({a},{b})", False)
-    rep.add("algebra relations realized", ok)
+    rep.tally("algebra relations realized", engine.mismatches(
+        (f"algebra relations at ({a},{b})", alg_images[a] * alg_images[b],
+         engine.combine(corr.algebra.basis_product(a, b), alg_images))
+        for a in basis for b in basis))
 
-    ok = True
-    for b in basis:
-        for g in sorted(corr.gens, key=sort_key):
-            lhs = alg_images[b] * mod_images[g]
-            rhs = engine.combine(corr.left_action({b: 1}, corr.gen(g)), mod_images)
-            if not engine.equals(lhs, rhs):
-                ok = False
-                rep.add(f"(C2) at ({b},{g})", False)
-            lhs = mod_images[g] * alg_images[b]
-            rhs = engine.combine(corr.right_action(corr.gen(g), {b: 1}), mod_images)
-            if not engine.equals(lhs, rhs):
-                ok = False
-                rep.add(f"right action at ({g},{b})", False)
-    rep.add("(C2) left actions realized (and right actions)", ok)
+    def actions():
+        gens = sorted(corr.gens, key=sort_key)
+        for b in basis:
+            for g in gens:
+                yield (f"(C2) at ({b},{g})", alg_images[b] * mod_images[g],
+                       engine.combine(corr.left_action({b: 1}, corr.gen(g)), mod_images))
+                yield (f"right action at ({g},{b})", mod_images[g] * alg_images[b],
+                       engine.combine(corr.right_action(corr.gen(g), {b: 1}), mod_images))
+
+    rep.tally("(C2) left actions realized (and right actions)", engine.mismatches(actions()))
 
     ideals = kernel_and_jx(corr)
-    ok = True
-    for name, atom in ideals.katsura:
-        total = engine.zero()
-        for c, x, y in ideals.decompositions[name].terms:
-            total = total + c * (engine.combine(x, mod_images)
-                                 * engine.combine(y, mod_images).adj())
-        if not engine.equals(total, engine.combine(atom, alg_images)):
-            ok = False
-            rep.add(f"(C4) at {name}", False, "image sum differs from atom image")
+    sums = ((f"(C4) at {name}",
+             sum((c * (engine.combine(x, mod_images) * engine.combine(y, mod_images).adj())
+                  for c, x, y in ideals.decompositions[name].terms), engine.zero()),
+             engine.combine(atom, alg_images))
+            for name, atom in ideals.katsura)
     deferred = ", ".join(n for n, _ in ideals.deferred)
-    rep.add("(C4) covariance realized", ok,
-            f"deferred atoms: {deferred}" if deferred else "")
+    rep.tally("(C4) covariance realized",
+              ((name, "image sum differs from atom image") for name, _ in engine.mismatches(sums)),
+              f"deferred atoms: {deferred}" if deferred else "")
     return rep
 
 
@@ -596,6 +569,30 @@ def _part_name(vec: Vec) -> str:
     return vec_repr(vec).replace(" ", "")
 
 
+def _pair_kernel(x_map: dict, y_map: dict, xs: list, ys: list, targets: list) -> list:
+    """A basis of the pairs (u, v) over `xs` and `ys` with x_map(u) =
+    y_map(v), as vector pairs: the nullspace of (u, v) -> x_map(u) -
+    y_map(v) written over `targets`."""
+    rows = [[frac(x_map[a].get(t, 0)) for a in xs] + [-frac(y_map[b].get(t, 0)) for b in ys]
+            for t in targets]
+    return [(vclean({a: v[i] for i, a in enumerate(xs)}),
+             vclean({b: v[len(xs) + j] for j, b in enumerate(ys)})) for v in nullspace(rows)]
+
+
+def _pair_rows(pairs, apply_x, apply_y, what: str) -> list:
+    """(name, x-part, y-part) rows of `pairs`, sorted by name; a pair
+    whose parts map apart or a repeated name raises AssertionError."""
+    rows = []
+    for u, v in pairs:
+        if apply_x(u) != apply_y(v):
+            raise AssertionError(f"{what} escaped the pullback")
+        rows.append((f"{_part_name(u)}|{_part_name(v)}", u, v))
+    rows.sort(key=lambda row: sort_key(row[0]))
+    if len({n for n, _, _ in rows}) != len(rows):
+        raise AssertionError(f"{what} names collide")
+    return rows
+
+
 def restricted_direct_sum(mx: Morphism, my: Morphism, name: str = "pullback") -> RestrictedSum:
     """Pairs agreeing after mapping into the common target.
 
@@ -618,84 +615,41 @@ def restricted_direct_sum(mx: Morphism, my: Morphism, name: str = "pullback") ->
     if mx.dst is not my.dst:
         raise ValueError("restricted direct sum needs one common target")
     x_corr, y_corr = mx.src, my.src
-    a_basis = x_corr.algebra.sorted_basis()
-    b_basis = y_corr.algebra.sorted_basis()
-    z_basis = mx.dst.algebra.sorted_basis()
-
-    rows = []
-    for zsym in z_basis:
-        row = [frac(mx.alg_map[a].get(zsym, 0)) for a in a_basis]
-        row += [-frac(my.alg_map[b].get(zsym, 0)) for b in b_basis]
-        rows.append(row)
-    alg_null = nullspace(rows)
-
-    a_atoms = x_corr.atoms()
-    b_atoms = y_corr.atoms()
+    alg_null = _pair_kernel(mx.alg_map, my.alg_map, x_corr.algebra.sorted_basis(),
+                            y_corr.algebra.sorted_basis(), mx.dst.algebra.sorted_basis())
     profiles: dict = {}
-    for side, atoms, alg in (("A", a_atoms, x_corr.algebra), ("B", b_atoms, y_corr.algebra)):
-        offset = 0 if side == "A" else len(a_basis)
-        syms = a_basis if side == "A" else b_basis
-        for aname, atom in atoms:
-            prof = []
-            for v in alg_null:
-                vec = vclean({s: v[offset + i] for i, s in enumerate(syms)})
-                prof.append(alg.eval_at_atom(vec, atom))
-            prof = tuple(prof)
+    for side, corr in enumerate((x_corr, y_corr)):
+        for _, atom in corr.atoms():
+            prof = tuple(corr.algebra.eval_at_atom(pair[side], atom) for pair in alg_null)
             if any(prof):
                 profiles.setdefault(prof, []).append((side, atom))
-
-    atom_table = []
+    atom_pairs = []
     for prof in sorted(profiles, key=lambda p: [sort_key(str(c)) for c in p]):
-        va: Vec = {}
-        vb: Vec = {}
+        pair = ({}, {})
         for side, atom in profiles[prof]:
-            _axpy(va if side == "A" else vb, 1, atom)
-        if mx.apply_alg(va) != my.apply_alg(vb):
-            raise AssertionError("pair atom escaped the pullback")
-        atom_table.append((f"{_part_name(va)}|{_part_name(vb)}", va, vb))
-    atom_table.sort(key=lambda row: sort_key(row[0]))
-    if len({n for n, _, _ in atom_table}) != len(atom_table):
-        raise AssertionError("pair atom names collide")
+            _axpy(pair[side], 1, atom)
+        atom_pairs.append(pair)
+    atom_table = _pair_rows(atom_pairs, mx.apply_alg, my.apply_alg, "pair atom")
+    gen_table = _pair_rows(
+        _pair_kernel(mx.mod_map, my.mod_map, sorted(x_corr.gens, key=sort_key),
+                     sorted(y_corr.gens, key=sort_key), sorted(mx.dst.gens, key=sort_key)),
+        mx.apply_mod, my.apply_mod, "pair generator")
 
-    x_gens = sorted(x_corr.gens, key=sort_key)
-    y_gens = sorted(y_corr.gens, key=sort_key)
-    z_gens = sorted(mx.dst.gens, key=sort_key)
-    rows = []
-    for zsym in z_gens:
-        row = [frac(mx.mod_map[g].get(zsym, 0)) for g in x_gens]
-        row += [-frac(my.mod_map[h].get(zsym, 0)) for h in y_gens]
-        rows.append(row)
-    mod_null = nullspace(rows)
+    def pair_express(table: list, tags: tuple, escape: str):
+        """Pair (u, v) -> its coefficients over the rows of `table`."""
+        solver = SpanSolver(_tagged(u, v, tags) for _, u, v in table)
 
-    gen_table = []
-    for v in mod_null:
-        vx = vclean({g: v[i] for i, g in enumerate(x_gens)})
-        vy = vclean({h: v[len(x_gens) + j] for j, h in enumerate(y_gens)})
-        if mx.apply_mod(vx) != my.apply_mod(vy):
-            raise AssertionError("pair generator escaped the pullback")
-        gen_table.append([f"{_part_name(vx)}|{_part_name(vy)}", vx, vy])
-    gen_table.sort(key=lambda row: sort_key(row[0]))
-    if len({n for n, _, _ in gen_table}) != len(gen_table):
-        raise AssertionError("pair generator names collide")
+        def express_pair(u: Vec, v: Vec) -> Vec:
+            if not u and not v:
+                return {}
+            out = _by_name(table, solver.express(_tagged(u, v, tags)))
+            if out is None:
+                raise AssertionError(escape)
+            return out
+        return express_pair
 
-    atom_solver = SpanSolver(_tagged(va, vb, ("A", "B")) for _, va, vb in atom_table)
-    gen_solver = SpanSolver(_tagged(vx, vy) for _, vx, vy in gen_table)
-
-    def pair_alg_vec(a_part: Vec, b_part: Vec) -> Vec:
-        if not a_part and not b_part:
-            return {}
-        out = _by_name(atom_table, atom_solver.express(_tagged(a_part, b_part, ("A", "B"))))
-        if out is None:
-            raise AssertionError("pair element escapes the pair atom span")
-        return out
-
-    def pair_mod_vec(x_part: Vec, y_part: Vec) -> Vec:
-        if not x_part and not y_part:
-            return {}
-        out = _by_name(gen_table, gen_solver.express(_tagged(x_part, y_part)))
-        if out is None:
-            raise AssertionError("componentwise action left the pair module")
-        return out
+    pair_alg_vec = pair_express(atom_table, ("A", "B"), "pair element escapes the pair atom span")
+    pair_mod_vec = pair_express(gen_table, ("X", "Y"), "componentwise action left the pair module")
 
     algebra = diagonal_algebra(f"{name}.algebra", [n for n, _, _ in atom_table])
     inner = {}
@@ -720,7 +674,7 @@ def restricted_direct_sum(mx: Morphism, my: Morphism, name: str = "pullback") ->
                or any((a, b) in y_corr.clipped for a in gy for b in hy)}
     corr = Correspondence(name, algebra, [n for n, _, _ in gen_table], inner, right, left,
                           guards=guards, clipped=clipped)
-    return RestrictedSum(corr, [tuple(r) for r in gen_table], atom_table)
+    return RestrictedSum(corr, gen_table, atom_table)
 
 
 def check_pullback_hypotheses(mx: Morphism, my: Morphism) -> Report:
@@ -733,56 +687,49 @@ def check_pullback_hypotheses(mx: Morphism, my: Morphism) -> Report:
     """
     rep = Report("pullback hypotheses")
     z = mx.dst
-
-    ok = True
-    for label, m in (("first", mx), ("second", my)):
-        span = SpanSolver(list(m.mod_map.values()))
-        missing = [g for g in sorted(z.gens, key=sort_key)
-                   if not span.contains(z.gen(g))]
-        if missing:
-            ok = False
-            rep.add(f"(1) {label} module map surjective", False,
-                    f"misses {', '.join(missing)}")
-        span = SpanSolver(list(m.alg_map.values()))
-        missing = [b for b in z.algebra.sorted_basis()
-                   if not span.contains({b: Fraction(1)})]
-        if missing:
-            ok = False
-            rep.add(f"(1) {label} algebra map surjective", False,
-                    f"misses {', '.join(missing)}")
     ideal_x = kernel_and_jx(mx.src)
     ideal_y = kernel_and_jx(my.src)
-    img_x = [mx.apply_alg(atom) for _, atom in ideal_x.kernel]
-    img_y = [my.apply_alg(atom) for _, atom in ideal_y.kernel]
-    if not same_span([v for v in img_x if v], [v for v in img_y if v]):
-        ok = False
-        rep.add("(1) kernel images agree", False)
-    rep.add("(1) surjective with matching kernel images", ok,
-            f"kernel image spans: {[vec_repr(v) for v in img_x if v] or '0'} "
-            f"= {[vec_repr(v) for v in img_y if v] or '0'}")
+    img_x = [v for _, atom in ideal_x.kernel if (v := mx.apply_alg(atom))]
+    img_y = [v for _, atom in ideal_y.kernel if (v := my.apply_alg(atom))]
+    sides = (("first", mx, ideal_x), ("second", my, ideal_y))
 
-    ok = True
-    deferred = []
-    for label, data in (("first", ideal_x), ("second", ideal_y)):
-        deferred += [f"{label}:{n}" for n, _ in data.deferred]
-        for n, _ in data.noncompact:
-            ok = False
-            rep.add(f"(2) {label} atom {n} compact", False)
-    rep.add("(2) left actions by compacts", ok,
-            f"deferred atoms: {', '.join(deferred)}" if deferred else "")
+    def unmatched():
+        for label, m, _ in sides:
+            span = SpanSolver(list(m.mod_map.values()))
+            if missing := [g for g in sorted(z.gens, key=sort_key)
+                           if not span.contains(z.gen(g))]:
+                yield f"(1) {label} module map surjective", f"misses {', '.join(missing)}"
+            span = SpanSolver(list(m.alg_map.values()))
+            if missing := [b for b in z.algebra.sorted_basis()
+                           if not span.contains({b: Fraction(1)})]:
+                yield f"(1) {label} algebra map surjective", f"misses {', '.join(missing)}"
+        if not same_span(img_x, img_y):
+            yield "(1) kernel images agree", ""
 
-    ok = True
-    details = []
-    for label, corr, data in (("first", mx.src, ideal_x), ("second", my.src, ideal_y)):
+    rep.tally("(1) surjective with matching kernel images", unmatched(),
+              f"kernel image spans: {[vec_repr(v) for v in img_x] or '0'} "
+              f"= {[vec_repr(v) for v in img_y] or '0'}")
+
+    deferred = [f"{label}:{n}" for label, _, data in sides for n, _ in data.deferred]
+    rep.tally("(2) left actions by compacts",
+              ((f"(2) {label} atom {n} compact", "")
+               for label, _, data in sides for n, _ in data.noncompact),
+              f"deferred atoms: {', '.join(deferred)}" if deferred else "")
+
+    complements = []
+    for label, m, data in sides:
         kernel_names = {n for n, _ in data.kernel}
-        complement = [atom for n, atom in corr.atoms() if n not in kernel_names]
-        side_ok = True
-        if complement:
-            side_ok, why = corr.algebra.span_is_ideal(complement)
-            if not side_ok:
-                ok = False
-                rep.add(f"(3) {label} complement is an ideal", False, str(why))
-        comp_names = ", ".join(n for n, _ in corr.atoms() if n not in kernel_names)
-        details.append(f"{label}: {comp_names or 'nothing'}")
-    rep.add("(3) kernels complemented", ok, "; ".join(details))
+        complements.append((label, m.src, [(n, atom) for n, atom in m.src.atoms()
+                                           if n not in kernel_names]))
+
+    def not_ideals():
+        for label, corr, complement in complements:
+            if complement:
+                closed, why = corr.algebra.span_is_ideal([atom for _, atom in complement])
+                if not closed:
+                    yield f"(3) {label} complement is an ideal", str(why)
+
+    rep.tally("(3) kernels complemented", not_ideals(), "; ".join(
+        f"{label}: {', '.join(n for n, _ in complement) or 'nothing'}"
+        for label, _, complement in complements))
     return rep

@@ -394,6 +394,13 @@ class Engine:
         ok, _ = self.equals_detail(x, y)
         return ok
 
+    def mismatches(self, cases):
+        """(name, "") for each (name, lhs, rhs) of `cases` whose sides
+        are not `equals`, in order: the failures of a `Report.tally`."""
+        for name, lhs, rhs in cases:
+            if not self.equals(lhs, rhs):
+                yield name, ""
+
     def equals_detail(self, x: Element, y: Element):
         """(equal, witness).  Expands below-top-level terms first; if a
         nonzero residual has no such terms left, expands everything
@@ -483,57 +490,38 @@ def check_graph_hom(graph_vertices, edges, dst: Engine, s_images: dict,
         out_by_src.setdefault(s, []).append((name, d))
     if regular is None:
         regular = [v for v in verts if out_by_src.get(v)]
-
-    ok = True
-    for i, u in enumerate(verts):
-        pu = p_images[u]
-        if not dst.equals(pu.adj(), pu):
-            ok = False
-            rep.add(f"p[{u}] self-adjoint", False)
-        for v in verts[i:]:
-            want = pu if u == v else dst.zero()
-            if not dst.equals(pu * p_images[v], want):
-                ok = False
-                rep.add(f"p[{u}]p[{v}] orthogonality", False)
-    rep.add("projections orthogonal idempotents", ok)
-
     names = sorted(s_images, key=sort_key)
     rng = {name: d for name, _, d in edges}
     src = {name: s for name, s, _ in edges}
-    ok = True
-    for i, e in enumerate(names):
-        se = s_images[e]
-        for f in names[i:]:
-            want = p_images[rng[e]] if e == f else dst.zero()
-            if not dst.equals(se.adj() * s_images[f], want):
-                ok = False
-                rep.add(f"s[{e}]*s[{f}]", False)
-    rep.add("edge images: isometry relations", ok)
 
-    ok = True
-    for e in names:
-        se = s_images[e]
-        if not dst.equals(p_images[src[e]] * se, se):
-            ok = False
-            rep.add(f"p[src]s[{e}] = s[{e}]", False)
-        if not dst.equals(se * p_images[rng[e]], se):
-            ok = False
-            rep.add(f"s[{e}]p[rng] = s[{e}]", False)
-        for v in verts:
-            if v != src[e] and not dst.equals(p_images[v] * se, dst.zero()):
-                ok = False
-                rep.add(f"p[{v}]s[{e}] = 0", False)
-    rep.add("edge images: support and range", ok)
+    def idempotents():
+        for i, u in enumerate(verts):
+            pu = p_images[u]
+            yield f"p[{u}] self-adjoint", pu.adj(), pu
+            for v in verts[i:]:
+                yield (f"p[{u}]p[{v}] orthogonality", pu * p_images[v],
+                       pu if u == v else dst.zero())
 
-    ok = True
-    for v in regular:
-        total = dst.zero()
-        for name, _ in out_by_src.get(v, []):
-            total = total + s_images[name] * s_images[name].adj()
-        if not dst.equals(p_images[v], total):
-            ok = False
-            rep.add(f"p[{v}] = sum of ranges", False)
-    rep.add("regular vertices resolve", ok)
+    def supports():
+        for e in names:
+            se = s_images[e]
+            yield f"p[src]s[{e}] = s[{e}]", p_images[src[e]] * se, se
+            yield f"s[{e}]p[rng] = s[{e}]", se * p_images[rng[e]], se
+            for v in verts:
+                if v != src[e]:
+                    yield f"p[{v}]s[{e}] = 0", p_images[v] * se, dst.zero()
+
+    rep.tally("projections orthogonal idempotents", dst.mismatches(idempotents()))
+    rep.tally("edge images: isometry relations", dst.mismatches(
+        (f"s[{e}]*s[{f}]", s_images[e].adj() * s_images[f],
+         p_images[rng[e]] if e == f else dst.zero())
+        for i, e in enumerate(names) for f in names[i:]))
+    rep.tally("edge images: support and range", dst.mismatches(supports()))
+    rep.tally("regular vertices resolve", dst.mismatches(
+        (f"p[{v}] = sum of ranges", p_images[v],
+         sum((s_images[name] * s_images[name].adj() for name, _ in out_by_src.get(v, [])),
+             dst.zero()))
+        for v in regular))
     return rep
 
 
@@ -550,53 +538,35 @@ def tautological_checks(engine: Engine) -> "Report":
     sets = list(space.core)[:TAUTOLOGY_SETS]
     labels = label_instances(g, space.horizon)
 
-    ok = True
-    for i, a in enumerate(sets):
-        for b in sets[i:]:
-            lhs = engine.p(a) + engine.p(b)
-            rhs = engine.p(a.union(b)) + engine.p(a.intersect(b))
-            if not engine.equals(lhs, rhs):
-                ok = False
-                rep.add(f"additivity at {a!r},{b!r}", False)
-    rep.add("projection lattice additivity", ok)
+    def commutations():
+        for a in sets:
+            for lab in labels:
+                rng = relative_range(g, a, lab)
+                if space.in_lattice(rng):
+                    yield (f"commutation p{a!r} s[{lab!r}]", engine.p(a) * engine.s(lab),
+                           engine.s(lab) * engine.p(rng))
 
-    ok = True
-    for a in sets:
-        for lab in labels:
-            rng = relative_range(g, a, lab)
-            if not space.in_lattice(rng):
+    def summations():
+        for a in sets:
+            labs, finite = label_set(g, a)
+            if not finite or not labs:
                 continue
-            lhs = engine.p(a) * engine.s(lab)
-            rhs = engine.s(lab) * engine.p(rng)
-            if not engine.equals(lhs, rhs):
-                ok = False
-                rep.add(f"commutation p{a!r} s[{lab!r}]", False)
-    rep.add("projections commute past isometries", ok)
+            sinks = a.intersect(sink_set(g))
+            if not sinks.is_finite():
+                continue
+            parts = [engine.element((lab,), relative_range(g, a, lab), (lab,))
+                     for lab in sorted(labs, key=sort_key)]
+            parts += [engine.p(atom_set(v)) for v in sorted(sinks.atoms, key=sort_key)]
+            yield f"summation relation at {a!r}", engine.p(a), sum(parts, engine.zero())
 
-    ok = True
-    for la in labels:
-        for lb in labels:
-            want = engine.p(relative_range(g, full_set(g), la)) if la == lb else engine.zero()
-            if not engine.equals(engine.s(la).adj() * engine.s(lb), want):
-                ok = False
-                rep.add(f"s*s at {la!r},{lb!r}", False)
-    rep.add("isometry products diagonal", ok)
-
-    ok = True
-    for a in sets:
-        labs, finite = label_set(g, a)
-        if not finite or not labs:
-            continue
-        sinks = a.intersect(sink_set(g))
-        if not sinks.is_finite():
-            continue
-        rhs = engine.zero()
-        for lab in sorted(labs, key=sort_key):
-            rhs = rhs + engine.element((lab,), relative_range(g, a, lab), (lab,))
-        for v in sorted(sinks.atoms, key=sort_key):
-            rhs = rhs + engine.p(atom_set(v))
-        if not engine.equals(engine.p(a), rhs):
-            ok = False
-            rep.add(f"summation relation at {a!r}", False)
-    rep.add("summation relation", ok)
+    rep.tally("projection lattice additivity", engine.mismatches(
+        (f"additivity at {a!r},{b!r}", engine.p(a) + engine.p(b),
+         engine.p(a.union(b)) + engine.p(a.intersect(b)))
+        for i, a in enumerate(sets) for b in sets[i:]))
+    rep.tally("projections commute past isometries", engine.mismatches(commutations()))
+    rep.tally("isometry products diagonal", engine.mismatches(
+        (f"s*s at {la!r},{lb!r}", engine.s(la).adj() * engine.s(lb),
+         engine.p(relative_range(g, full_set(g), la)) if la == lb else engine.zero())
+        for la in labels for lb in labels))
+    rep.tally("summation relation", engine.mismatches(summations()))
     return rep

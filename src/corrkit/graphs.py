@@ -106,10 +106,11 @@ def is_acyclic_among(g: Graph, verts: frozenset) -> bool:
     return all(color[v] == 2 or dfs(v) for v in order)
 
 
-def canonical_encoding(g: Graph) -> tuple:
-    """Isomorphism-sensitive encoding keeping vertex names (no relabeling)."""
-    edges = sorted((g.src[e], g.dst[e]) for e in g.edges)
-    return (tuple(sorted(g.vertices, key=sort_key)), tuple(edges))
+def canonical_encoding(vertices: Iterable[str], pairs: Iterable[tuple[str, str]]) -> tuple:
+    """Encoding of the graph on `vertices` whose edges are the (src, dst)
+    `pairs`: equal exactly when the vertex sets and the edge multisets
+    are, keeping vertex names (no relabeling) and ignoring edge names."""
+    return (tuple(sorted(vertices, key=sort_key)), tuple(sorted(pairs)))
 
 
 # edge names for `from_edge_pairs`, enough for the obstruction sweep's 14 edges

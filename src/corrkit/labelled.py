@@ -15,10 +15,10 @@ operator relations quantify over; `LabelledSpace.in_lattice` tests
 membership in that union closure.
 
 Also here: left-resolving and weakly-left-resolving checks, truncation
-to a finite concrete space, sink desingularization, the morphism checks
-for maps between concrete labelled spaces, and the translation of a
-concrete space into a finitely presented correspondence over the cell
-decomposition of its vertex-set family.
+to a finite concrete space, the morphism checks for maps between
+concrete labelled spaces, and the translation of a concrete space into
+a finitely presented correspondence over the cell decomposition of its
+vertex-set family.
 """
 from __future__ import annotations
 
@@ -413,29 +413,6 @@ def truncate_space(space: LabelledSpace, n: int) -> LabelledSpace:
         key=lambda c: c.sort_key())
     prov = {c: "truncated" for c in core}
     return LabelledSpace(graph, tuple(core), prov, n)
-
-
-def desingularize(g: LabelledGraph) -> tuple[LabelledGraph, list[str]]:
-    """Attach an infinite head to every sink.
-
-    Each named sink v gets fresh vertices (v@d, i), a first edge from v
-    to (v@d, 1) and a chain (v@d, i-1) -> (v@d, i); every new edge
-    carries its own fresh label.  Only named sinks are supported.
-    """
-    sinks = sink_set(g)
-    if sinks.tails or any(isinstance(v, tuple) for v in sinks.atoms):
-        raise UnsupportedSpaceError("desingularization needs named sinks")
-    new_edges = list(g.edges)
-    new_fams = list(g.families)
-    new_bases = []
-    for v in sorted(sinks.atoms):
-        base = f"{v}@d"
-        new_bases.append(base)
-        new_edges.append(Edge((base, 1), v, (base, 1), (base, 1)))
-        new_fams.append(EdgeFamily(base, 2, (IDX, base, -1), (IDX, base, 0), (IDX, base, 0)))
-    out = LabelledGraph(g.named_vertices, g.vertex_bases | frozenset(new_bases),
-                        tuple(new_edges), tuple(new_fams))
-    return out, new_bases
 
 
 # ----------------------------------------------------- morphisms of spaces

@@ -277,12 +277,13 @@ def enumerate_candidates(max_vertices: int, max_edges: int = 10, wide: bool = Fa
     # This pass drops only exact duplicates, and construction makes none:
     # V-sourced and h-sourced edges have disjoint sources, and the V-parts
     # are distinct.  It stays because perfbench counts its
-    # `canonical_encoding` calls.  Isomorphic candidates are not merged
-    # here; isomorph-free generation is an open roadmap item.
+    # `canonical_encoding` calls, one per candidate, each read from the
+    # vertices and pairs without building a `Graph`.  Isomorphic candidates
+    # are not merged here; isomorph-free generation is an open roadmap item.
     seen = set()
     uniq = []
     for c in cands:
-        enc = canonical_encoding(c.graph())
+        enc = canonical_encoding(c.vertices, c.pairs)
         if enc not in seen:
             seen.add(enc)
             uniq.append(c)

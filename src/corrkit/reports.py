@@ -23,6 +23,10 @@ class Report:
     Suites append checks as they run; `ok` is True when every check
     passed.  Reports nest by merging, with the child's title used as a
     prefix so failure lines stay traceable.
+
+    A check family reports by one rule, `tally`: one failed check per
+    failing instance, in the order found, then the family's summary,
+    which passes exactly when no instance failed.
     """
 
     def __init__(self, title: str):
@@ -32,6 +36,13 @@ class Report:
     def add(self, name: str, ok: bool, detail: str = "") -> bool:
         self.checks.append(Check(name, bool(ok), detail))
         return bool(ok)
+
+    def tally(self, summary: str, failures, detail: str = "") -> None:
+        """Add a failed check for each (name, why) in `failures`, then
+        `summary` with `detail`, passing when there were none."""
+        before = len(self.checks)
+        self.checks.extend(Check(name, False, why) for name, why in failures)
+        self.add(summary, len(self.checks) == before, detail)
 
     def merge(self, other: "Report", prefix: str | None = None) -> None:
         pre = other.title if prefix is None else prefix

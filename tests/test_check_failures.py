@@ -1,0 +1,241 @@
+"""Failure records of the check families.
+
+Each test feeds a check deliberately broken input and pins the whole
+report as (name, ok, detail) triples: one failed check per failing
+instance, in order, then the family's summary."""
+
+from corrkit.algebra import CommAlgebra, diagonal_algebra
+from corrkit.correspondences import (Correspondence, Morphism, check_covariant_rep,
+                                     check_morphism, check_pullback_hypotheses)
+from corrkit.engine import Engine, check_graph_hom, tautological_checks
+from corrkit.spheres import (SphereConfig, _row_edges, _row_engine, _row_images,
+                             build_En_space, build_X_A, build_Y_B, rho_Y_images)
+
+
+def _records(rep):
+    return [(c.name, c.ok, c.detail) for c in rep.checks]
+
+
+def _hilbert(name, gens):
+    a = diagonal_algebra("A", ["u"])
+    return Correspondence(name, a, gens, {(g, g): {"u": 1} for g in gens},
+                          {(g, "u"): {g: 1} for g in gens},
+                          {("u", g): {g: 1} for g in gens})
+
+
+X_COVARIANT_FAILURES = [
+    ("(C1) at (w_1_1,w_1_1)", False, ""),
+    ("(C1) at (w_1_2,w_1_2)", False, ""),
+    ("(C1) inner products realized", False, ""),
+    ("algebra relations at (P1,P1)", False, ""),
+    ("algebra relations realized", False, ""),
+    ("(C2) at (P1,w_1_1)", False, ""),
+    ("right action at (w_1_1,P1)", False, ""),
+    ("(C2) at (P1,w_1_2)", False, ""),
+    ("right action at (w_1_2,P1)", False, ""),
+    ("right action at (w_1_2,P2)", False, ""),
+    ("(C2) left actions realized (and right actions)", False, ""),
+    ("(C4) at P1", False, "image sum differs from atom image"),
+    ("(C4) covariance realized", False, ""),
+]
+
+
+def test_covariant_rep_failure_records_on_swapped_and_scaled_images():
+    """X at n = 1 with its two edge images swapped, P2 sent to zero and
+    P1 to twice its projection."""
+    cfg = SphereConfig(1)
+    disc = _row_engine(1, 2)
+    w, p = _row_images(disc, 1, 2, "w", "P")
+    w["w_1_1"], w["w_1_2"] = w["w_1_2"], w["w_1_1"]
+    p["P1"], p["P2"] = 2 * p["P1"], disc.zero()
+    assert _records(check_covariant_rep(build_X_A(cfg), w, p, disc)) == X_COVARIANT_FAILURES
+
+
+Y_COVARIANT_FAILURES = [
+    ("(C1) at (y,y)", False, ""),
+    ("(C1) at (y,y_1)", False, ""),
+    ("(C1) at (y,y_2)", False, ""),
+    ("(C1) at (y,y_3)", False, ""),
+    ("(C1) at (y,yp)", False, ""),
+    ("(C1) at (y_1,y_1)", False, ""),
+    ("(C1) at (yp,yp)", False, ""),
+    ("(C1) inner products realized", False, "boundary pairs deferred: (y,y_4), (y_4,y_4)"),
+    ("algebra relations realized", True, ""),
+    ("(C2) at (Q1,y)", False, ""),
+    ("right action at (y,Q1)", False, ""),
+    ("(C2) at (Q1,y_1)", False, ""),
+    ("right action at (y_1,Q1)", False, ""),
+    ("(C2) at (Q1,y_2)", False, ""),
+    ("right action at (yp,Q1)", False, ""),
+    ("(C2) at (Q2,y)", False, ""),
+    ("right action at (y,Q2)", False, ""),
+    ("(C2) at (Q2,y_1)", False, ""),
+    ("right action at (y_1,Q2)", False, ""),
+    ("(C2) at (Q2,y_2)", False, ""),
+    ("right action at (yp,Q2)", False, ""),
+    ("(C2) at (Q3,y)", False, ""),
+    ("right action at (y,Q3)", False, ""),
+    ("(C2) at (Q4,y)", False, ""),
+    ("right action at (y,Q4)", False, ""),
+    ("(C2) at (R1,y)", False, ""),
+    ("(C2) at (R2,y)", False, ""),
+    ("(C2) left actions realized (and right actions)", False, ""),
+    ("(C4) at R2", False, "image sum differs from atom image"),
+    ("(C4) at Q1", False, "image sum differs from atom image"),
+    ("(C4) at Q2", False, "image sum differs from atom image"),
+    ("(C4) at Q3", False, "image sum differs from atom image"),
+    ("(C4) covariance realized", False, "deferred atoms: Q4, -Q1-Q2-Q3-Q4+R1"),
+]
+
+
+def test_covariant_rep_failure_records_keep_deferred_details():
+    """Y at n = 1, N = 4 with y sent to zero and Q1 and Q2 swapped: the
+    failures come with the summaries' deferral details."""
+    cfg = SphereConfig(1)
+    disc = _row_engine(1, 2)
+    mod, alg = rho_Y_images(cfg, *_row_images(disc, 1, 2, "w", "P"))
+    mod["y"] = disc.zero()
+    alg["Q1"], alg["Q2"] = alg["Q2"], alg["Q1"]
+    assert _records(check_covariant_rep(build_Y_B(cfg), mod, alg, disc)) == Y_COVARIANT_FAILURES
+
+
+GRAPH_HOM_FAILURES = [
+    ("p[v2]p[v2] orthogonality", False, ""),
+    ("projections orthogonal idempotents", False, ""),
+    ("s[e_1_1]*s[e_1_1]", False, ""),
+    ("s[e_1_2]*s[e_1_2]", False, ""),
+    ("s[e_2_2]*s[e_2_2]", False, ""),
+    ("edge images: isometry relations", False, ""),
+    ("p[src]s[e_1_1] = s[e_1_1]", False, ""),
+    ("s[e_1_1]p[rng] = s[e_1_1]", False, ""),
+    ("p[v2]s[e_1_1] = 0", False, ""),
+    ("p[src]s[e_2_2] = s[e_2_2]", False, ""),
+    ("s[e_2_2]p[rng] = s[e_2_2]", False, ""),
+    ("p[v1]s[e_2_2] = 0", False, ""),
+    ("edge images: support and range", False, ""),
+    ("p[v1] = sum of ranges", False, ""),
+    ("p[v2] = sum of ranges", False, ""),
+    ("regular vertices resolve", False, ""),
+]
+
+
+def test_graph_hom_failure_records_on_swapped_and_zeroed_images():
+    """The sphere row graph at n = 2 with e_1_2 sent to zero, v1 to the
+    projection of v2 and v2 to twice the projection of v1."""
+    eng = _row_engine(2, 2)
+    edges = _row_edges(2, 2)
+    s = {name: eng.s(name) for name, _, _ in edges}
+    s["e_1_2"] = eng.zero()
+    p = {"v1": eng.p("v2"), "v2": 2 * eng.p("v1")}
+    assert _records(check_graph_hom(["v1", "v2"], edges, eng, s, p)) == GRAPH_HOM_FAILURES
+
+
+class _EveryKthUnequal(Engine):
+    """An engine whose every k-th equality test answers False."""
+
+    def __init__(self, space, k):
+        super().__init__(space)
+        self.k = k
+        self.calls = 0
+
+    def equals(self, x, y):
+        self.calls += 1
+        return self.calls % self.k != 0 and super().equals(x, y)
+
+
+TAUTOLOGY_FAILURES = [
+    ("additivity at {v>=1},{v>=7}", False, ""),
+    ("additivity at {v>=2},{v>=3}", False, ""),
+    ("additivity at {v>=2},{w1}", False, ""),
+    ("additivity at {v>=3},{v>=7}", False, ""),
+    ("additivity at {v>=4},{v>=5}", False, ""),
+    ("additivity at {v>=4},{w2,v>=1}", False, ""),
+    ("additivity at {v>=5},{w1,w2,v>=1}", False, ""),
+    ("additivity at {v>=6},{w1,w2,v>=1}", False, ""),
+    ("additivity at {v>=7},{w2,v>=1}", False, ""),
+    ("additivity at {u1},{w1}", False, ""),
+    ("additivity at {w1,w2,v>=1},{w2,v>=1}", False, ""),
+    ("projection lattice additivity", False, ""),
+    ("commutation p{v>=2} s['f1']", False, ""),
+    ("commutation p{v>=4} s['e_1_1']", False, ""),
+    ("commutation p{v>=5} s['h']", False, ""),
+    ("commutation p{v>=7} s['g']", False, ""),
+    ("commutation p{u1} s['g']", False, ""),
+    ("commutation p{w1,w2,v>=1} s['f1']", False, ""),
+    ("projections commute past isometries", False, ""),
+    ("s*s at 'e_1_1','e_1_1'", False, ""),
+    ("s*s at 'f1','h'", False, ""),
+    ("s*s at 'h','g'", False, ""),
+    ("isometry products diagonal", False, ""),
+    ("summation relation at {v>=6}", False, ""),
+    ("summation relation", False, ""),
+]
+
+
+def test_tautological_failure_records_with_every_seventh_test_unequal():
+    eng = _EveryKthUnequal(build_En_space(SphereConfig(2)), 7)
+    assert _records(tautological_checks(eng)) == TAUTOLOGY_FAILURES
+    assert eng.calls == 152
+
+
+def test_morphism_failure_records_when_the_ideal_leaves_the_target_ideal():
+    """A Hilbert space mapped into a module whose inner product is zero:
+    the compact atom u lands on a non-compact one, so (C3) fails, and
+    (C4) has no target decomposition to show."""
+    null = Correspondence("null", diagonal_algebra("A", ["u"]), ["f"], {},
+                          {("f", "u"): {"f": 1}}, {("u", "f"): {"f": 1}})
+    m = Morphism(_hilbert("X", ["e"]), null, {"u": {"u": 1}}, {"e": {"f": 1}})
+    assert _records(check_morphism(m)) == [
+        ("algebra map multiplicative", True, ""),
+        ("(C1) at (e,e)", False, "0 != u"),
+        ("(C1) inner products preserved", False, ""),
+        ("module map respects right action", True, ""),
+        ("(C2) left actions intertwined", True, ""),
+        ("(C3) image of u", False, "meets non-ideal atom u"),
+        ("(C3) ideal maps into ideal", False, ""),
+        ("(C4) at u", False, "pushed theta[f, f]; first mismatch on f: 0 != f"),
+        ("(C4) covariance on the ideal", False, ""),
+    ]
+
+
+def _broken_pullback():
+    """mx misses f2 and sends the kernel atom k to u; my kills the
+    algebra, and its atom u acts with zero inner products (not compact)
+    while its atom v is guarded."""
+    z = _hilbert("Z", ["f1", "f2"])
+    x = Correspondence("X", diagonal_algebra("A", ["k", "u"]), ["e"],
+                       {("e", "e"): {"u": 1}}, {("e", "u"): {"e": 1}},
+                       {("u", "e"): {"e": 1}})
+    y = Correspondence("Y", diagonal_algebra("B", ["u", "v"]), ["e", "f"], {},
+                       {("e", "u"): {"e": 1}, ("f", "v"): {"f": 1}},
+                       {("u", "e"): {"e": 1}, ("v", "f"): {"f": 1}}, guards={"v"})
+    return (Morphism(x, z, {"k": {"u": 1}, "u": {"u": 1}}, {"e": {"f1": 1}}),
+            Morphism(y, z, {"u": {}, "v": {}}, {"e": {"f1": 1}, "f": {"f2": 1}}))
+
+
+PULLBACK_FAILURES = [
+    ("(1) first module map surjective", False, "misses f2"),
+    ("(1) second algebra map surjective", False, "misses u"),
+    ("(1) kernel images agree", False, ""),
+    ("(1) surjective with matching kernel images", False, "kernel image spans: ['u'] = 0"),
+    ("(2) second atom u compact", False, ""),
+    ("(2) left actions by compacts", False, "deferred atoms: second:v"),
+]
+
+
+def test_pullback_failure_records():
+    assert _records(check_pullback_hypotheses(*_broken_pullback())) == PULLBACK_FAILURES + [
+        ("(3) kernels complemented", True, "first: u; second: u, v"),
+    ]
+
+
+def test_pullback_failure_records_when_no_complement_is_an_ideal(monkeypatch):
+    """Spans of atoms are always ideals, so (3) is reached through a
+    refusing `span_is_ideal`."""
+    monkeypatch.setattr(CommAlgebra, "span_is_ideal",
+                        lambda self, gens: (False, f"{self.name} refuses {len(gens)}"))
+    assert _records(check_pullback_hypotheses(*_broken_pullback())) == PULLBACK_FAILURES + [
+        ("(3) first complement is an ideal", False, "A refuses 1"),
+        ("(3) second complement is an ideal", False, "B refuses 2"),
+        ("(3) kernels complemented", False, "first: u; second: u, v"),
+    ]

@@ -47,13 +47,21 @@ def test_acyclicity():
     assert is_acyclic_among(loop, set())
 
 
+def _edge_pairs(g):
+    return [(g.src[e], g.dst[e]) for e in g.edges]
+
+
 def test_from_edge_pairs_and_encoding():
     vs = ("a", "b", "c")
-    g1 = from_edge_pairs(vs, [("a", "b"), ("a", "b"), ("b", "c")])
+    pairs = [("a", "b"), ("a", "b"), ("b", "c")]
+    g1 = from_edge_pairs(vs, pairs)
     g2 = _g()
-    assert canonical_encoding(g1) == canonical_encoding(g2)
+    assert (canonical_encoding(g1.vertices, _edge_pairs(g1))
+            == canonical_encoding(g2.vertices, _edge_pairs(g2)))
+    # vertex and edge order do not matter; edge multiplicity does
+    assert canonical_encoding(vs[::-1], pairs[::-1]) == canonical_encoding(vs, pairs)
     g3 = from_edge_pairs(vs, [("a", "b"), ("b", "c")])
-    assert canonical_encoding(g1) != canonical_encoding(g3)
+    assert canonical_encoding(g3.vertices, _edge_pairs(g3)) != canonical_encoding(vs, pairs)
 
 
 def test_from_edge_pairs_names_edges_in_order_past_the_precomputed_names():

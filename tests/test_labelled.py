@@ -9,7 +9,6 @@ from corrkit.labelled import (
     build_space,
     check_labelled_morphism,
     concrete_graph,
-    desingularize,
     induced_morphism,
     is_left_resolving,
     is_weakly_left_resolving,
@@ -96,15 +95,6 @@ def test_truncation_needs_an_index():
     sp = build_space(g)
     with pytest.raises(UnsupportedSpaceError):
         truncate_space(sp, 3)
-
-
-def test_desingularize_removes_sinks(e2):
-    g, _ = e2
-    g2, new_bases = desingularize(g)
-    assert new_bases == ["w1@d"]
-    assert sink_set(g2).is_empty()
-    labs, _ = label_set(g2, atoms("w1"))
-    assert labs
 
 
 def test_concrete_graph_roundtrip():
