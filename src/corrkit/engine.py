@@ -20,8 +20,9 @@ the memo and dict probes on them end at the identity test instead of
 comparing vertex sets.  Both are sound because a term is an immutable
 (tuple, SetExpr, tuple) with value equality and the engine's graph
 never changes, so the reduction is a pure function of the two terms
-(the word-range cache rests on the same fact).  The memo and the
-interned terms live and die with their engine.
+(the word-range cache rests on the same fact, and so does the graph's
+own memo of `relative_range`, which outlives any one engine).  The memo
+and the interned terms live and die with their engine.
 
 Sums accumulate in place under one rule, the one `exactlinalg._axpy`
 follows: a term already present gets its coefficient plus the new one,

@@ -27,7 +27,7 @@ from fractions import Fraction
 
 from .errors import BudgetError, UnsupportedSpaceError
 from .exactlinalg import _axpy, express, sort_key
-from .setexpr import SetExpr, atoms as atom_set, tail, union_all
+from .setexpr import SetExpr, _intern, atoms as atom_set, tail, union_all
 
 CONST = "const"
 IDX = "idx"
@@ -84,6 +84,10 @@ class LabelledGraph:
     vertex_bases: frozenset
     edges: tuple
     families: tuple
+    # relative_range's memo, (set, label) -> range: it is no part of the
+    # graph's value, and every new graph (a `replace` too) starts empty
+    _ranges: dict = field(default_factory=dict, init=False, compare=False,
+                          hash=False, repr=False)
 
     def is_concrete(self) -> bool:
         return not self.families and not self.vertex_bases
@@ -153,7 +157,15 @@ def _family_source_matches(fam: EdgeFamily, a: SetExpr):
 
 
 def relative_range(g: LabelledGraph, a: SetExpr, label) -> SetExpr:
-    """All endpoints of `label`-labelled edges with source in `a`."""
+    """All endpoints of `label`-labelled edges with source in `a`,
+    computed once per graph, set and label."""
+    got = g._ranges.get((a, label))
+    if got is None:
+        got = g._ranges[_intern(a), label] = _relative_range(g, a, label)
+    return got
+
+
+def _relative_range(g: LabelledGraph, a: SetExpr, label) -> SetExpr:
     parts = []
     for e in g.edges:
         if e.label == label and e.src in a:
@@ -362,20 +374,17 @@ def is_left_resolving(g: LabelledGraph):
 
 
 def is_weakly_left_resolving(space: LabelledSpace):
-    """r(A&B, a) == r(A,a) & r(B,a) across the core family, with each
-    r(A, a) computed once per core set and label.  Returns (ok, witness)
-    with witness = (A, B, label, got, expected)."""
+    """r(A&B, a) == r(A,a) & r(B,a) across the core family.  Returns
+    (ok, witness) with witness = (A, B, label, got, expected)."""
     g = space.graph
     labels = label_instances(g, space.horizon)
     core = space.core
-    ranges = [[relative_range(g, a, lab) for lab in labels] for a in core]
     for i, a in enumerate(core):
-        for j in range(i, len(core)):
-            b = core[j]
+        for b in core[i:]:
             ab = a.intersect(b)
-            for lab, ra, rb in zip(labels, ranges[i], ranges[j]):
+            for lab in labels:
                 got = relative_range(g, ab, lab)
-                want = ra.intersect(rb)
+                want = relative_range(g, a, lab).intersect(relative_range(g, b, lab))
                 if got != want:
                     return False, (a, b, lab, got, want)
     return True, None

@@ -12,6 +12,23 @@ Canonical form: no atom `(base, j)` with `j >= k` coexists with a tail
 `(base, k)` (it is absorbed), and a tail absorbs a contiguous run of
 atoms directly below it.  With atoms allowed below a tail, union,
 intersection and difference are all closed on this representation.
+
+Each value has one canonical object, kept in a module-level unique
+table: `atoms`, `tail`, `union_all` and the Boolean operations return
+it, while the bare `SetExpr(...)` constructor stays a plain value
+constructor.  Each of `union`, `intersect`, `difference` and
+`is_subset` looks its operand pair up in its own computed table before
+doing the work, and stores the canonical operands with the canonical
+answer (the unique and computed tables of a BDD package: Brace, Rudell
+and Bryant, DAC 1990).  Both are sound because a `SetExpr` never
+changes once built and its equality and hash are those of its value,
+so each answer is a pure function of the two operand values; no result
+depends on which of two equal objects is used.  Storing only canonical
+objects keeps one object per value alive, not one per query.  The
+tables live as long as the process and are small: after
+`verify-sphere --n 12 --trunc 14` they hold 71 sets and at most 1357
+pairs (`intersect`), and after `properties --cases 3000` 270 sets and
+at most 1171 pairs (`is_subset`).
 """
 from __future__ import annotations
 
@@ -54,7 +71,8 @@ class SetExpr:
     # ------------------------------------------------------------- structure
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, SetExpr) and self.atoms == other.atoms and self.tails == other.tails
+        return self is other or (isinstance(other, SetExpr) and self.atoms == other.atoms
+                                 and self.tails == other.tails)
 
     def __hash__(self) -> int:
         return self._hash
@@ -82,9 +100,25 @@ class SetExpr:
     # ------------------------------------------------------------------- ops
 
     def union(self, other: "SetExpr") -> "SetExpr":
-        return SetExpr(self.atoms | other.atoms, list(self.tails) + list(other.tails))
+        got = _UNION.get((self, other))
+        return _store(_UNION, self, other, self._union(other)) if got is None else got
 
     def intersect(self, other: "SetExpr") -> "SetExpr":
+        got = _INTERSECT.get((self, other))
+        return _store(_INTERSECT, self, other, self._intersect(other)) if got is None else got
+
+    def difference(self, other: "SetExpr") -> "SetExpr":
+        got = _DIFFERENCE.get((self, other))
+        return _store(_DIFFERENCE, self, other, self._difference(other)) if got is None else got
+
+    def is_subset(self, other: "SetExpr") -> bool:
+        got = _SUBSET.get((self, other))
+        return _store(_SUBSET, self, other, self._is_subset(other)) if got is None else got
+
+    def _union(self, other: "SetExpr") -> "SetExpr":
+        return SetExpr(self.atoms | other.atoms, list(self.tails) + list(other.tails))
+
+    def _intersect(self, other: "SetExpr") -> "SetExpr":
         atoms = {a for a in self.atoms if a in other} | {a for a in other.atoms if a in self}
         tails = []
         for b, k in self.tails:
@@ -93,7 +127,7 @@ class SetExpr:
                 tails.append((b, max(k, m)))
         return SetExpr(atoms, tails)
 
-    def difference(self, other: "SetExpr") -> "SetExpr":
+    def _difference(self, other: "SetExpr") -> "SetExpr":
         atoms = {a for a in self.atoms if a not in other}
         tails = []
         for b, k in self.tails:
@@ -112,7 +146,7 @@ class SetExpr:
                 atoms.update((b, j) for j in range(k, m) if j not in holes)
         return SetExpr(atoms, tails)
 
-    def is_subset(self, other: "SetExpr") -> bool:
+    def _is_subset(self, other: "SetExpr") -> bool:
         if any(a not in other for a in self.atoms):
             return False
         for b, k in self.tails:
@@ -154,15 +188,35 @@ class SetExpr:
         return "{" + ",".join(parts) + "}"
 
 
-EMPTY = SetExpr()
+_UNIQUE: dict[SetExpr, SetExpr] = {}  # value -> its canonical object
+# computed tables: (a, b) -> a op b, with a, b and a set result canonical
+_UNION: dict[tuple, SetExpr] = {}
+_INTERSECT: dict[tuple, SetExpr] = {}
+_DIFFERENCE: dict[tuple, SetExpr] = {}
+_SUBSET: dict[tuple, bool] = {}
+
+
+def _intern(s: SetExpr) -> SetExpr:
+    """The canonical object of the value of `s`."""
+    return _UNIQUE.setdefault(s, s)
+
+
+def _store(table: dict, a: SetExpr, b: SetExpr, value):
+    if isinstance(value, SetExpr):
+        value = _intern(value)
+    table[_intern(a), _intern(b)] = value
+    return value
+
+
+EMPTY = _intern(SetExpr())
 
 
 def atoms(*vs) -> SetExpr:
-    return SetExpr(vs)
+    return _intern(SetExpr(vs))
 
 
 def tail(base: str, k: int) -> SetExpr:
-    return SetExpr((), [(base, k)])
+    return _intern(SetExpr((), [(base, k)]))
 
 
 def union_all(exprs: Iterable[SetExpr]) -> SetExpr:

@@ -25,28 +25,36 @@ def run(*args, expect=0):
     return proc
 
 
-def test_ktheory_text():
-    out = run("ktheory", DATA / "m1_graph.json").stdout
+def main_out(capsys, *args, expect=0):
+    """Run the CLI in this process; its stdout, once the exit code is checked."""
+    from corrkit.cli import main
+
+    assert main([*map(str, args)]) == expect
+    return capsys.readouterr().out
+
+
+def test_ktheory_text(capsys):
+    out = main_out(capsys, "ktheory", DATA / "m1_graph.json")
     assert "K0 = Z, K1 = 0" in out
     assert "SNF diagonal" in out
 
 
-def test_ktheory_json_records():
-    out = run("ktheory", DATA / "loop_graph.json", "--format", "json").stdout
+def test_ktheory_json_records(capsys):
+    out = main_out(capsys, "ktheory", DATA / "loop_graph.json", "--format", "json")
     lines = [json.loads(l) for l in out.splitlines() if l.strip()]
     recs = [r for r in lines if r.get("record") == "ktheory"]
     assert recs and recs[0]["K0"] == "Z" and recs[0]["K1"] == "Z"
     assert any(r.get("summary") for r in lines)
 
 
-def test_labelled_check():
-    out = run("labelled-check", DATA / "en_labelled_n2.json").stdout
+def test_labelled_check(capsys):
+    out = main_out(capsys, "labelled-check", DATA / "en_labelled_n2.json")
     assert "not left-resolving; weakly left-resolving: true" in out
     assert "closure:" in out
 
 
-def test_verify_sphere_smallest():
-    out = run("verify-sphere", "--n", 1).stdout
+def test_verify_sphere_smallest(capsys):
+    out = main_out(capsys, "verify-sphere", "--n", 1)
     assert "all passed" in out or "PASS" in out or "ok" in out.lower()
 
 
@@ -416,7 +424,9 @@ def test_closed_stdout_is_not_an_internal_error(args, unbuffered):
     assert err == b""
 
 
-def test_properties_subcommand_seeded():
-    a = run("properties", "--cases", 40, "--seed", 5, "--format", "json").stdout
-    b = run("properties", "--cases", 40, "--seed", 5, "--format", "json").stdout
+def test_properties_subcommand_seeded(capsys):
+    """The second run meets the vertex-set tables the first one filled,
+    and prints the same bytes."""
+    a = main_out(capsys, "properties", "--cases", 40, "--seed", 5, "--format", "json")
+    b = main_out(capsys, "properties", "--cases", 40, "--seed", 5, "--format", "json")
     assert a == b

@@ -9,7 +9,7 @@ from corrkit.engine import Element, Engine, substitute, tautological_checks
 from corrkit.errors import BudgetError, UnsupportedSpaceError
 from corrkit.properties import _engines, _factor_pool, _random_element
 from corrkit.labelled import build_space, concrete_graph, relative_range, truncate_space
-from corrkit.setexpr import atoms, tail
+from corrkit.setexpr import SetExpr, atoms, tail
 from corrkit.spheres import SphereConfig, build_En_space
 from oracles import fold_combine, reference_mul
 
@@ -279,7 +279,7 @@ def test_equal_terms_are_one_object():
     as a product, is the identical tuple (so probes on it never compare
     vertex sets); another engine over the same space builds its own."""
     eng = _engines()[1][0]
-    a, b = tail("v", 3), tail("v", 3)
+    a, b = SetExpr((), [("v", 3)]), SetExpr((), [("v", 3)])
     assert a == b and a is not b
     [t1] = eng.element(("g",), a, ()).terms
     [t2] = eng.element(("g",), b, ()).terms

@@ -1,6 +1,10 @@
 """Labelled graphs, relative ranges, and generated set families."""
+import dataclasses
+from random import Random
+
 import pytest
 
+from corrkit import setexpr
 from corrkit.correspondences import check_morphism
 from corrkit.errors import BudgetError, UnsupportedSpaceError
 from corrkit.labelled import (
@@ -12,13 +16,15 @@ from corrkit.labelled import (
     induced_morphism,
     is_left_resolving,
     is_weakly_left_resolving,
+    _relative_range,
     label_set,
+    label_instances,
     relative_range,
     sink_set,
     to_correspondence,
     truncate_space,
 )
-from corrkit.setexpr import atoms, tail
+from corrkit.setexpr import SetExpr, atoms, tail
 from corrkit.spheres import SphereConfig, build_En_graph, build_En_space
 
 
@@ -106,6 +112,58 @@ def test_concrete_graph_roundtrip():
     assert relative_range(g, atoms("x"), "b") == atoms("x")
     sp = build_space(g)
     assert sp.in_lattice(atoms("y"))
+
+
+def _random_core_sets(space, seed: int, count: int = 60):
+    """Seeded unions and differences of core sets of `space`."""
+    rng = Random(seed)
+    core = space.core
+    out = []
+    for _ in range(count):
+        a, b = rng.choice(core), rng.choice(core)
+        out.append(a.union(b) if rng.randrange(2) else a.difference(b))
+    return out
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_range_memo_matches_a_fresh_computation_cold_and_warm(seed):
+    """A new graph starts with an empty memo; every range it answers, the
+    first time (asked with a fresh copy of the set) and again from the
+    memo (asked with the canonical set), is the one computed afresh.  The
+    memo keeps the canonical set, not the copy."""
+    cfg = SphereConfig(2)
+    g = build_En_graph(cfg)
+    sets = _random_core_sets(build_En_space(cfg), seed)
+    labels = label_instances(g, 4)
+    assert g._ranges == {}
+    for warm in (False, True):
+        for a in sets:
+            for lab in labels:
+                fresh = _relative_range(g, SetExpr(a.atoms, a.tails), lab)
+                asked = a if warm else SetExpr(a.atoms, a.tails)
+                assert relative_range(g, asked, lab) == fresh, (a, lab, warm)
+    assert len(g._ranges) == len(set(sets)) * len(labels)
+    assert all(setexpr._UNIQUE[a] is a for a, _ in g._ranges)
+
+
+def test_each_graph_keeps_its_own_ranges():
+    g1 = concrete_graph(["a", "b", "c"], [("e1", "a", "b", "l")])
+    g2 = concrete_graph(["a", "b", "c"], [("e1", "a", "c", "l")])
+    for _ in range(2):
+        assert relative_range(g1, atoms("a"), "l") == atoms("b")
+        assert relative_range(g2, atoms("a"), "l") == atoms("c")
+
+
+def test_range_memo_is_no_part_of_the_graph_value():
+    cfg = SphereConfig(2)
+    g, twin = build_En_graph(cfg), build_En_graph(cfg)
+    before = (hash(g), repr(g))
+    for lab in ("f1", "g", "h"):
+        relative_range(g, tail("v", 1), lab)
+    assert g._ranges and not twin._ranges
+    assert g == twin and hash(g) == hash(twin) == before[0]
+    assert repr(g) == repr(twin) == before[1]
+    assert dataclasses.replace(g)._ranges == {}
 
 
 # ------------------------------------- functor to correspondences

@@ -1,6 +1,10 @@
 """Vertex-set expressions: finite atoms plus indexed tails."""
+from random import Random
+
 import pytest
 
+from corrkit import setexpr
+from corrkit.properties import _random_setexpr
 from corrkit.setexpr import EMPTY, SetExpr, atoms, tail, union_all
 
 
@@ -81,3 +85,54 @@ def test_union_all():
 def test_equality_is_structural():
     assert atoms(("v", 1)).union(tail("v", 2)) == tail("v", 1)
     assert hash(tail("v", 1)) == hash(SetExpr((), [("v", 1)]))
+
+
+# ------------------------------------------------ unique and computed tables
+
+TABLES = ("_UNIQUE", "_UNION", "_INTERSECT", "_DIFFERENCE", "_SUBSET")
+# each memoised op, with the computation behind it
+OPS = [(SetExpr.union, SetExpr._union), (SetExpr.intersect, SetExpr._intersect),
+       (SetExpr.difference, SetExpr._difference), (SetExpr.is_subset, SetExpr._is_subset)]
+
+
+def _copy(s: SetExpr) -> SetExpr:
+    return SetExpr(s.atoms, s.tails)
+
+
+def _random_pairs(seed: int, count: int = 400):
+    rng = Random(seed)
+    return [(_random_setexpr(rng, rng.randrange(4)), _random_setexpr(rng, rng.randrange(4)))
+            for _ in range(count)]
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_memoised_ops_match_a_fresh_computation_cold_and_warm(monkeypatch, seed):
+    """Every op answers as its computation does on fresh copies of the
+    operands: first against emptied tables, then from the filled ones."""
+    pairs = _random_pairs(seed)
+    for name in TABLES:
+        monkeypatch.setattr(setexpr, name, {})
+    for warm in (False, True):
+        for a, b in pairs:
+            for op, compute in OPS:
+                assert op(a, b) == compute(_copy(a), _copy(b)), (op.__name__, a, b, warm)
+    assert all(getattr(setexpr, name) for name in TABLES)
+
+
+def test_equal_operands_give_the_identical_result():
+    a1, a2 = SetExpr(["p", ("t", 2)], [("t", 5)]), SetExpr([("t", 2), "p"], [("t", 5)])
+    b1, b2 = SetExpr([("t", 3)], [("u", 1)]), SetExpr([("t", 3)], [("u", 1)])
+    assert a1 is not a2 and b1 is not b2
+    for op in (SetExpr.union, SetExpr.intersect, SetExpr.difference):
+        assert op(a1, b1) is op(a2, b2)
+    assert atoms("p", "q") is atoms("q", "p") is atoms("p").union(atoms("q"))
+    assert tail("t", 3) is tail("t", 3) is atoms(("t", 3)).union(tail("t", 4))
+    assert union_all([]) is EMPTY is atoms() is tail("t", 2).difference(tail("t", 1))
+    assert union_all([atoms("p"), tail("t", 2)]) is atoms("p").union(tail("t", 2))
+    # the bare constructor stays a plain value constructor
+    assert SetExpr(["p"]) is not SetExpr(["p"])
+    # the tables keep one object per value: their operands and set answers
+    for name in TABLES[1:]:
+        for pair, got in getattr(setexpr, name).items():
+            assert all(setexpr._UNIQUE[s] is s for s in pair)
+            assert isinstance(got, bool) or setexpr._UNIQUE[got] is got
