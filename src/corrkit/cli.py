@@ -205,7 +205,7 @@ def build_parser() -> argparse.ArgumentParser:
     lc.add_argument("space", help="labelled-space JSON file")
     lc.add_argument("--trunc", type=_at_least(1), default=None, metavar="N",
                     help="closure horizon override (default: file value or 8)")
-    lc.add_argument("--budget", type=int, default=10000,
+    lc.add_argument("--budget", type=_at_least(1), default=10000,
                     help="closure iteration budget")
     _add_format(lc)
     lc.set_defaults(func=cmd_labelled_check)
@@ -225,7 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
     ob.add_argument("--max-edges", type=_at_least(3), default=10)
     ob.add_argument("--wide", action="store_true",
                     help="also vary the tested unit-decomposition pattern")
-    ob.add_argument("--jobs", type=int, default=1,
+    ob.add_argument("--jobs", type=_at_least(1), default=1,
                     help="accepted for uniform automation; candidates are checked serially")
     _add_format(ob)
     ob.set_defaults(func=cmd_obstruction)

@@ -102,26 +102,21 @@ def _forced_zero_presolve(m, b: list) -> tuple[list, list]:
     """Indices of the rows and columns of M x = b left once the
     forced-zero rows (module docstring) and their columns are dropped,
     repeated until nothing changes; both lists keep the original order.
-    A row's nonzero columns are read from M once, on its first visit;
-    later passes only drop the columns gone since."""
-    cols = list(range(len(m[0]) if m else 0))
-    support: dict = {}  # row with b[i] = 0 -> its nonzero columns still kept
+    Each pass rescans every kept row with b[i] = 0 over the kept columns."""
     rows = list(range(len(m)))
+    cols = list(range(len(m[0]) if m else 0))
     shrinking = True
     while shrinking:
         shrinking = False
         kept = []
         for i in rows:
             if not b[i]:
-                if i in support:
-                    nonzero = support[i] = [j for j in support[i] if j in cols]
-                else:
-                    row = m[i]
-                    nonzero = support[i] = [j for j in cols if row[j]]
+                row = m[i]
+                nonzero = [j for j in cols if row[j]]
                 if not nonzero:
                     shrinking = True
                     continue
-                if len(nonzero) == 1 and m[i][nonzero[0]] in (1, -1):
+                if len(nonzero) == 1 and row[nonzero[0]] in (1, -1):
                     cols.remove(nonzero[0])
                     shrinking = True
                     continue

@@ -105,27 +105,21 @@ class LabelledGraph:
         rep.add("edge names unique", len(names) == len(set(names)))
         bases = [f.base for f in self.families]
         rep.add("family bases unique", len(bases) == len(set(bases)))
-        ok = True
-        for e in self.edges:
-            if not (self.has_vertex(e.src) and self.has_vertex(e.dst)):
-                ok = False
-                rep.add(f"edge {e.name} endpoints exist", False, f"src={e.src} dst={e.dst}")
-        rep.add("concrete endpoints exist", ok)
-        ok = True
-        for f in self.families:
-            if f.start < 1:
-                ok = False
-            for spec in (f.src, f.dst):
-                if spec[0] == CONST:
-                    if not self.has_vertex(spec[1]):
-                        ok = False
-                elif spec[1] not in self.vertex_bases or f.start + spec[2] < 1:
-                    ok = False
-            if f.label[0] == IDX and f.start + f.label[2] < 1:
-                ok = False
-            if f.src[0] == CONST and f.dst[0] == CONST:
-                ok = False  # infinitely many parallel edges
-        rep.add("family specs well formed", ok)
+        rep.tally("concrete endpoints exist",
+                  ((f"edge {e.name} endpoints exist", f"src={e.src} dst={e.dst}")
+                   for e in self.edges
+                   if not (self.has_vertex(e.src) and self.has_vertex(e.dst))))
+
+        def well_formed(f: EdgeFamily) -> bool:
+            return (f.start >= 1
+                    and all(self.has_vertex(spec[1]) if spec[0] == CONST
+                            else spec[1] in self.vertex_bases and f.start + spec[2] >= 1
+                            for spec in (f.src, f.dst))
+                    and (f.label[0] != IDX or f.start + f.label[2] >= 1)
+                    # two constant ends would give infinitely many parallel edges
+                    and not (f.src[0] == CONST and f.dst[0] == CONST))
+
+        rep.add("family specs well formed", all(map(well_formed, self.families)))
         return rep
 
 
@@ -453,7 +447,8 @@ def check_labelled_morphism(space_e: LabelledSpace, space_f: LabelledSpace,
     checks: totality with images in F, injectivity on surviving
     vertices, coherence and injectivity of the induced label map, range
     compatibility per label, and preservation of the set family with
-    non-degenerate finite label sets.
+    non-degenerate finite label sets.  The later checks read the maps:
+    a failed first check or an incoherent label map ends the report.
     """
     from .reports import Report
 
@@ -461,85 +456,55 @@ def check_labelled_morphism(space_e: LabelledSpace, space_f: LabelledSpace,
     if not (ge.is_concrete() and gf.is_concrete()):
         raise UnsupportedSpaceError("morphism checks need concrete spaces")
     rep = Report("labelled morphism")
-
-    total = all(v in vertex_map for v in ge.named_vertices)
-    images_ok = all(img is None or gf.has_vertex(img) for img in vertex_map.values())
-    edges_total = all(e.name in edge_map for e in ge.edges)
     f_edges = {e.name: e for e in gf.edges}
-    edge_images_ok = all(img is None or f_edges.get(img.name) == img
-                         for img in edge_map.values())
-    rep.add("maps total with images in target",
-            total and images_ok and edges_total and edge_images_ok)
-
-    live = [(v, img) for v, img in sorted(vertex_map.items(), key=lambda kv: sort_key(kv[0]))
-            if img is not None]
-    seen: dict = {}
-    inj = True
-    for v, img in live:
-        if img in seen and seen[img] != v:
-            inj = False
-            rep.add("injective on surviving vertices", False,
-                    f"{seen[img]!r} and {v!r} both map to {img!r}")
-            break
-        seen[img] = v
-    if inj:
-        rep.add("injective on surviving vertices", True)
-
+    if not rep.add("maps total with images in target",
+                   all(v in vertex_map for v in ge.named_vertices)
+                   and all(img is None or gf.has_vertex(img) for img in vertex_map.values())
+                   and all(e.name in edge_map for e in ge.edges)
+                   and all(img is None or f_edges.get(img.name) == img
+                           for img in edge_map.values())):
+        return rep
+    rep.first("injective on surviving vertices", _collisions(vertex_map))
     try:
         lmap = label_image_map(space_e, edge_map)
-        rep.add("label map coherent", True)
     except ValueError as err:
         rep.add("label map coherent", False, str(err))
         return rep
+    rep.add("label map coherent", True)
+    rep.first("label map injective", _collisions(lmap))
 
-    inv: dict = {}
-    inj = True
-    for lab, img in sorted(lmap.items(), key=lambda kv: sort_key(kv[0])):
-        if img is None:
-            continue
-        if img in inv and inv[img] != lab:
-            inj = False
-            rep.add("label map injective", False,
-                    f"{inv[img]!r} and {lab!r} both map to {img!r}")
-            break
-        inv[img] = lab
-    if inj:
-        rep.add("label map injective", True)
+    def range_mismatches():
+        fs_e = full_set(ge)
+        for lab in label_instances(ge, space_e.horizon):
+            lhs = {vertex_map[v] for v in relative_range(ge, fs_e, lab).atoms} - {None}
+            rhs = {edge_map[e.name].dst for e in ge.edges
+                   if e.label == lab and edge_map[e.name] is not None}
+            if lhs != rhs:
+                yield (f"label {lab!r}: vertex images {sorted(lhs, key=sort_key)} "
+                       f"!= edge image ranges {sorted(rhs, key=sort_key)}")
 
-    fs_e = full_set(ge)
-    ok = True
-    for lab in label_instances(ge, space_e.horizon):
-        r_a = relative_range(ge, fs_e, lab)
-        lhs = {vertex_map[v] for v in r_a.atoms} - {None}
-        rhs = {edge_map[e.name].dst for e in ge.edges
-               if e.label == lab and edge_map[e.name] is not None}
-        if lhs != rhs:
-            ok = False
-            rep.add("ranges compatible per label", False,
-                    f"label {lab!r}: vertex images {sorted(lhs, key=sort_key)} "
-                    f"!= edge image ranges {sorted(rhs, key=sort_key)}")
-            break
-    if ok:
-        rep.add("ranges compatible per label", True)
+    def family_failures():
+        for a in space_e.core:
+            img = SetExpr({vertex_map[v] for v in a.atoms} - {None})
+            if not space_f.in_lattice(img):
+                yield f"image {img!r} of {a!r} is outside the target family"
+            elif label_set(ge, a)[0] and not label_set(gf, img)[0]:
+                yield f"{a!r} emits labels but its image {img!r} emits none"
 
-    ok = True
-    for a in space_e.core:
-        img = SetExpr({vertex_map[v] for v in a.atoms} - {None})
-        if not space_f.in_lattice(img):
-            ok = False
-            rep.add("set family preserved", False,
-                    f"image {img!r} of {a!r} is outside the target family")
-            break
-        le, _ = label_set(ge, a)
-        lf, _ = label_set(gf, img)
-        if le and not lf:
-            ok = False
-            rep.add("set family preserved", False,
-                    f"{a!r} emits labels but its image {img!r} emits none")
-            break
-    if ok:
-        rep.add("set family preserved", True)
+    rep.first("ranges compatible per label", range_mismatches())
+    rep.first("set family preserved", family_failures())
     return rep
+
+
+def _collisions(mapping: dict):
+    """Witnesses "a and b both map to c": a key b whose image c an earlier
+    key a took.  Keys go in `sort_key` order; None images are skipped."""
+    seen: dict = {}
+    for key, img in sorted(mapping.items(), key=lambda kv: sort_key(kv[0])):
+        if img in seen:
+            yield f"{seen[img]!r} and {key!r} both map to {img!r}"
+        elif img is not None:
+            seen[img] = key
 
 
 # ------------------------------------------------- correspondence models

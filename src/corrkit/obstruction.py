@@ -141,23 +141,14 @@ def _arborescences(extra: tuple) -> list[tuple]:
         opts = [LOOP_VERTEX] + [x for x in extra if x != v]
         parents_choices.append(opts)
     renamings = _renamings(extra, [(p, v) for v, opts in zip(nodes, parents_choices) for p in opts])
+    v_nodes = (LOOP_VERTEX,) + tuple(nodes)
     out = set()
     for assignment in product(*parents_choices):
         parent = dict(zip(nodes, assignment))
-        # acyclicity / reachability from w0
-        ok = True
-        for v in nodes:
-            seen = set()
-            cur = v
-            while cur != LOOP_VERTEX:
-                if cur in seen:
-                    ok = False
-                    break
-                seen.add(cur)
-                cur = parent[cur]
-            if not ok:
-                break
-        if not ok:
+        edges = tuple((parent[v], v) for v in nodes)
+        # with one parent per vertex, w0 reaches them all exactly when no
+        # parent chain cycles
+        if not _rooted_and_acyclic(v_nodes, edges):
             continue
         children = {x: 0 for x in extra}
         for v in nodes:
@@ -165,7 +156,7 @@ def _arborescences(extra: tuple) -> list[tuple]:
                 children[parent[v]] += 1
         if any(c == 0 for c in children.values()):
             continue
-        out.add(_canonical(tuple((parent[v], v) for v in nodes), renamings))
+        out.add(_canonical(edges, renamings))
     return sorted(out)
 
 

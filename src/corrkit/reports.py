@@ -24,9 +24,12 @@ class Report:
     passed.  Reports nest by merging, with the child's title used as a
     prefix so failure lines stay traceable.
 
-    A check family reports by one rule, `tally`: one failed check per
-    failing instance, in the order found, then the family's summary,
-    which passes exactly when no instance failed.
+    A check reports by one rule: `add` for one verdict, `first` for one
+    check failing with its first witness, `tally` for a family (one failed
+    check per failing instance, in order, then a summary passing when none
+    failed).  Two places keep their own shape: `CommAlgebra.validate`, whose
+    records (all failures, no summary) form `PresentationError` messages,
+    and the `properties` suites, whose laws share one loop's random draws.
     """
 
     def __init__(self, title: str):
@@ -36,6 +39,12 @@ class Report:
     def add(self, name: str, ok: bool, detail: str = "") -> bool:
         self.checks.append(Check(name, bool(ok), detail))
         return bool(ok)
+
+    def first(self, name: str, witnesses, detail: str = "") -> bool:
+        """Add `name`: failing with the first of `witnesses`, drawn lazily,
+        as its detail, or passing with `detail`."""
+        why = next(iter(witnesses), None)
+        return self.add(name, why is None, detail if why is None else why)
 
     def tally(self, summary: str, failures, detail: str = "") -> None:
         """Add a failed check for each (name, why) in `failures`, then

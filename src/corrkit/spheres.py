@@ -368,14 +368,11 @@ def check_omega_factorization(cfg: SphereConfig, omega: Morphism, disc: Engine,
         return substitute(substitute(el, sphere, hat_s, hat_p),
                           sphere, beta_s, beta_p)
 
-    bad = [g for g in sorted(mod, key=sort_key)
-           if not sphere.equals(push(mod[g]), sphere.combine(omega.mod_map[g], z_img))]
-    rep.add("omega agrees on module generators", not bad,
-            f"first mismatch at {bad[0]}" if bad else "")
-    badb = [b for b in sorted(alg, key=sort_key)
-            if not sphere.equals(push(alg[b]), sphere.combine(omega.alg_map[b], s_alg))]
-    rep.add("omega agrees on algebra generators", not badb,
-            f"first mismatch at {badb[0]}" if badb else "")
+    for kind, images, table, basis in (("module", mod, omega.mod_map, z_img),
+                                       ("algebra", alg, omega.alg_map, s_alg)):
+        rep.first(f"omega agrees on {kind} generators",
+                  (f"first mismatch at {k}" for k in sorted(images, key=sort_key)
+                   if not sphere.equals(push(images[k]), sphere.combine(table[k], basis))))
     return rep
 
 
@@ -417,15 +414,17 @@ def verify_XY_isomorphism(cfg: SphereConfig, X: Correspondence, Y: Correspondenc
            and disc.equals(mod[f"y_{N}"].adj() * mod[f"y_{N}"], nxt))
     rep.add("clipped inner products equal the next corner element", okb)
 
-    okc = True
-    for i in range(1, N + 1):
-        ai = alg[f"Q{i}"]
-        okc = okc and disc.equals(ai.adj(), ai) and disc.equals(ai * ai, ai)
-        okc = okc and disc.equals(ai * alg[f"R{n}"], ai)
-        for j in range(i + 1, N + 1):
-            okc = okc and disc.equals(ai * alg[f"Q{j}"], disc.zero())
+    def corner_identities():
+        for i in range(1, N + 1):
+            ai = alg[f"Q{i}"]
+            yield ai.adj(), ai
+            yield ai * ai, ai
+            yield ai * alg[f"R{n}"], ai
+            for j in range(i + 1, N + 1):
+                yield ai * alg[f"Q{j}"], disc.zero()
+
     rep.add("corner elements are orthogonal projections under the loop row",
-            okc)
+            all(disc.equals(lhs, rhs) for lhs, rhs in corner_identities()))
 
     # guarded ideal atoms, realized exactly
     resid = alg[f"R{n}"]
@@ -444,15 +443,13 @@ def verify_XY_isomorphism(cfg: SphereConfig, X: Correspondence, Y: Correspondenc
     rep.merge(check_covariant_rep(X, xmod, xalg, disc),
               prefix="(rho_X, rho_A)")
 
-    okx = all(disc.equals(xmod[g], w_img[g]) for g in sorted(xmod, key=sort_key))
-    okx = okx and all(disc.equals(xalg[b], p_img[b])
-                      for b in sorted(xalg, key=sort_key))
-    rep.add("X composite fixes the canonical images", okx)
+    rep.add("X composite fixes the canonical images",
+            all(disc.equals(got[k], want[k]) for got, want in ((xmod, w_img), (xalg, p_img))
+                for k in sorted(got, key=sort_key)))
     mod2, alg2 = rho_Y_images(cfg, xmod, xalg)
-    oky = all(disc.equals(mod2[g], mod[g]) for g in sorted(mod, key=sort_key))
-    oky = oky and all(disc.equals(alg2[b], alg[b])
-                      for b in sorted(alg, key=sort_key))
-    rep.add("Y composite fixes the representation", oky)
+    rep.add("Y composite fixes the representation",
+            all(disc.equals(got[k], want[k]) for got, want in ((mod2, mod), (alg2, alg))
+                for k in sorted(want, key=sort_key)))
 
     images = [alg[f"R{i}"] for i in range(1, n + 2) if i != n]
     images += [alg[f"Q{j}"] for j in range(1, N + 1)]
@@ -467,15 +464,12 @@ def verify_XY_isomorphism(cfg: SphereConfig, X: Correspondence, Y: Correspondenc
 # ----------------------------------------------------------- ideal suite
 
 
-def _op_matches_action(corr: Correspondence, op, avec, gens=None):
-    """Compare a finite-rank operator with the left action of avec on
-    the given generators; returns (ok, first witness)."""
+def _action_mismatches(corr: Correspondence, op, avec, gens=None):
+    """The given generators, in order, on which a finite-rank operator and
+    the left action of avec differ."""
     for g in (corr.gens if gens is None else gens):
-        want = corr.left_action(avec, {g: ONE})
-        got = op.apply(corr, {g: ONE})
-        if got != want:
-            return False, g
-    return True, None
+        if corr.left_action(avec, {g: ONE}) != op.apply(corr, {g: ONE}):
+            yield g
 
 
 def _row_op(prefix, i, hi):
@@ -521,33 +515,30 @@ def lemma_suite(cfg: SphereConfig, X: Correspondence) -> Report:
              "dropping the last column loses the action on it")):
         wit = ""
         for i in range(1, rows + 1):
-            good, g = _op_matches_action(corr, _row_op(gen, i, n + 1), {f"{proj}{i}": ONE})
-            if not good:
+            g = next(_action_mismatches(corr, _row_op(gen, i, n + 1), {f"{proj}{i}": ONE}), None)
+            if g is not None:
                 wit = f"row {i} fails at {g}"
         rep.add(full, not wit, wit or full_detail)
-        refuted = all(_op_matches_action(corr, _row_op(gen, i, n), {f"{proj}{i}": ONE})
-                      == (False, f"{gen}_{i}_{n + 1}") for i in range(1, n))
+        refuted = all(next(_action_mismatches(corr, _row_op(gen, i, n), {f"{proj}{i}": ONE}),
+                           None) == f"{gen}_{i}_{n + 1}" for i in range(1, n))
         rep.add(cut, refuted, cut_detail if n > 1 else cut_none)
 
     interior = [g for g in deep.gens if g != f"y_{N + 1}"]
     op = theta({"y": ONE, "yp": -ONE}, {"y": ONE, "yp": -ONE})
-    good, g = _op_matches_action(deep, op, {f"R{n}": ONE}, gens=interior)
-    rep.add("loop-row projection is a single rank-one corner", good,
-            "tested below the rebuilt bound" if good else f"fails at {g}")
+    rep.first("loop-row projection is a single rank-one corner",
+              (f"fails at {g}" for g in _action_mismatches(deep, op, {f"R{n}": ONE}, interior)),
+              "tested below the rebuilt bound")
     op = theta({"yp": ONE}, {"yp": ONE})
-    good, g = _op_matches_action(deep, op, {f"R{n + 1}": ONE})
-    rep.add("sink-row projection is a single rank-one corner", good,
-            "" if good else f"fails at {g}")
+    rep.first("sink-row projection is a single rank-one corner",
+              (f"fails at {g}" for g in _action_mismatches(deep, op, {f"R{n + 1}": ONE})))
 
-    okq = True
     wit = ""
     for i in range(1, N + 1):
         op = theta({f"y_{i}": ONE}, {f"y_{i}": ONE})
-        good, g = _op_matches_action(deep, op, {f"Q{i}": ONE})
-        if not good:
-            okq = False
+        g = next(_action_mismatches(deep, op, {f"Q{i}": ONE}), None)
+        if g is not None:
             wit = f"Q{i} fails at {g}"
-    rep.add("corner projections are rank-one", okq,
+    rep.add("corner projections are rank-one", not wit,
             wit or f"indices 1..{N}; the rebuilt boundary index {N + 1} stays deferred")
 
     alive = all(any(deep.left_action(avec, {g: ONE}) for g in deep.gens)
@@ -610,11 +601,10 @@ def mirror_span_report(cfg: SphereConfig, rsum, psi: Morphism,
     rep = Report("glued pair span")
     X, Y = psi.src, omega.src
     expected = expected_pair_generators(cfg)
-    missing = [k for k, (vx, vy) in enumerate(expected)
-               if rsum.gen_coords(vx, vy) is None]
-    rep.add("expected pairs lie in the computed module", not missing,
-            f"{len(expected)} pairs checked" if not missing
-            else f"pair index {missing[0]} escapes")
+    rep.first("expected pairs lie in the computed module",
+              (f"pair index {k} escapes" for k, (vx, vy) in enumerate(expected)
+               if rsum.gen_coords(vx, vy) is None),
+              f"{len(expected)} pairs checked")
 
     solver = SpanSolver()
     queue = list(expected)
@@ -626,34 +616,31 @@ def mirror_span_report(cfg: SphereConfig, rsum, psi: Morphism,
         solver.add(v)
         for _, va, vb in rsum.atom_table:
             queue.append((X.right_action(vx, va), Y.right_action(vy, vb)))
-    stray = [name for name, vx, vy in rsum.gen_table
-             if not solver.contains(_tagged(vx, vy))]
-    rep.add("computed generators lie in the translated span of the expected pairs",
-            not stray, f"stray {stray[0]}" if stray else "")
+    rep.first("computed generators lie in the translated span of the expected pairs",
+              (f"stray {name}" for name, vx, vy in rsum.gen_table
+               if not solver.contains(_tagged(vx, vy))))
 
     projs = expected_pair_projections(cfg)
-    badp = [k for k, (va, vb) in enumerate(projs)
-            if rsum.atom_coords(va, vb) is None]
-    rep.add("expected projections lie in the pair algebra", not badp,
-            f"{len(projs)} projections checked" if not badp
-            else f"projection index {badp[0]} escapes")
+    rep.first("expected projections lie in the pair algebra",
+              (f"projection index {k} escapes" for k, (va, vb) in enumerate(projs)
+               if rsum.atom_coords(va, vb) is None),
+              f"{len(projs)} projections checked")
     psolver = SpanSolver([_tagged(va, vb, tags=("A", "B"))
                           for va, vb in projs])
-    badq = [name for name, va, vb in rsum.atom_table
-            if not psolver.contains(_tagged(va, vb, tags=("A", "B")))]
-    rep.add("pair atoms lie in the span of the expected projections",
-            not badq, f"stray {badq[0]}" if badq else "")
+    rep.first("pair atoms lie in the span of the expected projections",
+              (f"stray {name}" for name, va, vb in rsum.atom_table
+               if not psolver.contains(_tagged(va, vb, tags=("A", "B")))))
 
     A, B = X.algebra, Y.algebra
     n, N = cfg.n, cfg.N
-    okl = True
-    for j in range(1, N + 1):
-        prod_b = B.mul({f"Q{j}": ONE}, {f"R{n}": ONE})
-        okl = okl and prod_b == {f"Q{j}": ONE}
-    okl = okl and not A.mul({f"P{n + 1}": ONE}, {})
-    okl = okl and not B.mul({}, {f"R{n + 1}": ONE})
+    def loop_pair_identities():
+        for j in range(1, N + 1):
+            yield B.mul({f"Q{j}": ONE}, {f"R{n}": ONE}), {f"Q{j}": ONE}
+        yield A.mul({f"P{n + 1}": ONE}, {}), {}
+        yield B.mul({}, {f"R{n + 1}": ONE}), {}
+
     rep.add("corner projections sit under the loop pair and the two sink parts are orthogonal",
-            okl)
+            all(lhs == rhs for lhs, rhs in loop_pair_identities()))
     return rep
 
 
@@ -796,7 +783,6 @@ def verify_En_representation(cfg: SphereConfig, rsum) -> Report:
            and eng.equals(ytail.adj() * ytail, nxt))
     rep.add("clipped inner products equal the next corner projection", okb)
 
-    okq = eng.equals(ytail * ytail.adj(), b_alg[f"Q{N}"])
     okqs = all(eng.equals(y_mod[f"y_{i}"] * y_mod[f"y_{i}"].adj(), b_alg[f"Q{i}"])
                for i in range(1, N + 1))
     resid_b = {f"R{n}": ONE}
@@ -807,7 +793,7 @@ def verify_En_representation(cfg: SphereConfig, rsum) -> Report:
     for i in range(1, N + 1):
         lhs = lhs - y_mod[f"y_{i}"] * y_mod[f"y_{i}"].adj()
     okr = eng.equals(lhs, resid)
-    rep.add("guarded ideal atoms realized exactly", okq and okqs and okr,
+    rep.add("guarded ideal atoms realized exactly", okqs and okr,
             "every corner projection and the loop remainder resolve as sums of rank-one images")
 
     rep.add("pair algebra embeds",
@@ -816,27 +802,27 @@ def verify_En_representation(cfg: SphereConfig, rsum) -> Report:
     rep.add("module generator images nonzero",
             not any(eng.equals(el, eng.zero()) for el in mod.values()))
 
-    cov = True
-    for i in range(1, n):
-        for j in range(i, n):
-            cov = cov and eng.equals(eng.s(f"e_{i}_{j}"), x_mod[f"w_{i}_{j}"])
-        total = x_mod[f"w_{i}_{n}"] + x_mod[f"w_{i}_{n + 1}"] + y_mod[f"x_{i}_{n + 1}"]
-        cov = cov and eng.equals(eng.s(f"f{i}"), total)
-    cov = cov and eng.equals(eng.s("g"), boundary)
-    cov = cov and eng.equals(eng.s("h"), sink)
-    rep.add("label generators covered by module images", cov)
+    def label_covers():
+        for i in range(1, n):
+            for j in range(i, n):
+                yield eng.s(f"e_{i}_{j}"), x_mod[f"w_{i}_{j}"]
+            yield eng.s(f"f{i}"), (x_mod[f"w_{i}_{n}"] + x_mod[f"w_{i}_{n + 1}"]
+                                   + y_mod[f"x_{i}_{n + 1}"])
+        yield eng.s("g"), boundary
+        yield eng.s("h"), sink
 
-    covp = True
-    for i in range(1, n):
-        covp = covp and eng.equals(eng.p(atom_set(f"u{i}")), a_alg[f"P{i}"])
-    covp = covp and eng.equals(eng.p(atom_set("w1")), a_alg[f"P{n + 1}"])
-    a1img = resid
-    for j in range(1, N + 1):
-        a1img = a1img + b_alg[f"Q{j}"]
-    covp = covp and eng.equals(pa(1), a1img)
-    covp = covp and eng.equals(eng.p(atom_set("w2").union(tail("v", 1))),
-                               b_alg[f"R{n + 1}"] + a1img)
-    rep.add("vertex-set projections covered by algebra images", covp)
+    def vertex_covers():
+        for i in range(1, n):
+            yield eng.p(atom_set(f"u{i}")), a_alg[f"P{i}"]
+        yield eng.p(atom_set("w1")), a_alg[f"P{n + 1}"]
+        a1img = sum((b_alg[f"Q{j}"] for j in range(1, N + 1)), resid)
+        yield pa(1), a1img
+        yield eng.p(atom_set("w2").union(tail("v", 1))), b_alg[f"R{n + 1}"] + a1img
+
+    rep.add("label generators covered by module images",
+            all(eng.equals(lhs, rhs) for lhs, rhs in label_covers()))
+    rep.add("vertex-set projections covered by algebra images",
+            all(eng.equals(lhs, rhs) for lhs, rhs in vertex_covers()))
     rep.add("deeper tail projections reached by conjugation",
             eng.equals(eng.s("g").adj() * resid * eng.s("g"), pa(N + 2)))
     return rep

@@ -632,25 +632,30 @@ def scan_is_acyclic_among(g: Graph, verts: frozenset) -> bool:
     return all(color[v] == 2 or dfs(v) for v in order)
 
 
-# ------------------------------------------------- dense forced-zero presolve
+# ------------------------------------- support-listing forced-zero presolve
 
-def dense_forced_zero_presolve(m, b: list) -> tuple[list, list]:
-    """`ktheory._forced_zero_presolve` as it was: every pass rescans each
-    kept row over every remaining column."""
-    rows = list(range(len(m)))
+def support_listing_forced_zero_presolve(m, b: list) -> tuple[list, list]:
+    """`ktheory._forced_zero_presolve` reading each row's nonzero columns
+    from M once, on its first visit; later passes only drop the columns
+    gone since."""
     cols = list(range(len(m[0]) if m else 0))
+    support: dict = {}  # row with b[i] = 0 -> its nonzero columns still kept
+    rows = list(range(len(m)))
     shrinking = True
     while shrinking:
         shrinking = False
         kept = []
         for i in rows:
             if not b[i]:
-                row = m[i]
-                nonzero = [j for j in cols if row[j]]
+                if i in support:
+                    nonzero = support[i] = [j for j in support[i] if j in cols]
+                else:
+                    row = m[i]
+                    nonzero = support[i] = [j for j in cols if row[j]]
                 if not nonzero:
                     shrinking = True
                     continue
-                if len(nonzero) == 1 and row[nonzero[0]] in (1, -1):
+                if len(nonzero) == 1 and m[i][nonzero[0]] in (1, -1):
                     cols.remove(nonzero[0])
                     shrinking = True
                     continue

@@ -1,15 +1,24 @@
-"""Failure records of the check families.
+"""Failure records of the checks.
 
 Each test feeds a check deliberately broken input and pins the whole
-report as (name, ok, detail) triples: one failed check per failing
-instance, in order, then the family's summary."""
+report as (name, ok, detail) triples: for a family, one failed check per
+failing instance, in order, then the family's summary; for a single
+check, one record whose detail is its first witness."""
 
+from dataclasses import replace
+
+import pytest
+
+from corrkit import spheres
 from corrkit.algebra import CommAlgebra, diagonal_algebra
 from corrkit.correspondences import (Correspondence, Morphism, check_covariant_rep,
                                      check_morphism, check_pullback_hypotheses)
 from corrkit.engine import Engine, check_graph_hom, tautological_checks
+from corrkit.labelled import (EdgeFamily, LabelledGraph, check_labelled_morphism,
+                              concrete_graph, truncate_space)
 from corrkit.spheres import (SphereConfig, _row_edges, _row_engine, _row_images,
-                             build_En_space, build_X_A, build_Y_B, rho_Y_images)
+                             build_En_space, build_omega, build_X_A, build_Y_B, build_Z_C,
+                             check_omega_factorization, rho_Y_images)
 
 
 def _records(rep):
@@ -238,4 +247,197 @@ def test_pullback_failure_records_when_no_complement_is_an_ideal(monkeypatch):
         ("(3) first complement is an ideal", False, "A refuses 1"),
         ("(3) second complement is an ideal", False, "B refuses 2"),
         ("(3) kernels complemented", False, "first: u; second: u, v"),
+    ]
+
+
+# ------------------------------------------- labelled morphisms and graphs
+
+MORPHISM_PREFIX = [
+    ("maps total with images in target", True, ""),
+    ("injective on surviving vertices", True, ""),
+    ("label map coherent", True, ""),
+    ("label map injective", True, ""),
+]
+
+
+def _labelled_morphism_records(vertex_changes=(), edge_changes=()):
+    """`check_labelled_morphism` on truncated E_2 mapped to itself: the
+    identity maps with the given entries replaced; an edge change names
+    the edge whose image it takes, or None to kill it."""
+    space = truncate_space(build_En_space(SphereConfig(2)), 3)
+    edges = {e.name: e for e in space.graph.edges}
+    vertex_map = {v: v for v in space.graph.named_vertices}
+    vertex_map.update(vertex_changes)
+    edge_map = dict(edges)
+    edge_map.update((name, image and edges[image]) for name, image in edge_changes)
+    return _records(check_labelled_morphism(space, space, vertex_map, edge_map))
+
+
+def test_labelled_morphism_records_on_a_collapsed_vertex():
+    assert _labelled_morphism_records({("v", 2): ("v", 1)}) == [
+        ("maps total with images in target", True, ""),
+        ("injective on surviving vertices", False, "('v', 1) and ('v', 2) both map to ('v', 1)"),
+        ("label map coherent", True, ""),
+        ("label map injective", True, ""),
+        ("ranges compatible per label", False,
+         "label 'f1': vertex images ['w1', 'w2', ('v', 1), ('v', 3)] "
+         "!= edge image ranges ['w1', 'w2', ('v', 1), ('v', 2), ('v', 3)]"),
+        ("set family preserved", False,
+         "image {w1,w2,v1,v3} of {w1,w2,v1,v2,v3} is outside the target family"),
+    ]
+
+
+def test_labelled_morphism_records_on_a_repeated_label_image():
+    """Every h edge goes to the g edge of its index: g and h both map to g."""
+    changes = [(("h", k), ("g", k)) for k in (1, 2, 3)]
+    assert _labelled_morphism_records(edge_changes=changes) == [
+        ("maps total with images in target", True, ""),
+        ("injective on surviving vertices", True, ""),
+        ("label map coherent", True, ""),
+        ("label map injective", False, "'g' and 'h' both map to 'g'"),
+        ("ranges compatible per label", False,
+         "label 'h': vertex images ['w1'] != edge image ranges [('v', 1), ('v', 2), ('v', 3)]"),
+        ("set family preserved", True, ""),
+    ]
+
+
+def test_killed_vertices_and_labels_do_not_collide():
+    """w1, w2 and every f1 and h edge go to None: two killed vertices and
+    two killed labels share no image."""
+    killed = [(("f1", k), None) for k in range(1, 6)] + [(("h", k), None) for k in (1, 2, 3)]
+    assert _labelled_morphism_records({"w1": None, "w2": None}, killed) == MORPHISM_PREFIX + [
+        ("ranges compatible per label", False,
+         "label 'f1': vertex images [('v', 1), ('v', 2), ('v', 3)] != edge image ranges []"),
+        ("set family preserved", True, ""),
+    ]
+
+
+def test_labelled_morphism_records_end_at_an_incoherent_label_map():
+    assert _labelled_morphism_records(edge_changes=[(("f1", 1), ("g", 1))]) == [
+        ("maps total with images in target", True, ""),
+        ("injective on surviving vertices", True, ""),
+        ("label map coherent", False, "label 'f1' maps incoherently"),
+    ]
+
+
+def test_labelled_morphism_records_on_a_range_mismatch():
+    assert _labelled_morphism_records({"w1": "w2", "w2": "w1"}) == MORPHISM_PREFIX + [
+        ("ranges compatible per label", False, "label 'h': vertex images ['w2'] != edge image ranges ['w1']"),
+        ("set family preserved", False, "image {w2} of {w1} is outside the target family"),
+    ]
+
+
+def test_labelled_morphism_records_on_a_family_image_outside_the_target():
+    assert _labelled_morphism_records({("v", 2): ("v", 3), ("v", 3): ("v", 2)}) == MORPHISM_PREFIX + [
+        ("ranges compatible per label", True, ""),
+        ("set family preserved", False, "image {v2} of {v3} is outside the target family"),
+    ]
+
+
+def test_labelled_morphism_records_on_an_image_that_emits_no_label():
+    assert _labelled_morphism_records({"u1": "w1", "w1": "u1"}) == MORPHISM_PREFIX + [
+        ("ranges compatible per label", False,
+         "label 'e_1_1': vertex images ['w1'] != edge image ranges ['u1']"),
+        ("set family preserved", False, "{u1} emits labels but its image {w1} emits none"),
+    ]
+
+
+def test_labelled_morphism_records_end_at_a_map_that_is_not_total():
+    """w1 and w2 have no image: the report ends at the first check
+    rather than reading the missing images in the range check."""
+    space = truncate_space(build_En_space(SphereConfig(2)), 3)
+    vertex_map = {v: v for v in space.graph.named_vertices if v not in ("w1", "w2")}
+    edge_map = {e.name: e for e in space.graph.edges}
+    assert _records(check_labelled_morphism(space, space, vertex_map, edge_map)) == [
+        ("maps total with images in target", False, ""),
+    ]
+
+
+def test_labelled_graph_records_on_dangling_edges():
+    g = concrete_graph(["a", "b"], [("e1", "a", "c", "x"), ("e2", "a", "b", "x"),
+                                    ("e3", "d", "a", "y")])
+    assert _records(g.validate()) == [
+        ("edge names unique", True, ""),
+        ("family bases unique", True, ""),
+        ("edge e1 endpoints exist", False, "src=a dst=c"),
+        ("edge e3 endpoints exist", False, "src=d dst=a"),
+        ("concrete endpoints exist", False, ""),
+        ("family specs well formed", True, ""),
+    ]
+
+
+@pytest.mark.parametrize("family, ok", [
+    (EdgeFamily("f", 0, ("idx", "v", 0), ("idx", "v", 1), ("const", "x")), False),
+    (EdgeFamily("f", 1, ("const", "zz"), ("idx", "v", 1), ("const", "x")), False),
+    (EdgeFamily("f", 1, ("idx", "q", 0), ("idx", "v", 1), ("const", "x")), False),
+    (EdgeFamily("f", 1, ("idx", "v", -1), ("idx", "v", 1), ("const", "x")), False),
+    (EdgeFamily("f", 1, ("idx", "v", 0), ("idx", "v", 1), ("idx", "l", -1)), False),
+    (EdgeFamily("f", 1, ("const", "a"), ("const", "a"), ("const", "x")), False),
+    (EdgeFamily("f", 1, ("const", "a"), ("idx", "v", 1), ("idx", "l", 0)), True),
+], ids=["start-zero", "missing-vertex", "missing-base", "index-below-one",
+        "label-below-one", "parallel-constants", "well-formed"])
+def test_labelled_graph_records_on_family_specs(family, ok):
+    g = LabelledGraph(frozenset({"a"}), frozenset({"v"}), (), (family,))
+    assert _records(g.validate()) == [
+        ("edge names unique", True, ""),
+        ("family bases unique", True, ""),
+        ("concrete endpoints exist", True, ""),
+        ("family specs well formed", ok, ""),
+    ]
+
+
+# ------------------------------------------------ factorization of omega
+
+@pytest.mark.parametrize("table, images, mismatch", [
+    ("mod_map", {"y": {"z_1_2": 1}, "x_1_1": {}}, ("module", "x_1_1")),
+    ("alg_map", {"Q1": {"S1": 1}}, ("algebra", "Q1")),
+], ids=["module", "algebra"])
+def test_omega_factorization_records_on_perturbed_images(table, images, mismatch):
+    """omega at n = 2 with some images changed: the failed check names
+    the first changed generator in sorted order."""
+    cfg = SphereConfig(2)
+    omega = build_omega(cfg, build_Y_B(cfg), build_Z_C(cfg))
+    omega = replace(omega, **{table: {**getattr(omega, table), **images}})
+    records = _records(check_omega_factorization(cfg, omega, _row_engine(2, 3), _row_engine(2, 2)))
+    assert records[:9] == [(name, True, "") for name in (
+        "flip automorphism / relations / projections orthogonal idempotents",
+        "flip automorphism / relations / edge images: isometry relations",
+        "flip automorphism / relations / edge images: support and range",
+        "flip automorphism / relations / regular vertices resolve",
+        "flip automorphism / applying the flip twice fixes the generators",
+        "sink-killing extension / projections orthogonal idempotents",
+        "sink-killing extension / edge images: isometry relations",
+        "sink-killing extension / edge images: support and range",
+        "sink-killing extension / regular vertices resolve")]
+    kind, first = mismatch
+    assert records[9:] == [
+        ("omega agrees on module generators", kind != "module",
+         f"first mismatch at {first}" if kind == "module" else ""),
+        ("omega agrees on algebra generators", kind != "algebra",
+         f"first mismatch at {first}" if kind == "algebra" else ""),
+    ]
+
+
+def test_lemma_records_with_every_rank_one_operator_doubled(monkeypatch):
+    """Each theta[x, y] replaced by theta[2x, y] at n = 2: every rank-one
+    check fails, the row loops naming their last failing row and the
+    single operators their first failing generator."""
+    real = spheres.theta
+    monkeypatch.setattr(spheres, "theta", lambda x, y: real({k: 2 * v for k, v in x.items()}, y))
+    cfg = SphereConfig(2)
+    assert _records(spheres.lemma_suite(cfg, build_X_A(cfg))) == [
+        ("disc kernel is the sink projection", True, "ker phi = span of P3"),
+        ("disc compactness ideal is the regular rows", True, "ideal atoms: ['P1', 'P2']"),
+        ("disc module fully resolved", True, ""),
+        ("each ideal projection is its full row of rank-one terms", False, "row 2 fails at w_2_2"),
+        ("rows truncated before the sink column are refuted", False,
+         "dropping the sink column loses the action on it"),
+        ("each leading filtered row decomposes over its x block", False, "row 1 fails at x_1_1"),
+        ("filtered rows truncated before the last column are refuted", False,
+         "dropping the last column loses the action on it"),
+        ("loop-row projection is a single rank-one corner", False, "fails at y"),
+        ("sink-row projection is a single rank-one corner", False, "fails at y"),
+        ("corner projections are rank-one", False, "Q4 fails at y"),
+        ("filtered module has trivial kernel", True,
+         "with the rank-one rows above, the ideal is the whole algebra on the verified range"),
     ]

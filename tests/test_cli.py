@@ -184,9 +184,16 @@ def test_malformed_list_field_exits_3(tmp_path, command, source, path, value, me
     (["verify-sphere", "--n", "1", "--trunc", "1"], "argument --trunc: must be at least 2, got 1"),
     (["verify-sphere", "--n", "1", "--trunc", "0"], "argument --trunc: must be at least 2, got 0"),
     (["properties", "--cases", "many"], "argument --cases: invalid int value: 'many'"),
+    (["labelled-check", str(DATA / "en_labelled_n2.json"), "--budget", "-5"],
+     "argument --budget: must be at least 1, got -5"),
+    (["labelled-check", str(DATA / "en_labelled_n2.json"), "--budget", "0"],
+     "argument --budget: must be at least 1, got 0"),
+    (["obstruction", "--jobs", "-3"], "argument --jobs: must be at least 1, got -3"),
+    (["obstruction", "--jobs", "0"], "argument --jobs: must be at least 1, got 0"),
 ], ids=["cases-negative", "cases-one", "vertices-negative", "vertices-two", "edges-two",
         "trunc-zero", "trunc-negative", "sphere-n-zero", "sphere-n-negative",
-        "sphere-trunc-one", "sphere-trunc-zero", "cases-not-int"])
+        "sphere-trunc-one", "sphere-trunc-zero", "cases-not-int", "budget-negative",
+        "budget-zero", "jobs-negative", "jobs-zero"])
 def test_flag_below_its_floor_is_a_usage_error(capsys, argv, message):
     """A budget that leaves nothing to check is refused at the parser
     instead of passing vacuously: exit 2 and one `error:` line that names

@@ -11,7 +11,7 @@ from corrkit.obstruction import enumerate_candidates
 from corrkit.smith import integer_solve
 from corrkit.spheres import SphereConfig, build_disc_graph, build_z_graph
 
-from oracles import HAND_SMITH, dense_forced_zero_presolve
+from oracles import HAND_SMITH, support_listing_forced_zero_presolve
 
 
 def _loop():
@@ -220,16 +220,16 @@ def _chain_system(rng: random.Random) -> tuple[list, list]:
     return m, b
 
 
-def test_presolve_matches_the_dense_rescan_in_any_row_order():
-    """Each row's support listed once gives the rows and columns the
-    dense rescan gave; shuffling the rows drops the same ones (the
+def test_presolve_matches_the_support_listing_in_any_row_order():
+    """The dense rescan gives the rows and columns that listing each
+    row's support once gives; shuffling the rows drops the same ones (the
     module docstring's order argument)."""
     rng = random.Random(2982)
     longest = 0
     for _ in range(500):
         m, b = _chain_system(rng)
         rows, cols = _forced_zero_presolve(m, b)
-        assert (rows, cols) == dense_forced_zero_presolve(m, b)
+        assert (rows, cols) == support_listing_forced_zero_presolve(m, b)
         longest = max(longest, len(m[0]) - len(cols))
         perm = rng.sample(range(len(m)), len(m))
         p_rows, p_cols = _forced_zero_presolve([m[i] for i in perm], [b[i] for i in perm])
