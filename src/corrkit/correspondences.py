@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import CommAlgebra, diagonal_algebra
+from .algebra import CommAlgebra, _axiom_failures, _compose, _grouped, diagonal_algebra
 from .exactlinalg import (SpanSolver, _axpy, _table_apply, express, frac, is_psd,
                           nullspace, same_span, solve, sort_key, vclean, vec_repr)
 from .reports import Report
@@ -44,38 +44,6 @@ def _pairs(syms):
     for i, a in enumerate(syms):
         for b in syms[i:]:
             yield a, b
-
-
-def _grouped(table: dict, i: int) -> dict:
-    """The nonzero entries of a pair-keyed table grouped by component
-    `i` of their key: symbol -> [(other component, entry)]."""
-    out = {}
-    for key, v in table.items():
-        if v:
-            out.setdefault(key[i], []).append((key[1 - i], v))
-    return out
-
-
-def _compose(table: dict, index: dict, key) -> dict:
-    """One side of a trilinear axiom as {index triple: vector}: for each
-    stored entry ((p, q), v) of `table`, each term x*k of v and each
-    entry (r, w) of `index[k]`, add x*w at key(p, q, r)."""
-    out = {}
-    for (p, q), v in table.items():
-        for k, x in v.items():
-            for r, w in index.get(k, ()):
-                _axpy(out.setdefault(key(p, q, r), {}), x, w)
-    return out
-
-
-def _axiom_failures(label: str, lhs: dict, rhs: dict, detail: bool):
-    """One failure per index where the two sides differ (a missing index
-    is the zero vector), in the order of nested loops over sorted
-    symbols."""
-    bad = [k for k in lhs.keys() | rhs.keys() if lhs.get(k, {}) != rhs.get(k, {})]
-    for k in sorted(bad, key=lambda k: tuple(map(sort_key, k))):
-        yield (f"{label} at ({','.join(map(str, k))})",
-               f"{vec_repr(lhs.get(k, {}))} != {vec_repr(rhs.get(k, {}))}" if detail else "")
 
 
 class Correspondence:
@@ -113,16 +81,14 @@ class Correspondence:
                 raise ValueError(f"{name}: inner table asymmetric at ({g},{h})")
             self._inner[(g, h)] = v
             self._inner[(h, g)] = v
-        self._right = {}
-        for (g, b), v in right.items():
-            if g not in gen_set or b not in basis_set:
-                raise ValueError(f"{name}: right table uses unknown symbol ({g},{b})")
-            self._right[(g, b)] = vclean({k: frac(c) for k, c in v.items()})
-        self._left = {}
-        for (b, g), v in left.items():
-            if g not in gen_set or b not in basis_set:
-                raise ValueError(f"{name}: left table uses unknown symbol ({b},{g})")
-            self._left[(b, g)] = vclean({k: frac(c) for k, c in v.items()})
+        self._right, self._left = {}, {}
+        for label, given, stored, (firsts, seconds) in (
+                ("right", right, self._right, (gen_set, basis_set)),
+                ("left", left, self._left, (basis_set, gen_set))):
+            for (p, q), v in given.items():
+                if p not in firsts or q not in seconds:
+                    raise ValueError(f"{name}: {label} table uses unknown symbol ({p},{q})")
+                stored[(p, q)] = vclean({k: frac(c) for k, c in v.items()})
         self.guards = frozenset(guards)
         self.clipped = frozenset({(g, h) for g, h in clipped} | {(h, g) for g, h in clipped})
         if unknown := self.guards - basis_set | {s for p in self.clipped for s in p} - gen_set:

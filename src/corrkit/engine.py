@@ -59,6 +59,7 @@ from .errors import BudgetError, UnsupportedSpaceError
 from .exactlinalg import frac, sort_key
 from .labelled import (LabelledSpace, full_set, label_instances, label_set,
                        relative_range, sink_set)
+from .reports import Report
 from .setexpr import EMPTY, SetExpr, atoms as atom_set
 
 MAX_GROUP_SETS = 14
@@ -471,7 +472,7 @@ def substitute(x: Element, dst: Engine, s_images: dict, v_images: dict) -> Eleme
 
 
 def check_graph_hom(graph_vertices, edges, dst: Engine, s_images: dict,
-                    p_images: dict, regular=None) -> "Report":
+                    p_images: dict, regular=None) -> Report:
     """Verify that candidate images satisfy the relations of a graph
     algebra presentation.
 
@@ -482,8 +483,6 @@ def check_graph_hom(graph_vertices, edges, dst: Engine, s_images: dict,
     `regular` (default: all emitting vertices) is the sum of its edge
     range projections.
     """
-    from .reports import Report
-
     rep = Report("graph relations on images")
     verts = sorted(graph_vertices, key=sort_key)
     out_by_src: dict = {}
@@ -526,13 +525,11 @@ def check_graph_hom(graph_vertices, edges, dst: Engine, s_images: dict,
     return rep
 
 
-def tautological_checks(engine: Engine) -> "Report":
+def tautological_checks(engine: Engine) -> Report:
     """Self-test: the engine's own generators satisfy the defining
     relations of the space (projection lattice additivity, commutation
     past the isometries, isometry products, and the summation relation
     where it applies)."""
-    from .reports import Report
-
     rep = Report("representation relations")
     space = engine.space
     g = engine.graph

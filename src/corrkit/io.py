@@ -107,6 +107,18 @@ def _strings(val: list, what: str) -> list:
     return val
 
 
+def _pair_table(records: list, keys: tuple, where: str, label: str) -> dict:
+    """The (symbol, symbol) -> vector table of `records`, each an object
+    with string fields `keys` and an `out` vector; a later record for a
+    pair replaces an earlier one."""
+    table = {}
+    for rec in records:
+        pair = tuple(_need(rec, key, str, where) for key in keys)
+        at = f"{label} ({pair[0]},{pair[1]})"
+        table[pair] = parse_vec(_need(rec, "out", (list, dict), at), at)
+    return table
+
+
 # ---------------------------------------------------------------- graphs
 
 def graph_from_json(doc) -> Graph:
@@ -128,13 +140,7 @@ def graph_from_json(doc) -> Graph:
 
 def algebra_from_json(doc) -> CommAlgebra:
     basis = _strings(_need(doc, "basis", list, "algebra"), "algebra: basis symbol")
-    mult = _need(doc, "mult", list, "algebra")
-    table = {}
-    for rec in mult:
-        l = _need(rec, "l", str, "algebra mult")
-        r = _need(rec, "r", str, "algebra mult")
-        table[(l, r)] = parse_vec(_need(rec, "out", (list, dict), f"mult ({l},{r})"),
-                                  f"mult ({l},{r})")
+    table = _pair_table(_need(doc, "mult", list, "algebra"), ("l", "r"), "algebra mult", "mult")
     name = doc.get("name", "A")
     try:
         return CommAlgebra(name, basis, table)
@@ -190,7 +196,10 @@ def _seed_from_json(rec, bases, where: str) -> SetExpr:
         vals = rec["atoms"]
         if not isinstance(vals, list):
             raise ValidationError(f"{where}: atoms must be a list")
-        out = out.union(atom_set(*(vertex_from_json(v, where) for v in vals)))
+        keys = [vertex_from_json(v, where) for v in vals]
+        if low := [k for k in keys if isinstance(k, tuple) and k[1] < 1]:
+            raise ValidationError(f"{where}: seed {rec!r}: vertex index {low[0][1]} is below 1")
+        out = out.union(atom_set(*keys))
     if "tail" in rec:
         k = rec["tail"]
         base = rec.get("base")
@@ -203,7 +212,10 @@ def _seed_from_json(rec, bases, where: str) -> SetExpr:
         _strings([base], f"{where}: tail base")
         if base not in bases:
             raise ValidationError(f"{where}: unknown tail base {base!r}")
-        out = out.union(tail(base, _int(k, f"{where}: tail")))
+        k = _int(k, f"{where}: tail")
+        if k < 1:
+            raise ValidationError(f"{where}: seed {rec!r}: tail index {k} is below 1")
+        out = out.union(tail(base, k))
     if out is EMPTY and ("atoms" in rec or "tail" in rec):
         raise ValidationError(f"{where}: empty family seed")
     if "atoms" not in rec and "tail" not in rec:
@@ -294,24 +306,10 @@ def correspondence_from_json(doc) -> Correspondence:
     alg = algebra_from_json(_need(doc, "algebra", dict, f"correspondence {name}"))
     gens = _strings(_need(doc, "generators", list, f"correspondence {name}"),
                     f"correspondence {name}: generator")
-    inner = {}
-    for rec in _opt_list(doc, "inner", f"correspondence {name}"):
-        g = _need(rec, "left", str, "inner")
-        h = _need(rec, "right", str, "inner")
-        inner[(g, h)] = parse_vec(_need(rec, "out", (list, dict), f"inner ({g},{h})"),
-                                  f"inner ({g},{h})")
-    right = {}
-    for rec in _opt_list(doc, "right", f"correspondence {name}"):
-        g = _need(rec, "gen", str, "right")
-        b = _need(rec, "alg", str, "right")
-        right[(g, b)] = parse_vec(_need(rec, "out", (list, dict), f"right ({g},{b})"),
-                                  f"right ({g},{b})")
-    left = {}
-    for rec in _opt_list(doc, "left", f"correspondence {name}"):
-        b = _need(rec, "alg", str, "left")
-        g = _need(rec, "gen", str, "left")
-        left[(b, g)] = parse_vec(_need(rec, "out", (list, dict), f"left ({b},{g})"),
-                                 f"left ({b},{g})")
+    where = f"correspondence {name}"
+    inner = _pair_table(_opt_list(doc, "inner", where), ("left", "right"), "inner", "inner")
+    right = _pair_table(_opt_list(doc, "right", where), ("gen", "alg"), "right", "right")
+    left = _pair_table(_opt_list(doc, "left", where), ("alg", "gen"), "left", "left")
     try:
         return Correspondence(name, alg, gens, inner, right, left)
     except ValueError as exc:
@@ -321,29 +319,22 @@ def correspondence_from_json(doc) -> Correspondence:
 def morphism_from_json(doc, src: Correspondence, dst: Correspondence) -> Morphism:
     amap_doc = _need(doc, "algebra_map", dict, "morphism")
     mmap_doc = _need(doc, "module_map", dict, "morphism")
-    dst_basis = set(dst.algebra.basis)
-    dst_gens = set(dst.gens)
-    alg_map = {}
-    for b in src.algebra.basis:
-        vec = parse_vec(amap_doc.get(b, []), f"algebra_map[{b}]")
-        bad = set(vec) - dst_basis
-        if bad:
-            raise ValidationError(f"algebra_map[{b}]: unknown target symbols {sorted(bad)}")
-        alg_map[b] = vec
-    for key in amap_doc:
-        if key not in src.algebra.basis:
-            raise ValidationError(f"algebra_map: {key!r} is not a source basis symbol")
-    mod_map = {}
-    for g in src.gens:
-        vec = parse_vec(mmap_doc.get(g, []), f"module_map[{g}]")
-        bad = set(vec) - dst_gens
-        if bad:
-            raise ValidationError(f"module_map[{g}]: unknown target symbols {sorted(bad)}")
-        mod_map[g] = vec
-    for key in mmap_doc:
-        if key not in src.gens:
-            raise ValidationError(f"module_map: {key!r} is not a source generator")
-    return Morphism(src, dst, alg_map, mod_map)
+    maps = []
+    for label, given, syms, targets, what in (
+            ("algebra_map", amap_doc, src.algebra.basis, set(dst.algebra.basis),
+             "source basis symbol"),
+            ("module_map", mmap_doc, src.gens, set(dst.gens), "source generator")):
+        out = {}
+        for sym in syms:
+            vec = parse_vec(given.get(sym, []), f"{label}[{sym}]")
+            if bad := set(vec) - targets:
+                raise ValidationError(f"{label}[{sym}]: unknown target symbols {sorted(bad)}")
+            out[sym] = vec
+        for key in given:
+            if key not in syms:
+                raise ValidationError(f"{label}: {key!r} is not a {what}")
+        maps.append(out)
+    return Morphism(src, dst, *maps)
 
 
 def corr_check_from_json(doc):

@@ -25,8 +25,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+from .algebra import diagonal_algebra
+from .correspondences import Correspondence, Morphism
 from .errors import BudgetError, UnsupportedSpaceError
 from .exactlinalg import _axpy, express, sort_key
+from .reports import Report
 from .setexpr import SetExpr, _intern, atoms as atom_set, tail, union_all
 
 CONST = "const"
@@ -97,9 +100,7 @@ class LabelledGraph:
             return True
         return isinstance(v, tuple) and len(v) == 2 and v[0] in self.vertex_bases and v[1] >= 1
 
-    def validate(self) -> "Report":
-        from .reports import Report
-
+    def validate(self) -> Report:
         rep = Report("labelled graph")
         names = [e.name for e in self.edges]
         rep.add("edge names unique", len(names) == len(set(names)))
@@ -438,7 +439,7 @@ def label_image_map(space: LabelledSpace, edge_map: dict) -> dict:
 
 
 def check_labelled_morphism(space_e: LabelledSpace, space_f: LabelledSpace,
-                            vertex_map: dict, edge_map: dict) -> "Report":
+                            vertex_map: dict, edge_map: dict) -> Report:
     """Check the morphism conditions for a pair of maps between two
     concrete labelled spaces.
 
@@ -450,8 +451,6 @@ def check_labelled_morphism(space_e: LabelledSpace, space_f: LabelledSpace,
     non-degenerate finite label sets.  The later checks read the maps:
     a failed first check or an incoherent label map ends the report.
     """
-    from .reports import Report
-
     ge, gf = space_e.graph, space_f.graph
     if not (ge.is_concrete() and gf.is_concrete()):
         raise UnsupportedSpaceError("morphism checks need concrete spaces")
@@ -533,7 +532,7 @@ class CorrespondenceModel:
     """
 
     space: LabelledSpace
-    corr: object
+    corr: Correspondence
     cells: tuple
     cell_names: tuple
     labels: tuple
@@ -567,9 +566,6 @@ class CorrespondenceModel:
 def to_correspondence(space: LabelledSpace, name: str = "labelled") -> CorrespondenceModel:
     """Present the module of a concrete labelled space over the span of
     its family projections, on the cell basis."""
-    from .algebra import diagonal_algebra
-    from .correspondences import Correspondence
-
     g = space.graph
     if not g.is_concrete():
         raise UnsupportedSpaceError("correspondence model needs a concrete space")
@@ -651,8 +647,6 @@ def induced_morphism(model_e: CorrespondenceModel, model_f: CorrespondenceModel,
     from the member expansion of each cell.  The result is returned as a
     Morphism ready for the compatibility checks.
     """
-    from .correspondences import Morphism
-
     lmap = label_image_map(model_e.space, edge_map)
     members = [m for m in model_e.space.core if not m.is_empty()]
     member_images = []

@@ -27,9 +27,8 @@ class Report:
     A check reports by one rule: `add` for one verdict, `first` for one
     check failing with its first witness, `tally` for a family (one failed
     check per failing instance, in order, then a summary passing when none
-    failed).  Two places keep their own shape: `CommAlgebra.validate`, whose
-    records (all failures, no summary) form `PresentationError` messages,
-    and the `properties` suites, whose laws share one loop's random draws.
+    failed).  One place keeps its own shape: the `properties` suites, whose
+    laws share one loop's random draws.
     """
 
     def __init__(self, title: str):

@@ -31,7 +31,7 @@ from .correspondences import (Correspondence, Morphism, _tagged, check_covariant
                               check_morphism, check_pullback_hypotheses,
                               kernel_and_jx, restricted_direct_sum, theta)
 from .engine import Engine, check_graph_hom, substitute
-from .exactlinalg import SpanSolver, sort_key
+from .exactlinalg import SpanSolver, sort_key, vec_repr
 from .graphs import Graph
 from .ktheory import k_theory
 from .labelled import (Edge, EdgeFamily, LabelledGraph, build_space,
@@ -631,16 +631,22 @@ def mirror_span_report(cfg: SphereConfig, rsum, psi: Morphism,
               (f"stray {name}" for name, va, vb in rsum.atom_table
                if not psolver.contains(_tagged(va, vb, tags=("A", "B")))))
 
-    A, B = X.algebra, Y.algebra
-    n, N = cfg.n, cfg.N
-    def loop_pair_identities():
-        for j in range(1, N + 1):
-            yield B.mul({f"Q{j}": ONE}, {f"R{n}": ONE}), {f"Q{j}": ONE}
-        yield A.mul({f"P{n + 1}": ONE}, {}), {}
-        yield B.mul({}, {f"R{n + 1}": ONE}), {}
+    B, n = Y.algebra, cfg.n
+    sinks = (f"P{n + 1}|0", f"0|R{n + 1}")
+    rows = {name for name, _, _ in rsum.atom_table}
 
-    rep.add("corner projections sit under the loop pair and the two sink parts are orthogonal",
-            all(lhs == rhs for lhs, rhs in loop_pair_identities()))
+    def loop_pair_failures():
+        for j in range(1, cfg.N + 1):
+            if (got := B.mul({f"Q{j}": ONE}, {f"R{n}": ONE})) != {f"Q{j}": ONE}:
+                yield f"Q{j}*R{n} = {vec_repr(got)}"
+        # checked on their own: `mul` on an unknown symbol is zero too
+        if missing := [s for s in sinks if s not in rows]:
+            yield f"no pair atom {', '.join(missing)}"
+        elif prod := rsum.corr.algebra.mul({sinks[0]: ONE}, {sinks[1]: ONE}):
+            yield f"{sinks[0]}*{sinks[1]} = {vec_repr(prod)}"
+
+    rep.first("corner projections sit under the loop pair and the two sink parts are orthogonal",
+              loop_pair_failures())
     return rep
 
 

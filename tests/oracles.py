@@ -4,9 +4,10 @@ Each oracle recomputes a quantity by a different route than the library
 code under test: invariant factors through minor gcds instead of
 elimination, labelled-space arithmetic through a naive edge-walking
 calculator over frozensets instead of closed-form set expressions,
-correspondence validation and the morphism table checks through dense
-loops over every generator and basis index instead of sparse walks over
-the stored table entries or one comparison of two index maps,
+algebra and correspondence validation and the morphism table checks
+through dense loops over every generator and basis index instead of
+sparse walks over the stored table entries or one comparison of two
+index maps,
 compact decompositions through a dense system over every generator pair
 instead of one built from the stored inner entries, engine products reduced pair by pair instead of through the engine's
 memo of term-pair products, `Engine.combine` as a fold of filtered sums
@@ -116,6 +117,36 @@ HAND_SMITH = {
         "matrix": [[0, 0], [1, 0]], "diagonal": [1, 0], "pair": "K0 = Z, K1 = Z",
     },
 }
+
+
+# ------------------------------------------------------ dense algebra check
+
+def dense_algebra_records(alg) -> list:
+    """(name, ok, detail) records of `CommAlgebra.validate`, computed by
+    the dense loop: both products of every triple of sorted basis
+    symbols, each formed with `mul`."""
+    rep = Report(f"algebra {alg.name}")
+    ok = True
+    for a in alg.basis:
+        if alg.basis_product(a, a) != {a: ONE}:
+            ok = False
+            rep.add("idempotent basis", False, f"{a}*{a} = {vec_repr(alg.basis_product(a, a))}")
+    rep.add("idempotent basis", ok)
+
+    basis = alg.sorted_basis()
+    ok = True
+    for a in basis:
+        for b in basis:
+            ab = alg.basis_product(a, b)
+            for c in basis:
+                left = alg.mul(ab, {c: ONE})
+                right = alg.mul({a: ONE}, alg.basis_product(b, c))
+                if left != right:
+                    ok = False
+                    rep.add(f"associativity at ({a},{b},{c})", False,
+                            f"{vec_repr(left)} != {vec_repr(right)}")
+    rep.add("associativity", ok)
+    return [(c.name, c.ok, c.detail) for c in rep.checks]
 
 
 # ------------------------------------------------ dense correspondence check

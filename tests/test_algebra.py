@@ -1,8 +1,12 @@
+import random
 from fractions import Fraction
 
 import pytest
 
 from corrkit.algebra import CommAlgebra, PresentationError, diagonal_algebra
+from corrkit.reports import Report
+
+from oracles import dense_algebra_records
 
 
 def test_diagonal_algebra_products():
@@ -103,3 +107,86 @@ def test_validate_report_is_clean():
     rep = a.validate()
     assert rep.ok
     assert any("associativity" in c.name for c in rep.checks)
+
+
+def _unvalidated(name, basis, table):
+    """The algebra the constructor stores for `table`, with validation
+    skipped so that a failing presentation can be inspected."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(CommAlgebra, "validate", lambda self: Report(f"algebra {name}"))
+        return CommAlgebra(name, basis, table)
+
+
+def _records(rep):
+    return [(c.name, c.ok, c.detail) for c in rep.checks]
+
+
+def _random_table(rng: random.Random, basis: list) -> dict:
+    """A symmetric table over `basis`: mostly idempotent diagonal
+    entries, off-diagonal entries zero, one of the pair (a chain), or a
+    random combination."""
+    def combo():
+        return {b: rng.choice([-1, 1, 2, Fraction(1, 2)])
+                for b in rng.sample(basis, rng.randint(1, len(basis)))}
+
+    table = {}
+    for i, a in enumerate(basis):
+        table[(a, a)] = {a: 1} if rng.random() < 0.8 else rng.choice([{a: 2}, {}, combo()])
+        for b in basis[i + 1:]:
+            roll = rng.random()
+            table[(a, b)] = ({} if roll < 0.4 else {rng.choice((a, b)): 1} if roll < 0.7
+                             else combo())
+    return table
+
+
+def test_validate_matches_the_dense_triple_loop():
+    """On seeded random tables, some failing each family, the sparse
+    validation gives the dense loop's records, and the constructor
+    refuses exactly the failing tables with every failure line."""
+    rng = random.Random(2113)
+    verdicts = set()
+    for i in range(300):
+        basis = rng.sample(["P1", "P2", "P10", "Q"], rng.randint(1, 4))
+        table = _random_table(rng, basis)
+        alg = _unvalidated(f"T{i}", basis, table)
+        got = _records(alg.validate())
+        assert got == dense_algebra_records(alg), (basis, table)
+        failed = [f"[FAIL] {name}: {detail}" if detail else f"[FAIL] {name}"
+                  for name, ok, detail in got if not ok]
+        verdicts.add(frozenset(name for name, ok, _ in got if not ok and " at " not in name))
+        if failed:
+            with pytest.raises(PresentationError) as exc:
+                CommAlgebra(f"T{i}", basis, table)
+            assert str(exc.value) == f"T{i}: " + "; ".join(failed)
+        else:
+            CommAlgebra(f"T{i}", basis, table)
+    assert verdicts == {frozenset(), frozenset({"idempotent basis"}),
+                        frozenset({"associativity"}),
+                        frozenset({"idempotent basis", "associativity"})}
+
+
+def test_validate_records_on_a_non_idempotent_symbol():
+    alg = _unvalidated("N", ["f", "e"], {("e", "e"): {"e": 2}, ("f", "f"): {"f": 1}})
+    assert _records(alg.validate()) == [
+        ("idempotent basis", False, "e*e = 2*e"),
+        ("idempotent basis", False, ""),
+        ("associativity", True, ""),
+    ]
+
+
+def test_validate_records_on_a_non_associative_product():
+    """e*f = g with g orthogonal to both: (e*f)*g = g but e*(f*g) = 0."""
+    alg = _unvalidated("N", ["e", "f", "g"],
+                       {**{(x, x): {x: 1} for x in "efg"}, ("e", "f"): {"g": 1}})
+    assert _records(alg.validate()) == [
+        ("idempotent basis", True, ""),
+        ("associativity at (e,e,f)", False, "g != 0"),
+        ("associativity at (e,f,f)", False, "0 != g"),
+        ("associativity at (e,f,g)", False, "g != 0"),
+        ("associativity at (f,e,e)", False, "0 != g"),
+        ("associativity at (f,e,g)", False, "g != 0"),
+        ("associativity at (f,f,e)", False, "g != 0"),
+        ("associativity at (g,e,f)", False, "0 != g"),
+        ("associativity at (g,f,e)", False, "0 != g"),
+        ("associativity", False, ""),
+    ]

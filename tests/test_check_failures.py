@@ -6,6 +6,7 @@ failing instance, in order, then the family's summary; for a single
 check, one record whose detail is its first witness."""
 
 from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 
@@ -415,6 +416,35 @@ def test_omega_factorization_records_on_perturbed_images(table, images, mismatch
          f"first mismatch at {first}" if kind == "module" else ""),
         ("omega agrees on algebra generators", kind != "algebra",
          f"first mismatch at {first}" if kind == "algebra" else ""),
+    ]
+
+
+# ------------------------------------------------------- glued pair span
+
+def _merged_sinks(table):
+    """The sink rows P3|0 and 0|R3 replaced by their sum, one row P3|R3."""
+    rest = [row for row in table if row[0] not in ("P3|0", "0|R3")]
+    return rest + [("P3|R3", {"P3": Fraction(1)}, {"R3": Fraction(1)})]
+
+
+@pytest.mark.parametrize("atoms, stray, missing", [
+    (lambda table: [row for row in table if row[0] != "P3|0"], "", "P3|0"),
+    (_merged_sinks, "stray 0|x_1_3", "P3|0, 0|R3"),
+], ids=["lacking", "merged"])
+def test_mirror_span_records_on_a_lost_sink_row(atoms, stray, missing):
+    """The glued sum at n = 2 with a sink pair atom dropped or merged
+    into the other: the sink half of the loop-pair check names the
+    missing rows, since a product with an unknown symbol is zero too."""
+    cfg = SphereConfig(2)
+    rsum, psi, omega = spheres.build_mirror_sum(cfg)
+    rsum = replace(rsum, atom_table=atoms(rsum.atom_table))
+    assert _records(spheres.mirror_span_report(cfg, rsum, psi, omega)) == [
+        ("expected pairs lie in the computed module", True, "14 pairs checked"),
+        ("computed generators lie in the translated span of the expected pairs", not stray, stray),
+        ("expected projections lie in the pair algebra", False, "projection index 2 escapes"),
+        ("pair atoms lie in the span of the expected projections", True, ""),
+        ("corner projections sit under the loop pair and the two sink parts are orthogonal",
+         False, f"no pair atom {missing}"),
     ]
 
 

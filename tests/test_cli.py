@@ -218,6 +218,19 @@ def test_smallest_flag_values_are_accepted(capsys):
     assert "(horizon 1)" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("seed, message", [
+    ({"atoms": [["v", 0]]}, "vertex index 0 is below 1"),
+    ({"base": "v", "tail": 0}, "tail index 0 is below 1"),
+], ids=["atom", "tail"])
+def test_seed_index_below_one_exits_3(tmp_path, seed, message):
+    """A family seed below the first index is inconsistent input, not an
+    internal error."""
+    bad = _mutated(tmp_path, "en_labelled_n2.json", ("B", 2), seed)
+    proc = run("labelled-check", bad, expect=3)
+    assert "Traceback" not in proc.stderr and "internal" not in proc.stderr
+    assert proc.stderr == f"error: B: seed {seed!r}: {message}\n"
+
+
 @pytest.mark.parametrize("horizon", [0, -1])
 def test_file_horizon_below_one_exits_3(tmp_path, capsys, horizon):
     from corrkit.cli import EXIT_VALIDATION, main
