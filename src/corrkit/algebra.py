@@ -16,8 +16,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .exactlinalg import (SpanSolver, Vec, _axpy, _table_apply, frac, sort_key, vclean,
-                          vec_repr)
+from .exactlinalg import (_ONE, SpanSolver, Vec, _axpy, _table_apply, frac, sort_key,
+                          vclean, vec_repr)
 from .reports import Report
 
 
@@ -104,7 +104,7 @@ class CommAlgebra:
     def element(self, sym: str) -> Vec:
         if sym not in self._basis_set:
             raise KeyError(f"{self.name}: unknown basis symbol {sym!r}")
-        return {sym: Fraction(1)}
+        return {sym: _ONE}
 
     def mul(self, x: Vec, y: Vec) -> Vec:
         return _table_apply(self._table, x, y)
@@ -122,7 +122,7 @@ class CommAlgebra:
         tab = self._table
         rep.tally("idempotent basis",
                   (("idempotent basis", f"{a}*{a} = {vec_repr(tab.get((a, a), {}))}")
-                   for a in self.basis if tab.get((a, a), {}) != {a: Fraction(1)}))
+                   for a in self.basis if tab.get((a, a), {}) != {a: _ONE}))
         rep.tally("associativity", _axiom_failures(
             "associativity", _compose(tab, _grouped(tab, 0), lambda a, b, c: (a, b, c)),
             _compose(tab, _grouped(tab, 1), lambda b, c, a: (a, b, c)), True))
@@ -157,7 +157,7 @@ class CommAlgebra:
         leq: dict[str, set[str]] = {b: set() for b in self.basis}
         for b in self.basis:
             for c in self.basis:
-                if c != b and self._table.get((b, c), {}) == {c: Fraction(1)}:
+                if c != b and self._table.get((b, c), {}) == {c: _ONE}:
                     leq[b].add(c)  # c <= b
         minimal = [b for b in self.basis if not leq[b]]
         atoms: list[Vec] = [self.element(b) for b in minimal]

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import CommAlgebra, _axiom_failures, _compose, _grouped, diagonal_algebra
-from .exactlinalg import (SpanSolver, _axpy, _table_apply, express, frac, is_psd,
+from .exactlinalg import (_ONE, SpanSolver, _axpy, _table_apply, express, frac, is_psd,
                           nullspace, same_span, solve, sort_key, vclean, vec_repr)
 from .reports import Report
 
@@ -106,7 +106,7 @@ class Correspondence:
     def gen(self, sym: str) -> Vec:
         if sym not in self._gen_set:
             raise KeyError(sym)
-        return {sym: Fraction(1)}
+        return {sym: _ONE}
 
     def inner_product(self, x: Vec, y: Vec) -> Vec:
         return _table_apply(self._inner, x, y)

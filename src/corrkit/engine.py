@@ -28,14 +28,18 @@ Sums accumulate in place under one rule, the one `exactlinalg._axpy`
 follows: a term already present gets its coefficient plus the new one,
 and a new term gets the new coefficient itself, so no zero `Fraction`
 is built to start an entry; an entry that cancels is deleted on the
-spot.  The terms of one summand are distinct, so a deleted term cannot
-come back within it, and the survivors keep the order in which they
-first appeared.  Coefficients stay `Fraction`s.  A negation, an
-adjoint or a nonzero scalar multiple cannot make a zero, so those
-elements are stored as built, as are sums and `Engine.combine`, which
-delete as they go.  The zero filter of `Element` runs only where a
-merge can cancel and a cancelled term may come back in place: a
-product in which two term pairs reduced to one term, and an expansion.
+spot.  A coefficient product with the shared unit `_ONE` as a factor
+is the other factor itself (`Fraction`s are immutable), so products of
+generators, `combine` with coefficient 1 and the single terms of an
+expansion build no `Fraction`.  The terms of one summand are distinct,
+so a deleted term cannot come back within it, and the survivors keep
+the order in which they first appeared.  Coefficients stay
+`Fraction`s.  A negation, an adjoint or a nonzero scalar multiple
+cannot make a zero, so those elements are stored as built, as are sums
+and `Engine.combine`, which delete as they go.  The zero filter of
+`Element` runs only where a merge can cancel and a cancelled term may
+come back in place: a product in which two term pairs reduced to one
+term, and an expansion.
 
 Equality is decided by moving a difference toward a common word level:
 a projection term over a set with finite non-empty label emission
@@ -56,7 +60,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import BudgetError, UnsupportedSpaceError
-from .exactlinalg import frac, sort_key
+from .exactlinalg import _ONE, frac, sort_key
 from .labelled import (LabelledSpace, full_set, label_instances, label_set,
                        relative_range, sink_set)
 from .reports import Report
@@ -67,7 +71,6 @@ TERM_BUDGET = 20000  # terms allowed in a product or an equality difference
 EQUALS_ROUNDS = 64  # expansion rounds an equality test may take in all
 EQUALS_DEPTH = 3  # joint expansion rounds before a residual is a witness
 TAUTOLOGY_SETS = 40  # core sets sampled by `tautological_checks`
-_ONE = Fraction(1)
 
 
 def _word_key(word: tuple):
@@ -127,7 +130,8 @@ class Element:
         return self._scaled(frac(scalar))
 
     def _scaled(self, f: Fraction) -> "Element":
-        return Element._of(self.engine, {t: c * f for t, c in self.terms.items()} if f else {})
+        return Element._of(self.engine, {t: c if f is _ONE else f if c is _ONE else c * f
+                                         for t, c in self.terms.items()} if f else {})
 
     def adj(self) -> "Element":
         return Element._of(self.engine, {(b, s, a): c for (a, s, b), c in self.terms.items()})
@@ -220,7 +224,7 @@ class Engine:
             if not f:
                 continue
             for t, e in terms.items():
-                e = e * f
+                e = e if f is _ONE else f if e is _ONE else e * f
                 if t in out:
                     e = out[t] + e
                     if not e:
@@ -275,7 +279,7 @@ class Engine:
                 except KeyError:
                     t = products[key] = self._product(xt, yt)
                 if t is not None:
-                    ce = c * e
+                    ce = e if c is _ONE else c if e is _ONE else c * e
                     if t in out:
                         out[t] = out[t] + ce
                         merged = True
@@ -340,7 +344,7 @@ class Engine:
                 out[t] = out[t] + c if t in out else c
                 continue
             for u, e in self._expand_term(t).items():
-                ce = c * e
+                ce = c if e is _ONE else c * e
                 out[u] = out[u] + ce if u in out else ce
         return Element(self, out)
 
@@ -430,7 +434,7 @@ class Engine:
                 if max(len(t[0]), len(t[2])) < lmax and self._expandable(t):
                     progressed = True
                     for u, e in self._expand_term(t).items():
-                        ce = c * e
+                        ce = c if e is _ONE else c * e
                         partial[u] = partial[u] + ce if u in partial else ce
                 else:
                     partial[t] = partial[t] + c if t in partial else c

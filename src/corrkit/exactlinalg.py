@@ -24,10 +24,11 @@ from math import lcm
 from typing import Any, Hashable, Iterable, Sequence
 
 Vec = dict  # sparse vector: hashable key -> Fraction (zeros omitted)
+_ONE = Fraction(1)  # the shared unit: `frac(1)`, and every generator's coefficient
 
 
 def frac(x) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
+    return x if isinstance(x, Fraction) else _ONE if x == 1 else Fraction(x)
 
 
 # ---------------------------------------------------------------- sparse vecs
@@ -41,10 +42,14 @@ def _axpy(out: dict, c, v: dict) -> None:
     """out += c * v in place.  Entries that cancel are removed and new
     keys are appended, so the key order is deterministic in the order
     of the terms.  A key already in `out` gets its sum and a new key gets
-    c * x itself, so no zero `Fraction` is built to start an entry; the
-    term engine accumulates by the same rule."""
+    c * x itself, so no zero `Fraction` is built to start an entry; and
+    a product with the shared unit `_ONE` as a factor is the other factor
+    itself, so multiplying by one builds no `Fraction` (they are
+    immutable, so sharing one is safe).  The term engine accumulates by
+    the same rules."""
     for k, x in v.items():
-        nx = out[k] + c * x if k in out else c * x
+        cx = x if c is _ONE else c * x
+        nx = out[k] + cx if k in out else cx
         if nx:
             out[k] = nx
         else:

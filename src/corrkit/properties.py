@@ -75,7 +75,8 @@ _COEFFS = [Fraction(c, d) for c in (-3, -2, -1, 1, 2, 3) for d in (1, 2, 3)]
 def _random_element(rng: Random, eng, pool, terms=3):
     out = eng.zero()
     for _ in range(rng.randint(1, terms)):
-        out = out + _COEFFS[rng.randrange(len(_COEFFS))] * _random_word(rng, pool)
+        c = _COEFFS[rng.randrange(len(_COEFFS))]  # the seeded streams draw it before the word
+        out = out + _random_word(rng, pool) * c
     return out
 
 

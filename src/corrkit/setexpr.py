@@ -48,6 +48,9 @@ class SetExpr:
 
     def __init__(self, atoms: Iterable = (), tails: Iterable[tuple[str, int]] = ()):
         atom_set = set(atoms)
+        for a in atom_set:
+            if _is_indexed(a) and a[1] < 1:
+                raise ValueError("vertex index must be >= 1")
         tail_map: dict[str, int] = {}
         for base, k in tails:
             if k < 1:
@@ -61,9 +64,6 @@ class SetExpr:
                 atom_set.discard((base, k - 1))
                 k -= 1
             tail_map[base] = k
-        for a in atom_set:
-            if _is_indexed(a) and a[1] < 1:
-                raise ValueError("vertex index must be >= 1")
         self.atoms = frozenset(atom_set)
         self.tails = frozenset(tail_map.items())
         self._hash = hash((self.atoms, self.tails))

@@ -7,6 +7,7 @@ import pytest
 import corrkit.engine
 from corrkit.engine import Element, Engine, substitute, tautological_checks
 from corrkit.errors import BudgetError, UnsupportedSpaceError
+from corrkit.exactlinalg import _ONE
 from corrkit.properties import _engines, _factor_pool, _random_element
 from corrkit.labelled import build_space, concrete_graph, relative_range, truncate_space
 from corrkit.setexpr import SetExpr, atoms, tail
@@ -287,3 +288,75 @@ def test_equal_terms_are_one_object():
     assert t1 is t2 and t1 is t3
     [t4] = Engine(eng.space).element(("g",), b, ()).terms
     assert t4 == t1 and t4 is not t1
+
+
+def test_a_product_with_the_shared_unit_is_the_other_factor():
+    """Generators carry `_ONE`, so their products do too; `combine` and a
+    scalar multiple by 1 keep the element's own coefficient objects; and
+    a unit that is not `_ONE` is the coefficient a product by `_ONE` keeps."""
+    eng, labels, sets = _engines()[1]
+    products = [eng.s(lab) * eng.p(s) for lab in labels for s in sets]
+    nonzero = [prod for prod in products if prod.terms]
+    assert nonzero
+    assert all(c is _ONE for prod in products for c in prod.terms.values())
+    x = _random_element(Random(3319), eng, _factor_pool(eng, labels, sets))
+    for got in (eng.combine({"g": 1}, {"g": x}), x * 1, 1 * x):
+        assert list(got.terms) == list(x.terms)
+        assert all(got.terms[t] is c for t, c in x.terms.items())
+    own = Fraction(1)
+    for got in (eng.combine({"g": own}, {"g": eng.s(labels[0])}), eng.s(labels[0]) * own,
+                nonzero[-1] * own):
+        assert got.terms and all(c is own for c in got.terms.values())
+
+
+def _mixed_units(rng: Random, x: Element) -> Element:
+    """x with each coefficient kept, made the shared `_ONE`, or made a
+    fresh `Fraction(1)` that equals it but is another object."""
+    return Element._of(x.engine, {t: rng.choice((c, _ONE, Fraction(1)))
+                                  for t, c in x.terms.items()})
+
+
+def _dense_expand_once(eng: Engine, x: Element) -> dict:
+    out: dict = {}
+    for t, c in x.terms.items():
+        for u, e in (eng._expand_term(t) if eng._expandable(t) else {t: 1}).items():
+            out[u] = out.get(u, Fraction(0)) + c * e
+    return {u: c for u, c in out.items() if c}
+
+
+@pytest.mark.parametrize("which", [0, 1], ids=["branchy", "E_2"])
+def test_unit_coefficients_change_no_value_and_no_order(which):
+    """On seeded elements whose coefficients mix the shared `_ONE`, other
+    `Fraction(1)` objects and other rationals, so that both sides of every
+    unit test run: products equal the pair-by-pair reduction, `combine`
+    the fold of sums and an expansion round the dense expansion, in value
+    and key order; `equals` gives the verdict it gives on copies that hold
+    no `_ONE`; and every stored coefficient is a nonzero `Fraction`."""
+    eng, labels, sets = _engines()[which]
+    pool = _factor_pool(eng, labels, sets)
+    rng = Random(9157 + which)
+    shared = fresh = 0
+    for _ in range(40):
+        x, y, z = (_mixed_units(rng, _random_element(rng, eng, pool)) for _ in range(3))
+        for el in (x, y, z):
+            shared += sum(c is _ONE for c in el.terms.values())
+            fresh += sum(c == 1 and c is not _ONE for c in el.terms.values())
+        got = x * y
+        _assert_stored(got)
+        assert list(got.terms.items()) == list(reference_mul(eng, x, y).terms.items())
+        images = {"x": x, "y": y, "z": z, "-x": -x}
+        for vec in ({"x": 1, "y": Fraction(1), "z": Fraction(-2, 3)},
+                    {"x": 1, "-x": 1, "z": 1}, {"y": _ONE, "x": 2}):
+            got = eng.combine(vec, images)
+            _assert_stored(got)
+            assert list(got.terms.items()) == list(fold_combine(eng, vec, images).terms.items())
+        once = eng.expand_once(x)
+        _assert_stored(once)
+        assert list(once.terms.items()) == list(_dense_expand_once(eng, x).items())
+        plain = {name: Element._of(eng, {t: Fraction(c.numerator, c.denominator)
+                                         for t, c in el.terms.items()})
+                 for name, el in (("x", x), ("y", y), ("once", once))}
+        assert eng.equals(once, x) and eng.equals(plain["once"], x)
+        assert eng.equals(x, y) == eng.equals(plain["x"], plain["y"])
+        assert eng.equals_detail(x * z, y) == eng.equals_detail(plain["x"] * z, plain["y"])
+    assert shared > 0 and fresh > 0

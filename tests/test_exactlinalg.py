@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from corrkit.exactlinalg import (SpanSolver, _axpy, _table_apply, det, express, frac,
+from corrkit.exactlinalg import (_ONE, SpanSolver, _axpy, _table_apply, det, express, frac,
                                  is_psd, mat_mul, nullspace, same_span, solve, sort_key,
                                  vclean, vec_repr)
 
@@ -28,6 +28,22 @@ def test_axpy_cancels_in_place_and_keeps_key_order():
     assert list(out) == ["b", "c", "d"]
     _axpy(out, 2, {"a": Fraction(1), "c": Fraction(1, 2)})
     assert list(out.items()) == [("b", Fraction(2)), ("d", Fraction(-2)), ("a", Fraction(2))]
+
+
+def test_frac_of_one_is_the_shared_unit():
+    assert frac(1) is _ONE
+    own = Fraction(1)
+    assert frac(own) is own
+
+
+def test_axpy_by_the_unit_stores_the_vectors_own_values():
+    """A new key gets v's own value object; a key already present gets
+    the sum, and one that cancels leaves."""
+    v = {"a": Fraction(2, 3), "b": Fraction(-1), "c": Fraction(5)}
+    out = {"b": Fraction(1), "c": Fraction(1)}
+    _axpy(out, _ONE, v)
+    assert list(out.items()) == [("c", Fraction(6)), ("a", Fraction(2, 3))]
+    assert out["a"] is v["a"]
 
 
 _TABLE_COEFFS = [0, 1, -1, 2, Fraction(0), Fraction(2, 3), Fraction(-3, 2), Fraction(1, 2)]

@@ -75,6 +75,14 @@ def test_tail_start_validation():
         tail("v", 0)
 
 
+@pytest.mark.parametrize("below", [[("v", 0)], [("v", -1), ("v", 0)]])
+def test_an_index_below_one_is_refused_even_under_a_tail(below):
+    """The atom check runs before a tail absorbs atoms or extends down
+    over them, so a tail cannot reach below index 1."""
+    with pytest.raises(ValueError, match="^vertex index must be >= 1$"):
+        SetExpr(atoms=below, tails=[("v", 1)])
+
+
 def test_union_all():
     parts = [atoms("a"), atoms("b"), tail("v", 4)]
     u = union_all(parts)
