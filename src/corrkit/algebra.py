@@ -170,7 +170,7 @@ class CommAlgebra:
                     raise PresentationError(
                         f"{self.name}: orthogonal atoms need depth <= 2 (symbol {b} sits over {c})"
                     )
-                _axpy(residual, -1, self.element(c))
+                _axpy(residual, -_ONE, self.element(c))
             if residual:
                 atoms.append(residual)
         # verification

@@ -214,7 +214,7 @@ class FiniteRankOp:
 
 
 def theta(x: Vec, y: Vec) -> FiniteRankOp:
-    return FiniteRankOp(((Fraction(1), dict(x), dict(y)),))
+    return FiniteRankOp(((_ONE, dict(x), dict(y)),))
 
 
 def ops_agree(corr: Correspondence, a: FiniteRankOp, b: FiniteRankOp) -> bool:
@@ -358,8 +358,8 @@ class Morphism:
 
 def identity_morphism(corr: Correspondence) -> Morphism:
     return Morphism(corr, corr,
-                    {b: {b: Fraction(1)} for b in corr.algebra.basis},
-                    {g: {g: Fraction(1)} for g in corr.gens})
+                    {b: {b: _ONE} for b in corr.algebra.basis},
+                    {g: {g: _ONE} for g in corr.gens})
 
 
 def compose(outer: Morphism, inner: Morphism) -> Morphism:
@@ -593,7 +593,7 @@ def restricted_direct_sum(mx: Morphism, my: Morphism, name: str = "pullback") ->
     for prof in sorted(profiles, key=lambda p: [sort_key(str(c)) for c in p]):
         pair = ({}, {})
         for side, atom in profiles[prof]:
-            _axpy(pair[side], 1, atom)
+            _axpy(pair[side], _ONE, atom)
         atom_pairs.append(pair)
     atom_table = _pair_rows(atom_pairs, mx.apply_alg, my.apply_alg, "pair atom")
     gen_table = _pair_rows(
@@ -667,7 +667,7 @@ def check_pullback_hypotheses(mx: Morphism, my: Morphism) -> Report:
                 yield f"(1) {label} module map surjective", f"misses {', '.join(missing)}"
             span = SpanSolver(list(m.alg_map.values()))
             if missing := [b for b in z.algebra.sorted_basis()
-                           if not span.contains({b: Fraction(1)})]:
+                           if not span.contains({b: _ONE})]:
                 yield f"(1) {label} algebra map surjective", f"misses {', '.join(missing)}"
         if not same_span(img_x, img_y):
             yield "(1) kernel images agree", ""

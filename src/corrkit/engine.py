@@ -24,22 +24,13 @@ never changes, so the reduction is a pure function of the two terms
 own memo of `relative_range`, which outlives any one engine).  The memo
 and the interned terms live and die with their engine.
 
-Sums accumulate in place under one rule, the one `exactlinalg._axpy`
-follows: a term already present gets its coefficient plus the new one,
-and a new term gets the new coefficient itself, so no zero `Fraction`
-is built to start an entry; an entry that cancels is deleted on the
-spot.  A coefficient product with the shared unit `_ONE` as a factor
-is the other factor itself (`Fraction`s are immutable), so products of
-generators, `combine` with coefficient 1 and the single terms of an
-expansion build no `Fraction`.  The terms of one summand are distinct,
-so a deleted term cannot come back within it, and the survivors keep
-the order in which they first appeared.  Coefficients stay
-`Fraction`s.  A negation, an adjoint or a nonzero scalar multiple
-cannot make a zero, so those elements are stored as built, as are sums
-and `Engine.combine`, which delete as they go.  The zero filter of
-`Element` runs only where a merge can cancel and a cancelled term may
-come back in place: a product in which two term pairs reduced to one
-term, and an expansion.
+Sums, differences, `Engine.combine` and `substitute` accumulate in one
+dict through `exactlinalg._axpy`: a term that cancels leaves on the
+spot and one that comes back goes to the end, and a coefficient product
+with the shared unit `_ONE` as a factor is the other factor itself.
+Products and expansions merge per pair instead and keep a cancelled
+term's place, so their results pass the zero filter of `Element`;
+everything else is stored as built.  Coefficients stay `Fraction`s.
 
 Equality is decided by moving a difference toward a common word level:
 a projection term over a set with finite non-empty label emission
@@ -60,7 +51,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import BudgetError, UnsupportedSpaceError
-from .exactlinalg import _ONE, frac, sort_key
+from .exactlinalg import _ONE, _axpy, frac, sort_key
 from .labelled import (LabelledSpace, full_set, label_instances, label_set,
                        relative_range, sink_set)
 from .reports import Report
@@ -96,27 +87,11 @@ class Element:
 
     def __add__(self, other: "Element") -> "Element":
         out = dict(self.terms)
-        for t, c in other.terms.items():
-            if t in out:
-                c = out[t] + c
-                if not c:
-                    del out[t]
-                    continue
-            out[t] = c
+        _axpy(out, _ONE, other.terms)
         return Element._of(self.engine, out)
 
     def __sub__(self, other: "Element") -> "Element":
-        out = dict(self.terms)
-        for t, c in other.terms.items():
-            if t in out:
-                c = out[t] - c
-                if not c:
-                    del out[t]
-                    continue
-            else:
-                c = -c
-            out[t] = c
-        return Element._of(self.engine, out)
+        return self + -other
 
     def __neg__(self) -> "Element":
         return Element._of(self.engine, {t: -c for t, c in self.terms.items()})
@@ -216,21 +191,14 @@ class Engine:
     def combine(self, vec: dict, images: dict) -> Element:
         """The element sum of c * images[sym] over the entries of vec,
         accumulated in one dict; a term that cancels and then comes back
-        goes to the end, as it would in a fold of `+`."""
+        goes to the end, as it would in a fold of `+`.  Every symbol
+        needs an image, whatever its coefficient."""
         out: dict = {}
         for sym, c in vec.items():
             terms = images[sym].terms
             f = frac(c)
-            if not f:
-                continue
-            for t, e in terms.items():
-                e = e if f is _ONE else f if e is _ONE else e * f
-                if t in out:
-                    e = out[t] + e
-                    if not e:
-                        del out[t]
-                        continue
-                out[t] = e
+            if f:
+                _axpy(out, f, terms)
         return Element._of(self, out)
 
     # ----------------------------------------------------------- reduction
@@ -337,16 +305,25 @@ class Engine:
         return out
 
     def expand_once(self, x: Element) -> Element:
-        """Apply the summation relation to every expandable term."""
+        """Apply the summation relation to every expandable term; x itself
+        when there is none."""
+        return self._expand(x) or x
+
+    def _expand(self, x: Element, below: int | None = None) -> Element | None:
+        """Apply the summation relation to every expandable term, or only
+        to those below word level `below`; None when no term qualifies.
+        Merged terms keep their first place."""
         out: dict = {}
+        expanded = False
         for t, c in x.terms.items():
-            if not self._expandable(t):
+            if (below is None or max(len(t[0]), len(t[2])) < below) and self._expandable(t):
+                expanded = True
+                for u, e in self._expand_term(t).items():
+                    ce = c if e is _ONE else c * e
+                    out[u] = out[u] + ce if u in out else ce
+            else:
                 out[t] = out[t] + c if t in out else c
-                continue
-            for u, e in self._expand_term(t).items():
-                ce = c if e is _ONE else c * e
-                out[u] = out[u] + ce if u in out else ce
-        return Element(self, out)
+        return Element(self, out) if expanded else None
 
     # ----------------------------------------------------------- zero test
 
@@ -380,12 +357,9 @@ class Engine:
         coefficient, or None when every cell cancels."""
         groups: dict = {}
         for (a, s, b), c in terms.items():
-            group = groups.setdefault((a, b), {})
-            group[s] = group[s] + c if s in group else c
+            groups.setdefault((a, b), {})[s] = c  # terms are distinct: no merge
         for (a, b) in sorted(groups, key=lambda ab: (_word_key(ab[0]), _word_key(ab[1]))):
-            by_set = {s: c for s, c in groups[(a, b)].items() if c}
-            if not by_set:
-                continue
+            by_set = groups[(a, b)]
             sets = sorted(by_set, key=lambda s: s.sort_key())
             for mask, cell in self._cells(sets):
                 total = sum((by_set[sets[i]] for i in range(len(sets)) if mask >> i & 1),
@@ -413,13 +387,7 @@ class Engine:
         jointly up to `EQUALS_DEPTH` extra levels before giving up."""
         d = x - y
         joint_rounds = 0
-        guard = 0
-        while True:
-            guard += 1
-            if guard > EQUALS_ROUNDS:
-                raise BudgetError(f"equality test of {len(x.terms)} and {len(y.terms)} terms "
-                                  f"ran past {EQUALS_ROUNDS} rounds "
-                                  f"({len(d.terms)} terms in the difference)")
+        for _ in range(EQUALS_ROUNDS):
             if len(d.terms) > TERM_BUDGET:
                 raise BudgetError(f"equality test of {len(x.terms)} and {len(y.terms)} terms: "
                                   f"difference grew to {len(d.terms)} terms, "
@@ -427,29 +395,18 @@ class Engine:
             witness = self._nonzero_cell(d.terms)
             if witness is None:
                 return True, None
-            lmax = d.level()
-            partial: dict = {}
-            progressed = False
-            for t, c in d.terms.items():
-                if max(len(t[0]), len(t[2])) < lmax and self._expandable(t):
-                    progressed = True
-                    for u, e in self._expand_term(t).items():
-                        ce = c if e is _ONE else c * e
-                        partial[u] = partial[u] + ce if u in partial else ce
-                else:
-                    partial[t] = partial[t] + c if t in partial else c
-            if progressed:
-                d = Element(self, partial)
+            partial = self._expand(d, d.level())
+            if partial is not None:
+                d = partial
                 continue
-            if joint_rounds >= EQUALS_DEPTH:
+            if joint_rounds >= EQUALS_DEPTH or not any(map(self._expandable, d.terms)):
                 a, b, cell, total = witness
                 return False, f"residual ({total})*{render_term(a, cell, b)}"
-            expandable = [t for t in d.terms if self._expandable(t)]
-            if not expandable:
-                a, b, cell, total = witness
-                return False, f"residual ({total})*{render_term(a, cell, b)}"
-            d = self.expand_once(d)
+            d = self._expand(d)
             joint_rounds += 1
+        raise BudgetError(f"equality test of {len(x.terms)} and {len(y.terms)} terms "
+                          f"ran past {EQUALS_ROUNDS} rounds "
+                          f"({len(d.terms)} terms in the difference)")
 
 # -------------------------------------------------- homomorphism checking
 
@@ -462,7 +419,7 @@ def substitute(x: Element, dst: Engine, s_images: dict, v_images: dict) -> Eleme
     of its vertex images, taken in `sort_key` order; a set with a tail,
     or with a vertex that has no image, raises KeyError.
     """
-    out = dst.zero()
+    out: dict = {}
     for (alpha, s, beta), c in x.terms.items():
         if not s.is_finite() or any(v not in v_images for v in s.atoms):
             raise KeyError(f"no image supplied for projection over {s!r}")
@@ -471,8 +428,8 @@ def substitute(x: Element, dst: Engine, s_images: dict, v_images: dict) -> Eleme
             acc = s_images[lab] * acc
         for lab in beta:
             acc = acc * s_images[lab].adj()
-        out = out + c * acc
-    return out
+        _axpy(out, c, acc.terms)
+    return Element._of(dst, out)
 
 
 def check_graph_hom(graph_vertices, edges, dst: Engine, s_images: dict,

@@ -14,8 +14,9 @@ check that calls them never builds a `Fraction` on integer input.
 Sparse sums have one accumulation primitive, the in-place `_axpy`;
 `_table_apply` folds it over a linear or bilinear table and is the one
 loop behind algebra products, inner products, module actions and
-morphism maps.  Both are private: they run hundreds of thousands of
-times per suite, too often to wrap for tracing.
+morphism maps; the term engine's sums, combinations and substitutions
+go through `_axpy` too.  Both are private: they run hundreds of
+thousands of times per suite, too often to wrap for tracing.
 """
 from __future__ import annotations
 
@@ -45,10 +46,10 @@ def _axpy(out: dict, c, v: dict) -> None:
     c * x itself, so no zero `Fraction` is built to start an entry; and
     a product with the shared unit `_ONE` as a factor is the other factor
     itself, so multiplying by one builds no `Fraction` (they are
-    immutable, so sharing one is safe).  The term engine accumulates by
-    the same rules."""
+    immutable, so sharing one is safe).  Pass `c` as a `Fraction`: it is
+    stored as given against a `_ONE` entry."""
     for k, x in v.items():
-        cx = x if c is _ONE else c * x
+        cx = x if c is _ONE else c if x is _ONE else c * x
         nx = out[k] + cx if k in out else cx
         if nx:
             out[k] = nx
@@ -239,7 +240,7 @@ def nullspace(a: Sequence[Sequence]) -> list[list[Fraction]]:
         if solver.add(col):
             continue
         v = [-c for c in solver.express(col)] + [Fraction(0)] * (ncols - j - 1)
-        v[j] = Fraction(1)
+        v[j] = _ONE
         basis.append(v)
     return basis
 

@@ -28,7 +28,7 @@ from fractions import Fraction
 from .algebra import diagonal_algebra
 from .correspondences import Correspondence, Morphism
 from .errors import BudgetError, UnsupportedSpaceError
-from .exactlinalg import _axpy, express, sort_key
+from .exactlinalg import _ONE, _axpy, express, sort_key
 from .reports import Report
 from .setexpr import SetExpr, _intern, atoms as atom_set, tail, union_all
 
@@ -547,7 +547,7 @@ class CorrespondenceModel:
         covered = set()
         for name, cell in zip(self.cell_names, self.cells):
             if cell <= want:
-                vec[name] = Fraction(1)
+                vec[name] = _ONE
                 covered |= cell
         if covered != want:
             raise ValueError(f"{sorted(want, key=sort_key)} is not a union of cells")
@@ -559,7 +559,7 @@ class CorrespondenceModel:
         r_cells = self.label_range_cells[lab]
         for name in self.algebra_vector(vertices):
             if name in r_cells:
-                vec[f"{render_label(lab)}|{name}"] = Fraction(1)
+                vec[f"{render_label(lab)}|{name}"] = _ONE
         return vec
 
 
@@ -584,10 +584,10 @@ def to_correspondence(space: LabelledSpace, name: str = "labelled") -> Correspon
     member_vecs = []
     for m in members:
         ms = _atom_only(m)
-        member_vecs.append({cell_names[cell_pos[c]]: Fraction(1) for c in cells if c <= ms})
+        member_vecs.append({cell_names[cell_pos[c]]: _ONE for c in cells if c <= ms})
     member_coeffs: dict = {}
     for i, cn in enumerate(cell_names):
-        coeffs = express({cn: Fraction(1)}, member_vecs)
+        coeffs = express({cn: _ONE}, member_vecs)
         assert coeffs is not None, "family members fail to span their own cells"
         member_coeffs[cn] = coeffs
 
@@ -618,8 +618,8 @@ def to_correspondence(space: LabelledSpace, name: str = "labelled") -> Correspon
             if cn not in label_range_cells[lab]:
                 continue
             gen = f"{rl}|{cn}"
-            inner[(gen, gen)] = {cn: Fraction(1)}
-            right[(gen, cn)] = {gen: Fraction(1)}
+            inner[(gen, gen)] = {cn: _ONE}
+            right[(gen, cn)] = {gen: _ONE}
     for cn in cell_names:
         coeffs = member_coeffs[cn]
         for lab in labels:
@@ -632,7 +632,7 @@ def to_correspondence(space: LabelledSpace, name: str = "labelled") -> Correspon
                 assert lam in (0, 1), f"left action weight {lam} is not 0/1"
                 if lam:
                     left[(cn, f"{render_label(lab)}|{dn}")] = {
-                        f"{render_label(lab)}|{dn}": Fraction(1)}
+                        f"{render_label(lab)}|{dn}": _ONE}
     corr = Correspondence(name, algebra, tuple(module_basis), inner, right, left)
     return CorrespondenceModel(space, corr, cells, cell_names, labels,
                                member_coeffs, label_range_cells)

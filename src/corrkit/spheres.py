@@ -24,14 +24,13 @@ exact engine values instead of the clipped tables.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .algebra import CommAlgebra, diagonal_algebra
 from .correspondences import (Correspondence, Morphism, _tagged, check_covariant_rep,
                               check_morphism, check_pullback_hypotheses,
                               kernel_and_jx, restricted_direct_sum, theta)
 from .engine import Engine, check_graph_hom, substitute
-from .exactlinalg import SpanSolver, sort_key, vec_repr
+from .exactlinalg import _ONE, SpanSolver, sort_key, vec_repr
 from .graphs import Graph
 from .ktheory import k_theory
 from .labelled import (Edge, EdgeFamily, LabelledGraph, build_space,
@@ -39,8 +38,6 @@ from .labelled import (Edge, EdgeFamily, LabelledGraph, build_space,
                        is_weakly_left_resolving)
 from .reports import Report
 from .setexpr import atoms as atom_set, tail
-
-ONE = Fraction(1)
 
 
 @dataclass(frozen=True)
@@ -74,9 +71,9 @@ def _add_row(tables: tuple, gen: str, proj: str, i: int, top: int) -> None:
     for j in range(i, top + 1):
         g = f"{gen}_{i}_{j}"
         gens.append(g)
-        inner[(g, g)] = {f"{proj}{j}": ONE}
-        right[(g, f"{proj}{j}")] = {g: ONE}
-        left[(f"{proj}{i}", g)] = {g: ONE}
+        inner[(g, g)] = {f"{proj}{j}": _ONE}
+        right[(g, f"{proj}{j}")] = {g: _ONE}
+        left[(f"{proj}{i}", g)] = {g: _ONE}
 
 
 def _row_module(name: str, alg_name: str, gen: str, proj: str, n: int,
@@ -158,10 +155,10 @@ def build_Y_B(cfg: SphereConfig, bound: int | None = None) -> Correspondence:
     basis += [f"Q{j}" for j in range(1, N + 1)]
     table: dict = {}
     for i in range(1, n + 2):
-        table[(f"R{i}", f"R{i}")] = {f"R{i}": ONE}
+        table[(f"R{i}", f"R{i}")] = {f"R{i}": _ONE}
     for j in range(1, N + 1):
-        table[(f"Q{j}", f"Q{j}")] = {f"Q{j}": ONE}
-        table[(f"R{n}", f"Q{j}")] = {f"Q{j}": ONE}
+        table[(f"Q{j}", f"Q{j}")] = {f"Q{j}": _ONE}
+        table[(f"R{n}", f"Q{j}")] = {f"Q{j}": _ONE}
     algebra = CommAlgebra("B", basis, table)
 
     tables: tuple = ([], {}, {}, {})
@@ -171,37 +168,37 @@ def build_Y_B(cfg: SphereConfig, bound: int | None = None) -> Correspondence:
         for j in range(1, N + 1):
             xn = f"xn_{i}_{j}"
             gens.append(xn)
-            inner[(f"x_{i}_{n}", xn)] = {f"Q{j}": ONE}
-            inner[(xn, xn)] = {f"Q{j}": ONE}
-            right[(f"x_{i}_{n}", f"Q{j}")] = {xn: ONE}
-            right[(xn, f"R{n}")] = {xn: ONE}
-            right[(xn, f"Q{j}")] = {xn: ONE}
-            left[(f"R{i}", xn)] = {xn: ONE}
+            inner[(f"x_{i}_{n}", xn)] = {f"Q{j}": _ONE}
+            inner[(xn, xn)] = {f"Q{j}": _ONE}
+            right[(f"x_{i}_{n}", f"Q{j}")] = {xn: _ONE}
+            right[(xn, f"R{n}")] = {xn: _ONE}
+            right[(xn, f"Q{j}")] = {xn: _ONE}
+            left[(f"R{i}", xn)] = {xn: _ONE}
 
     gens += ["y", "yp"] + [f"y_{i}" for i in range(1, N + 1)]
-    inner[("y", "y")] = {f"R{n}": ONE}
-    inner[("y", "yp")] = {"Q1": ONE}
-    inner[("yp", "yp")] = {"Q1": ONE}
+    inner[("y", "y")] = {f"R{n}": _ONE}
+    inner[("y", "yp")] = {"Q1": _ONE}
+    inner[("yp", "yp")] = {"Q1": _ONE}
     for i in range(1, N):
-        inner[("y", f"y_{i}")] = {f"Q{i + 1}": ONE}
-        inner[(f"y_{i}", f"y_{i}")] = {f"Q{i + 1}": ONE}
-    right[("y", f"R{n}")] = {"y": ONE}
-    right[("y", "Q1")] = {"yp": ONE}
+        inner[("y", f"y_{i}")] = {f"Q{i + 1}": _ONE}
+        inner[(f"y_{i}", f"y_{i}")] = {f"Q{i + 1}": _ONE}
+    right[("y", f"R{n}")] = {"y": _ONE}
+    right[("y", "Q1")] = {"yp": _ONE}
     for k in range(2, N + 1):
-        right[("y", f"Q{k}")] = {f"y_{k - 1}": ONE}
-    right[("yp", f"R{n}")] = {"yp": ONE}
-    right[("yp", "Q1")] = {"yp": ONE}
+        right[("y", f"Q{k}")] = {f"y_{k - 1}": _ONE}
+    right[("yp", f"R{n}")] = {"yp": _ONE}
+    right[("yp", "Q1")] = {"yp": _ONE}
     for i in range(1, N + 1):
-        right[(f"y_{i}", f"R{n}")] = {f"y_{i}": ONE}
+        right[(f"y_{i}", f"R{n}")] = {f"y_{i}": _ONE}
         if i < N:
-            right[(f"y_{i}", f"Q{i + 1}")] = {f"y_{i}": ONE}
-    left[(f"R{n}", "y")] = {"y": ONE, "yp": -ONE}
-    left[(f"R{n + 1}", "y")] = {"yp": ONE}
-    left[(f"R{n + 1}", "yp")] = {"yp": ONE}
+            right[(f"y_{i}", f"Q{i + 1}")] = {f"y_{i}": _ONE}
+    left[(f"R{n}", "y")] = {"y": _ONE, "yp": -_ONE}
+    left[(f"R{n + 1}", "y")] = {"yp": _ONE}
+    left[(f"R{n + 1}", "yp")] = {"yp": _ONE}
     for i in range(1, N + 1):
-        left[(f"R{n}", f"y_{i}")] = {f"y_{i}": ONE}
-        left[(f"Q{i}", "y")] = {f"y_{i}": ONE}
-        left[(f"Q{i}", f"y_{i}")] = {f"y_{i}": ONE}
+        left[(f"R{n}", f"y_{i}")] = {f"y_{i}": _ONE}
+        left[(f"Q{i}", "y")] = {f"y_{i}": _ONE}
+        left[(f"Q{i}", f"y_{i}")] = {f"y_{i}": _ONE}
     return Correspondence("Y", algebra, gens, inner, right, left, validate=False,
                           guards={f"R{n}", f"Q{N}"},
                           clipped={("y", f"y_{N}"), (f"y_{N}", f"y_{N}")})
@@ -215,12 +212,12 @@ def build_psi(cfg: SphereConfig, x: Correspondence,
     """Quotient morphism from the disc module x onto the sphere module z:
     the sink column is crushed, everything else keeps its name."""
     n = cfg.n
-    alg = {f"P{i}": {f"S{i}": ONE} for i in range(1, n + 1)}
+    alg = {f"P{i}": {f"S{i}": _ONE} for i in range(1, n + 1)}
     alg[f"P{n + 1}"] = {}
     mod: dict = {}
     for i in range(1, n + 1):
         for j in range(i, n + 2):
-            mod[f"w_{i}_{j}"] = {f"z_{i}_{j}": ONE} if j <= n else {}
+            mod[f"w_{i}_{j}"] = {f"z_{i}_{j}": _ONE} if j <= n else {}
     return Morphism(x, z, alg, mod)
 
 
@@ -230,17 +227,17 @@ def build_omega(cfg: SphereConfig, y: Correspondence,
     module z: the corner filtration is crushed and the boundary
     generator y lands on the terminal loop."""
     n, N = cfg.n, cfg.N
-    alg = {f"R{i}": ({f"S{i}": ONE} if i <= n else {})
+    alg = {f"R{i}": ({f"S{i}": _ONE} if i <= n else {})
            for i in range(1, n + 2)}
     for j in range(1, N + 1):
         alg[f"Q{j}"] = {}
     mod: dict = {}
     for i in range(1, n):
         for j in range(i, n + 2):
-            mod[f"x_{i}_{j}"] = {f"z_{i}_{j}": ONE} if j <= n else {}
+            mod[f"x_{i}_{j}"] = {f"z_{i}_{j}": _ONE} if j <= n else {}
         for j in range(1, N + 1):
             mod[f"xn_{i}_{j}"] = {}
-    mod["y"] = {f"z_{n}_{n}": ONE}
+    mod["y"] = {f"z_{n}_{n}": _ONE}
     mod["yp"] = {}
     for i in range(1, N + 1):
         mod[f"y_{i}"] = {}
@@ -468,7 +465,7 @@ def _action_mismatches(corr: Correspondence, op, avec, gens=None):
     """The given generators, in order, on which a finite-rank operator and
     the left action of avec differ."""
     for g in (corr.gens if gens is None else gens):
-        if corr.left_action(avec, {g: ONE}) != op.apply(corr, {g: ONE}):
+        if corr.left_action(avec, {g: _ONE}) != op.apply(corr, {g: _ONE}):
             yield g
 
 
@@ -476,7 +473,7 @@ def _row_op(prefix, i, hi):
     """Sum of theta[g, g] over row i of the pattern, columns i..hi."""
     op = None
     for j in range(i, hi + 1):
-        t = theta({f"{prefix}_{i}_{j}": ONE}, {f"{prefix}_{i}_{j}": ONE})
+        t = theta({f"{prefix}_{i}_{j}": _ONE}, {f"{prefix}_{i}_{j}": _ONE})
         op = t if op is None else op + t
     return op
 
@@ -515,33 +512,33 @@ def lemma_suite(cfg: SphereConfig, X: Correspondence) -> Report:
              "dropping the last column loses the action on it")):
         wit = ""
         for i in range(1, rows + 1):
-            g = next(_action_mismatches(corr, _row_op(gen, i, n + 1), {f"{proj}{i}": ONE}), None)
+            g = next(_action_mismatches(corr, _row_op(gen, i, n + 1), {f"{proj}{i}": _ONE}), None)
             if g is not None:
                 wit = f"row {i} fails at {g}"
         rep.add(full, not wit, wit or full_detail)
-        refuted = all(next(_action_mismatches(corr, _row_op(gen, i, n), {f"{proj}{i}": ONE}),
+        refuted = all(next(_action_mismatches(corr, _row_op(gen, i, n), {f"{proj}{i}": _ONE}),
                            None) == f"{gen}_{i}_{n + 1}" for i in range(1, n))
         rep.add(cut, refuted, cut_detail if n > 1 else cut_none)
 
     interior = [g for g in deep.gens if g != f"y_{N + 1}"]
-    op = theta({"y": ONE, "yp": -ONE}, {"y": ONE, "yp": -ONE})
+    op = theta({"y": _ONE, "yp": -_ONE}, {"y": _ONE, "yp": -_ONE})
     rep.first("loop-row projection is a single rank-one corner",
-              (f"fails at {g}" for g in _action_mismatches(deep, op, {f"R{n}": ONE}, interior)),
+              (f"fails at {g}" for g in _action_mismatches(deep, op, {f"R{n}": _ONE}, interior)),
               "tested below the rebuilt bound")
-    op = theta({"yp": ONE}, {"yp": ONE})
+    op = theta({"yp": _ONE}, {"yp": _ONE})
     rep.first("sink-row projection is a single rank-one corner",
-              (f"fails at {g}" for g in _action_mismatches(deep, op, {f"R{n + 1}": ONE})))
+              (f"fails at {g}" for g in _action_mismatches(deep, op, {f"R{n + 1}": _ONE})))
 
     wit = ""
     for i in range(1, N + 1):
-        op = theta({f"y_{i}": ONE}, {f"y_{i}": ONE})
-        g = next(_action_mismatches(deep, op, {f"Q{i}": ONE}), None)
+        op = theta({f"y_{i}": _ONE}, {f"y_{i}": _ONE})
+        g = next(_action_mismatches(deep, op, {f"Q{i}": _ONE}), None)
         if g is not None:
             wit = f"Q{i} fails at {g}"
     rep.add("corner projections are rank-one", not wit,
             wit or f"indices 1..{N}; the rebuilt boundary index {N + 1} stays deferred")
 
-    alive = all(any(deep.left_action(avec, {g: ONE}) for g in deep.gens)
+    alive = all(any(deep.left_action(avec, {g: _ONE}) for g in deep.gens)
                 for _, avec in deep.atoms())
     rep.add("filtered module has trivial kernel", alive,
             "with the rank-one rows above, the ideal is the whole algebra on the verified range")
@@ -569,23 +566,23 @@ def expected_pair_generators(cfg: SphereConfig) -> list:
     pairs = []
     for i in range(1, n):
         for j in range(i, n + 2):
-            pairs.append(({f"w_{i}_{j}": ONE}, {f"x_{i}_{j}": ONE}))
+            pairs.append(({f"w_{i}_{j}": _ONE}, {f"x_{i}_{j}": _ONE}))
         for j in range(1, N + 1):
-            pairs.append(({}, {f"xn_{i}_{j}": ONE}))
-    pairs.append(({f"w_{n}_{n}": ONE}, {"y": ONE}))
-    pairs.append(({f"w_{n}_{n + 1}": ONE}, {}))
-    pairs.append(({}, {"yp": ONE}))
+            pairs.append(({}, {f"xn_{i}_{j}": _ONE}))
+    pairs.append(({f"w_{n}_{n}": _ONE}, {"y": _ONE}))
+    pairs.append(({f"w_{n}_{n + 1}": _ONE}, {}))
+    pairs.append(({}, {"yp": _ONE}))
     for i in range(1, N + 1):
-        pairs.append(({}, {f"y_{i}": ONE}))
+        pairs.append(({}, {f"y_{i}": _ONE}))
     return pairs
 
 
 def expected_pair_projections(cfg: SphereConfig) -> list:
     n, N = cfg.n, cfg.N
-    out = [({f"P{i}": ONE}, {f"R{i}": ONE}) for i in range(1, n + 1)]
-    out.append(({f"P{n + 1}": ONE}, {}))
-    out.append(({}, {f"R{n + 1}": ONE}))
-    out.extend(({}, {f"Q{j}": ONE}) for j in range(1, N + 1))
+    out = [({f"P{i}": _ONE}, {f"R{i}": _ONE}) for i in range(1, n + 1)]
+    out.append(({f"P{n + 1}": _ONE}, {}))
+    out.append(({}, {f"R{n + 1}": _ONE}))
+    out.extend(({}, {f"Q{j}": _ONE}) for j in range(1, N + 1))
     return out
 
 
@@ -637,12 +634,12 @@ def mirror_span_report(cfg: SphereConfig, rsum, psi: Morphism,
 
     def loop_pair_failures():
         for j in range(1, cfg.N + 1):
-            if (got := B.mul({f"Q{j}": ONE}, {f"R{n}": ONE})) != {f"Q{j}": ONE}:
+            if (got := B.mul({f"Q{j}": _ONE}, {f"R{n}": _ONE})) != {f"Q{j}": _ONE}:
                 yield f"Q{j}*R{n} = {vec_repr(got)}"
         # checked on their own: `mul` on an unknown symbol is zero too
         if missing := [s for s in sinks if s not in rows]:
             yield f"no pair atom {', '.join(missing)}"
-        elif prod := rsum.corr.algebra.mul({sinks[0]: ONE}, {sinks[1]: ONE}):
+        elif prod := rsum.corr.algebra.mul({sinks[0]: _ONE}, {sinks[1]: _ONE}):
             yield f"{sinks[0]}*{sinks[1]} = {vec_repr(prod)}"
 
     rep.first("corner projections sit under the loop pair and the two sink parts are orthogonal",
@@ -791,9 +788,9 @@ def verify_En_representation(cfg: SphereConfig, rsum) -> Report:
 
     okqs = all(eng.equals(y_mod[f"y_{i}"] * y_mod[f"y_{i}"].adj(), b_alg[f"Q{i}"])
                for i in range(1, N + 1))
-    resid_b = {f"R{n}": ONE}
-    resid_b.update((f"Q{j}", -ONE) for j in range(1, N + 1))
-    resid = image({f"P{n}": ONE}, resid_b, a_alg, b_alg)
+    resid_b = {f"R{n}": _ONE}
+    resid_b.update((f"Q{j}", -_ONE) for j in range(1, N + 1))
+    resid = image({f"P{n}": _ONE}, resid_b, a_alg, b_alg)
     u = boundary - y_mod["yp"]
     lhs = u * u.adj() + sink * sink.adj()
     for i in range(1, N + 1):

@@ -10,8 +10,8 @@ sparse walks over the stored table entries or one comparison of two
 index maps,
 compact decompositions through a dense system over every generator pair
 instead of one built from the stored inner entries, engine products reduced pair by pair instead of through the engine's
-memo of term-pair products, `Engine.combine` as a fold of filtered sums
-instead of one dict that deletes cancelled terms in place, sparse table
+memo of term-pair products, `Engine.combine` and `substitute` as folds
+of filtered sums instead of one dict that deletes cancelled terms in place, sparse table
 sums through a dense loop over every key pair instead of the in-place
 accumulation of `_table_apply`, the wide class's V-parts through a
 `Graph` per edge multiset instead of tests on the pairs alone, the
@@ -527,6 +527,24 @@ def fold_combine(engine: Engine, vec: dict, images: dict) -> Element:
             merged[t] = merged[t] + e if t in merged else e
         out = {t: e for t, e in merged.items() if e}
     return Element(engine, out)
+
+
+def fold_substitute(x: Element, dst: Engine, s_images: dict, v_images: dict) -> Element:
+    """`substitute` as it was: a fold of `out + c * acc` over the terms
+    of x, with acc the image of one term and that `+` and scalar product
+    spelled out on dicts as in `fold_combine`."""
+    out: dict = {}
+    for (alpha, s, beta), c in x.terms.items():
+        acc = fold_combine(dst, dict.fromkeys(sorted(s.atoms, key=sort_key), 1), v_images)
+        for lab in reversed(alpha):
+            acc = s_images[lab] * acc
+        for lab in beta:
+            acc = acc * s_images[lab].adj()
+        merged = dict(out)
+        for t, e in acc.terms.items():
+            merged[t] = merged[t] + c * e if t in merged else c * e
+        out = {t: e for t, e in merged.items() if e}
+    return Element(dst, out)
 
 
 # ----------------------------------------------- glued images by row name

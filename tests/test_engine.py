@@ -11,8 +11,9 @@ from corrkit.exactlinalg import _ONE
 from corrkit.properties import _engines, _factor_pool, _random_element
 from corrkit.labelled import build_space, concrete_graph, relative_range, truncate_space
 from corrkit.setexpr import SetExpr, atoms, tail
-from corrkit.spheres import SphereConfig, build_En_space
-from oracles import fold_combine, reference_mul
+from corrkit.spheres import (SphereConfig, _row_engine, _row_images, build_beta, build_En_space,
+                             psi_hat_images, rho_Y_images)
+from oracles import fold_combine, fold_substitute, reference_mul
 
 
 @pytest.fixture(scope="module")
@@ -360,3 +361,140 @@ def test_unit_coefficients_change_no_value_and_no_order(which):
         assert eng.equals(x, y) == eng.equals(plain["x"], plain["y"])
         assert eng.equals_detail(x * z, y) == eng.equals_detail(plain["x"] * z, plain["y"])
     assert shared > 0 and fresh > 0
+
+
+# (verdict, witness) of `equals_detail` on seeded unequal pairs, one list
+# per property engine; the witnesses are the residuals "residual " + pin
+_UNEQUAL_PINS = [
+    [  # branchy
+        "(3)*s[l,l,l].p{a,b}.s[l,l,l]*",
+        "(1/2)*s[l,l,l,l].p{a,b}.s[l,l,l,l,l]*",
+        "(-1)*s[k,l,l,l].p{a,b}.s[m,k,l,l,l]*",
+        "(1)*s[k,l,l,l].p{a,b}.s[m,k,l,l,l]*",
+        "(-1/2)*s[k,l,l,l].p{a,b}.s[m,k,l,l,l]*",
+        "(1)*s[k,l,l,l].p{a,b}.s[l,l,l]*",
+        "(-2)*s[k,l,l].p{a,b}.s[m,k,l,l]*",
+        "(-2/3)*p{d}",
+        "(2/3)*p{d}.s[s]*",
+        "(-1)*s[m,k,l,l,l].p{a,b}.s[l,l,l]*",
+        "(1)*s[k,l,l,l].p{a,b}.s[l,l,l]*",
+        "(-1)*p{d}",
+        "(2/3)*s[l,l,l,l,l].p{a,b}.s[l,l,l,l]*",
+        "(1/3)*s[l,l,l].p{a,b}.s[l,l,l,l]*",
+        "(3/2)*s[l,l,l,l].p{a,b}.s[l,l,l]*",
+        "(2)*s[k,l,l,l,l].p{a,b}.s[l,l,l,l]*",
+        "(1/3)*p{d}",
+        "(1)*s[l,l,l].p{a,b}.s[k,l,l,l]*",
+        "(-2)*p{d}.s[s]*",
+        "(1/3)*p{d}.s[s]*",
+        "(-11/6)*s[l,l,l,l].p{a,b}.s[l,l,l,l]*",
+        "(3)*s[k,l,l,l].p{a,b}.s[m,k,l,l,l]*",
+        "(1/3)*p{d}",
+        "(-1/2)*s[l,l,l,l].p{a,b}.s[l,l,l,l,l]*",
+        "(1)*s[s].p{d}.s[s]*",
+        "(-1)*p{d}",
+        "(-1)*p{d}.s[s]*",
+        "(2)*p{d}",
+        "(3/2)*p{d}.s[s]*",
+        "(1/2)*s[l,l,l,l].p{a,b}.s[l,l,l]*",
+        "(-3)*s[k,l,l,l].p{a,b}.s[m,k,l,l,l]*",
+        "(-1)*s[k,l,l,l].p{a,b}.s[m,k,l,l,l]*",
+        "(1/2)*s[l,m,k,l,l].p{a,b}.s[k,l,l]*",
+        "(-2/3)*s[m,k,l,l,l].p{a,b}.s[k,l,l,l]*",
+        "(2)*s[k,l,l,l].p{a,b}.s[m,k,l,l,l]*",
+        "(1/2)*s[l,l,l,l].p{a,b}.s[k,l,l,l,l]*",
+        "(-1)*s[l,l,l,l].p{a,b}.s[l,l,l,l]*",
+        "(-2/3)*s[k,l,l,l].p{a,b}.s[m,k,l,l,l]*",
+        "(-3)*p{d}",
+        "(1/2)*s[s].p{d}",
+    ],
+    [  # E_2
+        "(-1)*s[f1].p{w1}",
+        "(2)*p{w1}.s[f1]*",
+        "(3)*s[e_1_1,e_1_1,e_1_1].p{u1}.s[e_1_1,e_1_1,e_1_1,e_1_1,e_1_1]*",
+        "(-3/2)*s[g,g,g,g].p{v>=7}.s[g,g,g,g]*",
+        "(1/3)*p{w1}.s[h]*",
+        "(-1)*s[h].p{w1}",
+        "(-1/3)*p{w1}.s[h]*",
+        "(1)*p{w1}.s[e_1_1,f1]*",
+        "(-1)*s[e_1_1,e_1_1,e_1_1,e_1_1].p{u1}.s[e_1_1,e_1_1,e_1_1,e_1_1,e_1_1]*",
+        "(2)*s[e_1_1,e_1_1,e_1_1,e_1_1,e_1_1].p{u1}.s[e_1_1,e_1_1,e_1_1,e_1_1,e_1_1]*",
+        "(3/2)*s[f1].p{w1}",
+        "(2)*p{w1}",
+        "(-1)*s[e_1_1,e_1_1,e_1_1,e_1_1].p{u1}.s[e_1_1,e_1_1,e_1_1]*",
+        "(2)*s[e_1_1,e_1_1,e_1_1,e_1_1].p{u1}.s[e_1_1,e_1_1,e_1_1,e_1_1]*",
+        "(-3)*s[e_1_1,e_1_1,e_1_1,e_1_1].p{u1}.s[e_1_1,e_1_1,e_1_1,e_1_1,e_1_1]*",
+        "(-1)*s[e_1_1,e_1_1,e_1_1,e_1_1].p{u1}.s[e_1_1,e_1_1,e_1_1,e_1_1,e_1_1]*",
+        "(-1/2)*p{w1}",
+        "(3)*p{w1}",
+        "(-1)*p{w1}",
+        "(2)*p{w1}",
+        "(-1/2)*p{w1}.s[g,h]*",
+        "(-3/2)*s[e_1_1,e_1_1,e_1_1,e_1_1].p{u1}.s[e_1_1,e_1_1,e_1_1,e_1_1,e_1_1]*",
+        "(1)*p{w1}.s[h]*",
+        "(1)*s[e_1_1,e_1_1,e_1_1,e_1_1].p{u1}.s[e_1_1,e_1_1,e_1_1,e_1_1]*",
+        "(1/3)*p{w1}.s[f1]*",
+        "(3)*s[g,g,g,g,g].p{v>=5}.s[g,g,g,g,g]*",
+        "(1/2)*s[g,g,g,g].p{v>=5}.s[g,g,g,g,g]*",
+        "(-3)*p{w1}.s[f1]*",
+        "(2)*s[f1].p{w1}",
+        "(1)*s[g,g,g,g].p{v>=7}.s[g,g,g]*",
+        "(1/3)*s[g,g,g,g,g].p{v>=5}.s[g,g,g,g]*",
+        "(-1)*s[f1].p{w1}.s[f1]*",
+        "(-3/2)*s[f1].p{w1}",
+        "(1/2)*s[g,g,g,g].p{v>=8}.s[g,g,g,g,g]*",
+        "(-3)*s[f1].p{w1}",
+        "(-5/6)*s[h].p{w1}",
+        "(-1)*p{w1}.s[h]*",
+        "(-1)*s[g,g,g,g,g].p{v>=6}.s[g,g,g,g,g]*",
+        "(-1)*p{w1}.s[h]*",
+        "(11/6)*p{w1}",
+    ],
+]
+
+
+@pytest.mark.parametrize("which", [0, 1], ids=["branchy", "E_2"])
+def test_unequal_pairs_keep_their_verdict_and_witness(which):
+    """On seeded pairs whose difference needs below-level, joint and no
+    expansion rounds, `equals_detail` gives the pinned verdict and
+    residual witness, and the difference equals the dense sum in value
+    and key order."""
+    eng, labels, sets = _engines()[which]
+    pool = _factor_pool(eng, labels, sets)
+    rng = Random(4421 + which)
+    for pin in _UNEQUAL_PINS[which]:
+        x, y, z = (_random_element(rng, eng, pool) for _ in range(3))
+        lhs, rhs = x * z + eng.expand_once(y), y + x * z + z
+        assert eng.equals_detail(lhs, rhs) == (False, "residual " + pin)
+        assert list((lhs - rhs).terms.items()) == list(_dense_sum(lhs, rhs, -1).items())
+        assert list((x - y).terms.items()) == list(_dense_sum(x, y, -1).items())
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_substitute_matches_the_fold_of_sums(n):
+    """`substitute` equals the fold of `out + c * acc` in value and key
+    order on the module and algebra images that the omega factorisation
+    pushes through the sink-killing extension and then the flip, and on
+    the flip of its own edge images."""
+    cfg = SphereConfig(n)
+    disc, sphere = _row_engine(n, n + 1), _row_engine(n, n)
+    mod, alg = rho_Y_images(cfg, *_row_images(disc, n, n + 1, "w", "P"))
+    hat_s, hat_p, _ = psi_hat_images(cfg, sphere)
+    beta_s, beta_p, _ = build_beta(cfg, sphere)
+    checked = 0
+    for el in [*mod.values(), *alg.values(), *beta_s.values()]:
+        hat = substitute(el, sphere, hat_s, hat_p)
+        for got, want in ((hat, fold_substitute(el, sphere, hat_s, hat_p)),
+                          (substitute(hat, sphere, beta_s, beta_p),
+                           fold_substitute(hat, sphere, beta_s, beta_p))):
+            _assert_stored(got)
+            assert list(got.terms.items()) == list(want.terms.items())
+            checked += bool(want.terms)
+    assert checked >= len(mod)
+
+
+def test_combine_needs_every_symbol_whatever_its_coefficient(edge_eng):
+    pa = edge_eng.p(atoms("a"))
+    for c in (0, 1, Fraction(0)):
+        with pytest.raises(KeyError):
+            edge_eng.combine({"a": 1, "missing": c}, {"a": pa})

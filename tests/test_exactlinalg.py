@@ -1,6 +1,8 @@
 """Exact rational linear algebra: solvers, spans, and the PSD test."""
+import ast
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -8,6 +10,8 @@ from corrkit.exactlinalg import (_ONE, SpanSolver, _axpy, _table_apply, det, exp
                                  is_psd, mat_mul, nullspace, same_span, solve, sort_key,
                                  vclean, vec_repr)
 
+from corrkit.correspondences import theta
+from corrkit.spheres import SphereConfig, build_X_A, build_Y_B
 from oracles import dense_table_apply, int_det
 
 
@@ -44,6 +48,41 @@ def test_axpy_by_the_unit_stores_the_vectors_own_values():
     _axpy(out, _ONE, v)
     assert list(out.items()) == [("c", Fraction(6)), ("a", Fraction(2, 3))]
     assert out["a"] is v["a"]
+
+
+def test_axpy_by_a_vector_of_units_stores_the_coefficient_itself():
+    """The unit rule holds on both factors: against a `_ONE` entry, a new
+    key gets `c` itself and a key already present gets the sum."""
+    c = Fraction(-2, 3)
+    out = {"a": Fraction(1, 3)}
+    _axpy(out, c, {"a": _ONE, "b": _ONE})
+    assert list(out.items()) == [("a", Fraction(-1, 3)), ("b", c)]
+    assert out["b"] is c
+
+
+def test_sphere_tables_and_theta_carry_the_shared_unit():
+    """Every unit entry of the X and Y tables and their algebras, and the
+    coefficient of a rank-one operator, is the one `_ONE`."""
+    cfg = SphereConfig(2)
+    units = [theta({"y": _ONE}, {"y": _ONE}).terms[0][0]]
+    for corr in (build_X_A(cfg), build_Y_B(cfg)):
+        for table in (corr._inner, corr._right, corr._left, corr.algebra._table):
+            units += [c for v in table.values() for c in v.values() if c == 1]
+    assert len(units) > 50 and all(c is _ONE for c in units)
+
+
+def test_the_shared_unit_is_the_only_fraction_one_in_the_package():
+    """`Fraction(1)` is built once, as `exactlinalg._ONE`: a unit of its
+    own elsewhere would miss the unit rule of `_axpy` and the term engine."""
+    src = Path(__file__).resolve().parent.parent / "src" / "corrkit"
+    found = []
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        named = {id(n.value): ast.unparse(n.targets[0])
+                 for n in ast.walk(tree) if isinstance(n, ast.Assign)}
+        found += [(path.name, named.get(id(n))) for n in ast.walk(tree)
+                  if isinstance(n, ast.Call) and ast.unparse(n) == "Fraction(1)"]
+    assert found == [("exactlinalg.py", "_ONE")]
 
 
 _TABLE_COEFFS = [0, 1, -1, 2, Fraction(0), Fraction(2, 3), Fraction(-3, 2), Fraction(1, 2)]
