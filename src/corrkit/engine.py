@@ -40,11 +40,15 @@ expands through
 
 and a difference is declared zero when, after grouping terms by word
 pair, every non-empty membership cell of the grouped sets has vanishing
-total coefficient.  The cell test is a sound zero certificate; when a
-residual refuses to expand further the check reports inequality with
-the residual as witness, which is the correct verdict whenever cell
-projections of the space are independent (true for the spaces built in
-this package, where distinct vertices act independently).
+total coefficient.  Two sides that hold the same terms are equal at
+once, without the difference: it would be empty, and an empty
+difference trips no budget, expands nothing and passes the first cell
+test, so the verdict is the same.  The cell test is a sound zero
+certificate; when a residual refuses to expand further the check
+reports inequality with the residual as witness, which is the correct
+verdict whenever cell projections of the space are independent (true
+for the spaces built in this package, where distinct vertices act
+independently).
 """
 from __future__ import annotations
 
@@ -382,9 +386,14 @@ class Engine:
                 yield name, ""
 
     def equals_detail(self, x: Element, y: Element):
-        """(equal, witness).  Expands below-top-level terms first; if a
-        nonzero residual has no such terms left, expands everything
-        jointly up to `EQUALS_DEPTH` extra levels before giving up."""
+        """(equal, witness).  Sides holding the same terms are equal
+        outright: their difference is empty, which the loop below would
+        accept in its first round without expanding anything.  Otherwise
+        expands below-top-level terms first; if a nonzero residual has
+        no such terms left, expands everything jointly up to
+        `EQUALS_DEPTH` extra levels before giving up."""
+        if x.terms == y.terms:
+            return True, None
         d = x - y
         joint_rounds = 0
         for _ in range(EQUALS_ROUNDS):

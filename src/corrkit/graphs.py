@@ -87,23 +87,28 @@ def hereditary_closure(g: Graph, seed: Iterable[str]) -> frozenset:
 
 
 def is_acyclic_among(g: Graph, verts: frozenset) -> bool:
-    """No directed cycle visiting only `verts`."""
-    order = [v for v in g.vertices if v in verts]
-    color = {v: 0 for v in order}
+    """No directed cycle visiting only `verts`.
 
-    def dfs(v: str) -> bool:
-        color[v] = 1
+    Peels the vertices of `verts` that no remaining edge enters; a vertex
+    on a cycle is never peeled.  Only a vertex that emits an edge can lie
+    on a cycle, so the sources of `g.out` are the candidates."""
+    indeg = {v: 0 for v in g.out if v in verts}
+    for v in indeg:
         for e in g.out[v]:
             w = g.dst[e]
-            if w in verts:
-                if color[w] == 1:
-                    return False
-                if color[w] == 0 and not dfs(w):
-                    return False
-        color[v] = 2
-        return True
-
-    return all(color[v] == 2 or dfs(v) for v in order)
+            if w in indeg:
+                indeg[w] += 1
+    ready = [v for v, k in indeg.items() if not k]
+    peeled = 0
+    while ready:
+        peeled += 1
+        for e in g.out[ready.pop()]:
+            w = g.dst[e]
+            if w in indeg:
+                indeg[w] -= 1
+                if not indeg[w]:
+                    ready.append(w)
+    return peeled == len(indeg)
 
 
 def canonical_encoding(vertices: Iterable[str], pairs: Iterable[tuple[str, str]]) -> tuple:

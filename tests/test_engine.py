@@ -470,6 +470,67 @@ def test_unequal_pairs_keep_their_verdict_and_witness(which):
         assert list((x - y).terms.items()) == list(_dense_sum(x, y, -1).items())
 
 
+def _count_zero_test_calls(monkeypatch, eng) -> dict:
+    """Wrap `eng._nonzero_cell` and `eng._expand` on the instance; the
+    dict counts their calls."""
+    calls = {"_nonzero_cell": 0, "_expand": 0}
+    for name in calls:
+        inner = getattr(eng, name)
+
+        def counted(*args, _name=name, _inner=inner):
+            calls[_name] += 1
+            return _inner(*args)
+
+        monkeypatch.setattr(eng, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("which", [0, 1], ids=["branchy", "E_2"])
+def test_sides_with_the_same_terms_are_equal_without_a_zero_test(which, monkeypatch):
+    """Sides holding the same terms, in any key order, are `(True, None)`
+    and neither the cell test nor an expansion runs."""
+    eng, labels, sets = _engines()[which]
+    pool = _factor_pool(eng, labels, sets)
+    rng = Random(7310 + which)
+    pairs = []
+    for _ in range(40):
+        x, y, z = (_random_element(rng, eng, pool) for _ in range(3))
+        pairs += [(x, x), (x + y, y + x), (x * z, Element(eng, dict(reversed((x * z).terms.items()))))]
+    pairs.append((eng.zero(), eng.zero()))
+    assert any(list(a.terms) != list(b.terms) for a, b in pairs)
+    calls = _count_zero_test_calls(monkeypatch, eng)
+    for a, b in pairs:
+        assert a.terms == b.terms
+        assert eng.equals_detail(a, b) == (True, None)
+    assert calls == {"_nonzero_cell": 0, "_expand": 0}
+
+
+@pytest.mark.parametrize("which", [0, 1], ids=["branchy", "E_2"])
+def test_equal_sides_with_different_terms_still_take_the_zero_test(which, monkeypatch):
+    """Each summation case of `tautological_checks` sets p(A) against its
+    expansion: equal sides whose terms differ, which `equals_detail`
+    proves equal through the cell test and an expansion."""
+    eng = _engines()[which][0]
+    cases = []
+    inner = eng.mismatches
+
+    def recorded(given):
+        given = list(given)
+        cases.extend(c for c in given if c[0].startswith("summation relation at"))
+        return inner(given)
+
+    monkeypatch.setattr(eng, "mismatches", recorded)
+    assert tautological_checks(eng).ok
+    assert cases
+    calls = _count_zero_test_calls(monkeypatch, eng)
+    for _, lhs, rhs in cases:
+        assert lhs.terms != rhs.terms
+        before = dict(calls)
+        assert eng.equals_detail(lhs, rhs) == (True, None)
+        assert calls["_nonzero_cell"] > before["_nonzero_cell"]
+        assert calls["_expand"] > before["_expand"]
+
+
 @pytest.mark.parametrize("n", [1, 2])
 def test_substitute_matches_the_fold_of_sums(n):
     """`substitute` equals the fold of `out + c * acc` in value and key

@@ -47,6 +47,18 @@ def test_acyclicity():
     assert is_acyclic_among(loop, set())
 
 
+def test_acyclicity_on_a_path_deeper_than_the_recursion_limit():
+    """The peel keeps no call stack: a 3000-vertex path is acyclic, and
+    one edge back from its end to its start makes a cycle."""
+    n = 3000
+    verts = [f"v{i}" for i in range(n)]
+    path = [(f"e{i}", verts[i], verts[i + 1]) for i in range(n - 1)]
+    assert is_acyclic_among(Graph(verts, path), frozenset(verts))
+    closed = Graph(verts, path + [("back", verts[-1], verts[0])])
+    assert not is_acyclic_among(closed, frozenset(verts))
+    assert is_acyclic_among(closed, frozenset(verts[1:]))
+
+
 def _edge_pairs(g):
     return [(g.src[e], g.dst[e]) for e in g.edges]
 
