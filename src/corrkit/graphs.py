@@ -1,6 +1,9 @@
 """Finite directed graphs with named vertices and edges."""
 from __future__ import annotations
 
+from functools import lru_cache
+from itertools import islice
+from operator import le
 from typing import Iterable, Sequence
 
 from .exactlinalg import sort_key
@@ -114,8 +117,17 @@ def is_acyclic_among(g: Graph, verts: frozenset) -> bool:
 def canonical_encoding(vertices: Iterable[str], pairs: Iterable[tuple[str, str]]) -> tuple:
     """Encoding of the graph on `vertices` whose edges are the (src, dst)
     `pairs`: equal exactly when the vertex sets and the edge multisets
-    are, keeping vertex names (no relabeling) and ignoring edge names."""
-    return (tuple(sorted(vertices, key=sort_key)), tuple(sorted(pairs)))
+    are, keeping vertex names (no relabeling) and ignoring edge names.
+    A `pairs` tuple that is already sorted is returned as it is, and each
+    distinct vertex tuple is sorted once."""
+    if not (isinstance(pairs, tuple) and all(map(le, pairs, islice(pairs, 1, None)))):
+        pairs = tuple(sorted(pairs))
+    return (_sorted_vertices(tuple(vertices)), pairs)
+
+
+@lru_cache(maxsize=256)
+def _sorted_vertices(vertices: tuple) -> tuple:
+    return tuple(sorted(vertices, key=sort_key))
 
 
 # edge names for `from_edge_pairs`, enough for the obstruction sweep's 14 edges

@@ -38,7 +38,7 @@ from .graphs import Graph
 from .smith import integer_solve, invariant_factors
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IntMatrix:
     entries: tuple  # tuple of row tuples
     row_labels: tuple
@@ -74,12 +74,12 @@ def group_str(free_rank: int, torsion: tuple) -> str:
 def presentation_matrix(g: Graph) -> IntMatrix:
     regular = tuple(g.regular_vertices())
     row_of = {v: i for i, v in enumerate(g.vertices)}
-    col_of = {w: j for j, w in enumerate(regular)}
+    out, dst = g.out, g.dst
     rows = [[0] * len(regular) for _ in g.vertices]
-    for w, j in col_of.items():
+    for j, w in enumerate(regular):  # column j: -1 at w, +1 per edge out of w
         rows[row_of[w]][j] = -1
-    for e in g.edges:  # every source is regular, so every edge has a column
-        rows[row_of[g.dst[e]]][col_of[g.src[e]]] += 1
+        for e in out[w]:
+            rows[row_of[dst[e]]][j] += 1
     return IntMatrix(tuple(map(tuple, rows)), g.vertices, regular)
 
 

@@ -22,7 +22,7 @@ outside the narrow class.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations_with_replacement, islice, permutations, product
+from itertools import chain, combinations_with_replacement, islice, permutations, product
 
 from .errors import BudgetError
 from .graphs import (Graph, canonical_encoding, from_edge_pairs, hereditary_closure,
@@ -32,9 +32,10 @@ from .reports import Report
 
 LOOP_VERTEX = "w0"
 SINKS = ("w1", "w2")
+_SINK_SET = frozenset(SINKS)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Candidate:
     vertices: tuple
     pairs: tuple  # (src, dst) with multiplicity as repetition
@@ -45,48 +46,50 @@ class Candidate:
 
 def _structural_ok(g: Graph, wide: bool) -> tuple[bool, str]:
     """Check the filters that define the enumeration class; `sweep`
-    asserts them on every enumerated candidate."""
+    asserts them on every enumerated candidate.  One pass over `g.out`
+    finds the sinks, the loops and the edges into w0; the filters then
+    run in a fixed order and the first that fails names the reason."""
+    out, dst = g.out, g.dst
     vs = set(g.vertices)
-    if LOOP_VERTEX not in vs or not set(SINKS) <= vs:
+    if LOOP_VERTEX not in vs or not _SINK_SET <= vs:
         return False, "missing w0/w1/w2"
-    sinks = set(g.sinks())
-    if sinks != set(SINKS):
-        return False, f"sinks are {sorted(sinks)}, need exactly {list(SINKS)}"
-    src, dst = g.src, g.dst
-    loops = []
+    sinks = set()
+    loops = []  # the source of each loop
     entering = False  # an edge into w0 from another vertex
-    for e in g.edges:
-        if src[e] == dst[e]:
-            loops.append(e)
-        elif dst[e] == LOOP_VERTEX:
-            entering = True
-    if len(loops) != 1 or src[loops[0]] != LOOP_VERTEX:
+    for s, es in out.items():  # every listed vertex is a key of `out`
+        if not es:
+            sinks.add(s)
+        for e in es:
+            d = dst[e]
+            if d == s:
+                loops.append(s)
+            elif d == LOOP_VERTEX:
+                entering = True
+    if sinks != _SINK_SET:
+        return False, f"sinks are {sorted(sinks)}, need exactly {list(SINKS)}"
+    if loops != [LOOP_VERTEX]:
         return False, "need exactly one loop, at w0"
     if entering:
         return False, "edge into w0 from elsewhere"
     v_set = hereditary_closure(g, [LOOP_VERTEX])
-    if not set(SINKS) <= v_set:
+    if not _SINK_SET <= v_set:
         return False, "a sink is outside the hereditary closure of w0"
-    rest = frozenset(vs - v_set)
     if not is_acyclic_among(g, frozenset(vs - {LOOP_VERTEX})):
         return False, "second cycle outside the loop"
-    for v in rest:
-        if not g.out_edges(v):
+    for v in vs - v_set:
+        if not out[v]:
             return False, f"{v} outside V emits nothing (third sink)"
     if not wide:
         feeds = dict.fromkeys(v_set, 0)  # edges from V into each vertex of V
-        loop_feed = 0  # edges into w0 from anywhere
-        for e in g.edges:
-            d = dst[e]
-            if src[e] in v_set:
-                feeds[d] += 1  # V is hereditary, so d is in V
-            if d == LOOP_VERTEX:
-                loop_feed += 1
-        for v in sorted(v_set - {LOOP_VERTEX}):
-            if feeds[v] != 1:
-                return False, f"{v} receives {feeds[v]} edges from V (need exactly 1)"
-        if loop_feed != 1:
-            return False, "w0 receives more than its loop"
+        for v in v_set:
+            for e in out.get(v, ()):
+                feeds[dst[e]] += 1  # V is hereditary, so the target is in V
+        wrong = [v for v, k in feeds.items() if k != 1 and v != LOOP_VERTEX]
+        if wrong:
+            v = min(wrong)  # the first in sorted order
+            return False, f"{v} receives {feeds[v]} edges from V (need exactly 1)"
+        # No test that w0 receives only its loop: by now the one loop sits
+        # at w0 and no other edge enters w0, so it could never fail.
     return True, ""
 
 
@@ -216,21 +219,42 @@ def _h_parts(h_nodes: tuple, v_targets: tuple, budget: int) -> list[tuple]:
     """Edge multisets for the part outside V: each h-vertex emits at
     least one edge, targets are V \\ {w0} or later h-vertices (acyclic),
     multiset total <= budget.  Deduped under h-vertex permutations that
-    preserve the forward (acyclic) orientation."""
-    if not h_nodes:
-        return [()]
-    slots = []
-    for i, h in enumerate(h_nodes):
-        for t in v_targets + h_nodes[i + 1 :]:
-            slots.append((h, t))
-    renamings = _renamings(h_nodes, slots, forward=True)
+    preserve the forward (acyclic) orientation.
+
+    Each multiset is one nonempty out-multiset per h-vertex, drawn for
+    every choice of sizes (each at least 1, summing to at most `budget`),
+    so none is drawn only to be dropped.  A vertex's out-multisets of one
+    size are grouped by the h-to-h pairs they use, and `_canonical` gets
+    only the renamings that keep all the pairs a choice of groups uses
+    forward (it would skip the others), picked once per set of pairs."""
+    slots_of = [[(h, t) for t in v_targets + h_nodes[i + 1 :]] for i, h in enumerate(h_nodes)]
+    renamings = _renamings(h_nodes, [p for slots in slots_of for p in slots], forward=True)
+    top = budget - len(h_nodes) + 1  # the most edges one h-vertex can emit
+    h_set = frozenset(h_nodes)
+    # groups[i][n - 1]: the out-multisets of size n of the i-th h-vertex,
+    # as (h-to-h pairs used, multisets using exactly those)
+    groups = []
+    for slots in slots_of:
+        by_size = []
+        for n in range(1, top + 1):
+            by_pairs: dict = {}
+            for m in combinations_with_replacement(slots, n):
+                by_pairs.setdefault(frozenset([p for p in m if p[1] in h_set]), []).append(m)
+            by_size.append(list(by_pairs.items()))
+        groups.append(by_size)
+    allowed: dict = {}  # h-to-h pairs used -> the renamings keeping them forward
     out = set()
-    for count in range(len(h_nodes), budget + 1):
-        for combo in combinations_with_replacement(slots, count):
-            srcs = {s for s, _ in combo}
-            if len(srcs) != len(h_nodes):
-                continue  # some h-vertex emits nothing
-            out.add(_canonical(combo, renamings))
+    for sizes in product(range(1, top + 1), repeat=len(h_nodes)):
+        if sum(sizes) > budget:
+            continue
+        for choice in product(*[groups[i][n - 1] for i, n in enumerate(sizes)]):
+            used = frozenset().union(*[hh for hh, _ in choice])
+            keep = allowed.get(used)
+            if keep is None:
+                keep = allowed[used] = [image for image in renamings
+                                        if all(image[p] is not None for p in used)]
+            for parts in product(*[ms for _, ms in choice]):
+                out.add(_canonical(tuple(chain.from_iterable(parts)), keep))
     return sorted(out)
 
 
@@ -255,6 +279,7 @@ def enumerate_candidates(max_vertices: int, max_edges: int = 10, wide: bool = Fa
             ]
         for n_h in range(spare - n_extra + 1):
             h_nodes = tuple(f"t{i+1}" for i in range(n_h))
+            vertices = v_nodes + h_nodes  # one tuple for all these candidates
             v_targets = extra + SINKS
             h_parts: dict = {}  # remaining edge budget -> its h-parts
             for v_pairs in v_parts:
@@ -264,13 +289,16 @@ def enumerate_candidates(max_vertices: int, max_edges: int = 10, wide: bool = Fa
                 if rem not in h_parts:
                     h_parts[rem] = _h_parts(h_nodes, v_targets, rem)
                 for h_pairs in h_parts[rem]:
-                    cands.append(Candidate(v_nodes + h_nodes, tuple(sorted(v_pairs + h_pairs))))
+                    cands.append(Candidate(vertices, tuple(sorted(v_pairs + h_pairs))))
     # This pass drops only exact duplicates, and construction makes none:
     # V-sourced and h-sourced edges have disjoint sources, and the V-parts
     # are distinct.  It stays because perfbench counts its
     # `canonical_encoding` calls, one per candidate, each read from the
-    # vertices and pairs without building a `Graph`.  Isomorphic candidates
-    # are not merged here; isomorph-free generation is an open roadmap item.
+    # vertices and pairs without building a `Graph`.  The pairs are built
+    # sorted, so each encoding holds the candidate's own pairs tuple and the
+    # sorted vertex tuple shared by all candidates on the same vertices.
+    # Isomorphic candidates are not merged here; isomorph-free generation
+    # is an open roadmap item.
     seen = set()
     uniq = []
     for c in cands:
@@ -297,7 +325,9 @@ def sweep(max_vertices: int, max_edges: int = 10, wide: bool = False) -> SweepRe
     (the 7696 graphs at 6 vertices would take about 10 MB).  The
     candidates share one memo of reduced K0 systems (see `ktheory`), so
     each distinct reduced system is factored once per sweep; every
-    verdict is still checked on the candidate's own presentation."""
+    verdict is still checked on the candidate's own presentation.  The
+    structural check and the presentation matrix each read the graph's
+    out-edge index (`Graph.out`) once, with no per-vertex copies."""
     cands = enumerate_candidates(max_vertices, max_edges, wide)
     rep = Report(f"obstruction sweep ({'wide' if wide else 'default'} class, "
                  f"<= {max_vertices} vertices, <= {max_edges} edges)")

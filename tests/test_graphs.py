@@ -1,6 +1,7 @@
 """Directed graph basics."""
 import random
 
+from corrkit.exactlinalg import sort_key
 from corrkit.graphs import Graph, canonical_encoding, from_edge_pairs, hereditary_closure, is_acyclic_among
 
 from oracles import (scan_hereditary_closure, scan_is_acyclic_among, scan_out_edges,
@@ -81,6 +82,36 @@ def test_from_edge_pairs_names_edges_in_order_past_the_precomputed_names():
     g = from_edge_pairs(("a", "b"), pairs)
     assert g.edges == tuple(f"e{i}" for i in range(20))
     assert g.out_edges("a") == list(g.edges)
+
+
+def test_canonical_encoding_ignores_input_order():
+    rng = random.Random(2511)
+    vs = ["a", "b", ("v", 1), ("v", 2), "c"]
+    pairs = [("a", "b"), ("a", "b"), ("b", "c"), ("c", "a"), ("b", "b")]
+    want = canonical_encoding(vs, pairs)
+    for _ in range(20):
+        rng.shuffle(vs)
+        rng.shuffle(pairs)
+        assert canonical_encoding(vs, pairs) == want
+        assert canonical_encoding(tuple(vs), tuple(pairs)) == want
+        assert canonical_encoding(iter(vs), iter(pairs)) == want
+
+
+def test_canonical_encoding_keeps_an_already_sorted_pairs_tuple():
+    pairs = (("a", "b"), ("a", "b"), ("b", "c"))
+    assert canonical_encoding(("c", "b", "a"), pairs)[1] is pairs
+    unsorted = (("b", "c"), ("a", "b"))
+    enc = canonical_encoding(("a", "b", "c"), unsorted)[1]
+    assert enc == (("a", "b"), ("b", "c")) and enc is not unsorted
+    # a sorted list is still copied into a tuple
+    assert canonical_encoding(("a", "b"), [("a", "b")])[1] == (("a", "b"),)
+
+
+def test_canonical_encoding_orders_mixed_vertex_keys_by_sort_key():
+    vs = (("v", 2), "w", ("v", 1), "a", ("u", 10))
+    got = canonical_encoding(vs, ())[0]
+    assert got == tuple(sorted(vs, key=sort_key))
+    assert got == ("a", "w", ("u", 10), ("v", 1), ("v", 2))
 
 
 def _random_multigraph(rng: random.Random) -> Graph:
