@@ -15,14 +15,13 @@ class Graph:
 
     Edges are named; parallel edges are distinct names with equal
     endpoints.  Vertex and edge order is preserved as given (used for
-    deterministic matrix layouts).  `out` indexes the edges by source:
-    each vertex, and each source named by an edge but not listed among
-    the vertices, maps to the names of its edges in the given edge
-    order, so the queries below read one vertex's edges instead of
-    scanning every edge.
+    deterministic matrix layouts).  `succ` is the successor index of
+    `successors`, built from the final `src` and `dst`, so a repeated
+    edge name is listed under its last source once per occurrence, as a
+    scan of `edges` finds it.
     """
 
-    __slots__ = ("vertices", "edges", "src", "dst", "out")
+    __slots__ = ("vertices", "edges", "src", "dst", "succ")
 
     def __init__(
         self,
@@ -40,12 +39,7 @@ class Graph:
         self.edges = tuple(names)
         self.src = src
         self.dst = dst
-        out: dict = {v: [] for v in self.vertices}
-        # read from the final `src`, so a repeated edge name is listed under
-        # its last source once per occurrence, as a scan of `edges` finds it
-        for name in names:
-            out.setdefault(src[name], []).append(name)
-        self.out = out
+        self.succ = successors(self.vertices, [(src[e], dst[e]) for e in names])
 
     def validate(self) -> Report:
         rep = Report("graph")
@@ -62,51 +56,50 @@ class Graph:
         )
         return rep
 
-    def out_edges(self, v: str) -> list[str]:
-        return list(self.out.get(v, ()))
-
-    def sinks(self) -> list[str]:
-        return [v for v in self.vertices if not self.out[v]]
-
-    def regular_vertices(self) -> list[str]:
-        """Vertices emitting at least one edge (all emitters are finite here)."""
-        return [v for v in self.vertices if self.out[v]]
-
     def __repr__(self) -> str:
         return f"Graph({len(self.vertices)} vertices, {len(self.edges)} edges)"
 
 
-def hereditary_closure(g: Graph, seed: Iterable[str]) -> frozenset:
-    """Smallest vertex set containing `seed` and closed under following edges."""
+def successors(vertices: Iterable[str], pairs: Iterable[tuple[str, str]]) -> dict:
+    """The successor index of the graph on `vertices` whose edges are the
+    (src, dst) `pairs`: each vertex, and each source named by a pair but
+    not listed among the vertices, maps to the targets of its edges in
+    the given order, one entry per edge.  Every query below reads it."""
+    succ: dict = {v: [] for v in vertices}
+    for s, d in pairs:
+        succ.setdefault(s, []).append(d)
+    return succ
+
+
+def hereditary_closure(succ: dict, seed: Iterable[str]) -> frozenset:
+    """Smallest vertex set containing `seed` and closed under following
+    the edges of the successor index `succ`."""
     seen = set(seed)
     frontier = list(seen)
     while frontier:
-        for e in g.out.get(frontier.pop(), ()):
-            w = g.dst[e]
+        for w in succ.get(frontier.pop(), ()):
             if w not in seen:
                 seen.add(w)
                 frontier.append(w)
     return frozenset(seen)
 
 
-def is_acyclic_among(g: Graph, verts: frozenset) -> bool:
-    """No directed cycle visiting only `verts`.
+def is_acyclic_among(succ: dict, verts: frozenset) -> bool:
+    """No directed cycle of the successor index `succ` visits only `verts`.
 
     Peels the vertices of `verts` that no remaining edge enters; a vertex
     on a cycle is never peeled.  Only a vertex that emits an edge can lie
-    on a cycle, so the sources of `g.out` are the candidates."""
-    indeg = {v: 0 for v in g.out if v in verts}
+    on a cycle, so the keys of `succ` are the candidates."""
+    indeg = {v: 0 for v in succ if v in verts}
     for v in indeg:
-        for e in g.out[v]:
-            w = g.dst[e]
+        for w in succ[v]:
             if w in indeg:
                 indeg[w] += 1
     ready = [v for v, k in indeg.items() if not k]
     peeled = 0
     while ready:
         peeled += 1
-        for e in g.out[ready.pop()]:
-            w = g.dst[e]
+        for w in succ[ready.pop()]:
             if w in indeg:
                 indeg[w] -= 1
                 if not indeg[w]:
@@ -128,15 +121,3 @@ def canonical_encoding(vertices: Iterable[str], pairs: Iterable[tuple[str, str]]
 @lru_cache(maxsize=256)
 def _sorted_vertices(vertices: tuple) -> tuple:
     return tuple(sorted(vertices, key=sort_key))
-
-
-# edge names for `from_edge_pairs`, enough for the obstruction sweep's 14 edges
-_EDGE_NAMES = tuple(f"e{i}" for i in range(16))
-
-
-def from_edge_pairs(vertices: Sequence[str], pairs: Iterable[tuple[str, str]]) -> Graph:
-    """A graph whose edges are `pairs`, named e0, e1, ... in order."""
-    pairs = tuple(pairs)
-    names = (_EDGE_NAMES if len(pairs) <= len(_EDGE_NAMES)
-             else [f"e{i}" for i in range(len(pairs))])
-    return Graph(vertices, [(e, s, d) for e, (s, d) in zip(names, pairs)])

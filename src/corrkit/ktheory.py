@@ -3,9 +3,12 @@
 Conventions.  For a finite graph with adjacency matrix A (rows index
 source vertices), the presentation matrix is (A^t - I) with one row per
 vertex and one column per regular (emitting) vertex; the identity is
-restricted to the kept columns.  K0 is the cokernel, K1 the kernel, of
-the induced map Z^{regular} -> Z^{vertices}, both computed through a
-verified Smith normal form (`smith.invariant_factors`).
+restricted to the kept columns.  It is read from the vertex tuple and
+the successor index (`graphs.successors`, a `Graph`'s `succ`) alone:
+the regular vertices are those with a listed target.  K0 is the
+cokernel, K1 the kernel, of the induced map Z^{regular} ->
+Z^{vertices}, both computed through a verified Smith normal form
+(`smith.invariant_factors`).
 
 Class membership (`k0_class_membership`) asks whether M x = b has an
 integer solution.  Forced-zero lemma: if row i has b[i] = 0 and its
@@ -72,15 +75,18 @@ def group_str(free_rank: int, torsion: tuple) -> str:
 
 
 def presentation_matrix(g: Graph) -> IntMatrix:
-    regular = tuple(g.regular_vertices())
-    row_of = {v: i for i, v in enumerate(g.vertices)}
-    out, dst = g.out, g.dst
-    rows = [[0] * len(regular) for _ in g.vertices]
+    return _presentation(g.vertices, g.succ)
+
+
+def _presentation(vertices: tuple, succ: dict) -> IntMatrix:
+    regular = tuple(v for v in vertices if succ[v])
+    row_of = {v: i for i, v in enumerate(vertices)}
+    rows = [[0] * len(regular) for _ in vertices]
     for j, w in enumerate(regular):  # column j: -1 at w, +1 per edge out of w
         rows[row_of[w]][j] = -1
-        for e in out[w]:
-            rows[row_of[dst[e]]][j] += 1
-    return IntMatrix(tuple(map(tuple, rows)), g.vertices, regular)
+        for d in succ[w]:
+            rows[row_of[d]][j] += 1
+    return IntMatrix(tuple(map(tuple, rows)), vertices, regular)
 
 
 def k_theory(g: Graph) -> KTheoryResult:
@@ -125,8 +131,10 @@ def _forced_zero_presolve(m, b: list) -> tuple[list, list]:
     return rows, cols
 
 
-def k0_class_membership(g: Graph, target: dict, *, memo: dict | None = None) -> tuple[bool, dict | None]:
-    """Is sum_v target[v]*[p_v] zero in K0?
+def k0_class_membership(vertices: tuple, succ: dict, target: dict, *,
+                        memo: dict | None = None) -> tuple[bool, dict | None]:
+    """Is sum_v target[v]*[p_v] zero in K0 of the graph on the tuple
+    `vertices` with successor index `succ` (`graphs.successors`)?
 
     Zero in K0 means the target vector b lies in the image of the
     presentation matrix M over Z.  Returns (answer, certificate); the
@@ -143,7 +151,7 @@ def k0_class_membership(g: Graph, target: dict, *, memo: dict | None = None) -> 
     solves the reduced system by the lemma, is stored.  Without a memo
     the call runs the same path with an empty one.
     """
-    pres = presentation_matrix(g)
+    pres = _presentation(vertices, succ)
     b = [int(target.get(v, 0)) for v in pres.row_labels]
     x = _shared_solve(pres, b, {} if memo is None else memo)
     if x is None:

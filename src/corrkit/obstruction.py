@@ -25,8 +25,7 @@ from dataclasses import dataclass
 from itertools import chain, combinations_with_replacement, islice, permutations, product
 
 from .errors import BudgetError
-from .graphs import (Graph, canonical_encoding, from_edge_pairs, hereditary_closure,
-                     is_acyclic_among)
+from .graphs import canonical_encoding, hereditary_closure, is_acyclic_among, successors
 from .ktheory import k0_class_membership
 from .reports import Report
 
@@ -40,27 +39,23 @@ class Candidate:
     vertices: tuple
     pairs: tuple  # (src, dst) with multiplicity as repetition
 
-    def graph(self) -> Graph:
-        return from_edge_pairs(self.vertices, self.pairs)
 
-
-def _structural_ok(g: Graph, wide: bool) -> tuple[bool, str]:
-    """Check the filters that define the enumeration class; `sweep`
-    asserts them on every enumerated candidate.  One pass over `g.out`
-    finds the sinks, the loops and the edges into w0; the filters then
-    run in a fixed order and the first that fails names the reason."""
-    out, dst = g.out, g.dst
-    vs = set(g.vertices)
+def _structural_ok(vertices: tuple, succ: dict, wide: bool) -> tuple[bool, str]:
+    """Check the filters that define the enumeration class on the graph
+    on `vertices` with successor index `succ` (`graphs.successors`);
+    `sweep` asserts them on every enumerated candidate.  One pass over
+    `succ` finds the sinks, the loops and the edges into w0; the filters
+    then run in a fixed order and the first that fails names the reason."""
+    vs = set(vertices)
     if LOOP_VERTEX not in vs or not _SINK_SET <= vs:
         return False, "missing w0/w1/w2"
     sinks = set()
     loops = []  # the source of each loop
     entering = False  # an edge into w0 from another vertex
-    for s, es in out.items():  # every listed vertex is a key of `out`
-        if not es:
+    for s, ts in succ.items():  # every listed vertex is a key of `succ`
+        if not ts:
             sinks.add(s)
-        for e in es:
-            d = dst[e]
+        for d in ts:
             if d == s:
                 loops.append(s)
             elif d == LOOP_VERTEX:
@@ -71,19 +66,18 @@ def _structural_ok(g: Graph, wide: bool) -> tuple[bool, str]:
         return False, "need exactly one loop, at w0"
     if entering:
         return False, "edge into w0 from elsewhere"
-    v_set = hereditary_closure(g, [LOOP_VERTEX])
+    v_set = hereditary_closure(succ, [LOOP_VERTEX])
     if not _SINK_SET <= v_set:
         return False, "a sink is outside the hereditary closure of w0"
-    if not is_acyclic_among(g, frozenset(vs - {LOOP_VERTEX})):
+    if not is_acyclic_among(succ, frozenset(vs - {LOOP_VERTEX})):
         return False, "second cycle outside the loop"
-    for v in vs - v_set:
-        if not out[v]:
-            return False, f"{v} outside V emits nothing (third sink)"
+    # No test that every vertex outside V emits: the sinks are exactly w1
+    # and w2, both inside V, so a third sink outside V cannot get this far.
     if not wide:
         feeds = dict.fromkeys(v_set, 0)  # edges from V into each vertex of V
         for v in v_set:
-            for e in out.get(v, ()):
-                feeds[dst[e]] += 1  # V is hereditary, so the target is in V
+            for d in succ.get(v, ()):
+                feeds[d] += 1  # V is hereditary, so the target is in V
         wrong = [v for v, k in feeds.items() if k != 1 and v != LOOP_VERTEX]
         if wrong:
             v = min(wrong)  # the first in sorted order
@@ -165,28 +159,11 @@ def _arborescences(extra: tuple) -> list[tuple]:
 
 def _rooted_and_acyclic(v_nodes: tuple, pairs) -> bool:
     """Every vertex of `v_nodes` is reachable from w0 along the edges
-    `pairs`, and no cycle avoids w0: the tests `_structural_ok` makes
-    through `hereditary_closure` and `is_acyclic_among`, without a
-    `Graph`.  The loop at w0 changes neither, so it may be left out."""
-    succ: dict = {v: set() for v in v_nodes}
-    for a, b in pairs:
-        succ[a].add(b)
-    seen = {LOOP_VERTEX}
-    frontier = [LOOP_VERTEX]
-    while frontier:
-        for w in succ[frontier.pop()]:
-            if w not in seen:
-                seen.add(w)
-                frontier.append(w)
-    if len(seen) != len(v_nodes):
-        return False
-    left = seen - {LOOP_VERTEX}
-    while left:  # peel the vertices with no successor left; a cycle never peels
-        leaves = {v for v in left if not succ[v] & left}
-        if not leaves:
-            return False
-        left -= leaves
-    return True
+    `pairs`, and no cycle avoids w0: the tests `_structural_ok` makes.
+    The loop at w0 changes neither, so it may be left out."""
+    succ = successors(v_nodes, pairs)
+    return (len(hereditary_closure(succ, [LOOP_VERTEX])) == len(v_nodes)
+            and is_acyclic_among(succ, frozenset(v_nodes) - {LOOP_VERTEX}))
 
 
 def _v_parts_wide(extra: tuple, budget: int) -> list[tuple]:
@@ -320,14 +297,12 @@ class SweepResult:
 def sweep(max_vertices: int, max_edges: int = 10, wide: bool = False) -> SweepResult:
     """Check [p_w1]+[p_w2] = 0 in K0 on every enumerated candidate.
 
-    Each candidate's `Graph` is built for its structural check and K0
-    test and dropped after them, so the sweep holds one at a time
-    (the 7696 graphs at 6 vertices would take about 10 MB).  The
-    candidates share one memo of reduced K0 systems (see `ktheory`), so
-    each distinct reduced system is factored once per sweep; every
-    verdict is still checked on the candidate's own presentation.  The
-    structural check and the presentation matrix each read the graph's
-    out-edge index (`Graph.out`) once, with no per-vertex copies."""
+    Each candidate's successor index (`graphs.successors`) is built once
+    from its vertices and pairs, with no named `Graph`, and both the
+    structural check and the K0 test read it.  The candidates share one
+    memo of reduced K0 systems (see `ktheory`), so each distinct reduced
+    system is factored once per sweep; every verdict is still checked on
+    the candidate's own presentation."""
     cands = enumerate_candidates(max_vertices, max_edges, wide)
     rep = Report(f"obstruction sweep ({'wide' if wide else 'default'} class, "
                  f"<= {max_vertices} vertices, <= {max_edges} edges)")
@@ -335,11 +310,11 @@ def sweep(max_vertices: int, max_edges: int = 10, wide: bool = False) -> SweepRe
     memo: dict = {}  # reduced K0 system -> one of its solutions, for this sweep only
     target = {SINKS[0]: 1, SINKS[1]: 1}
     for c in cands:
-        g = c.graph()
-        ok, why = _structural_ok(g, wide)
+        succ = successors(c.vertices, c.pairs)
+        ok, why = _structural_ok(c.vertices, succ, wide)
         if not ok:
             raise AssertionError(f"enumerator produced out-of-class candidate: {why}: {c.pairs}")
-        member, _ = k0_class_membership(g, target, memo=memo)
+        member, _ = k0_class_membership(c.vertices, succ, target, memo=memo)
         if not member:
             violations.append(c)
     rep.add("candidates enumerated", True, str(len(cands)))

@@ -14,10 +14,11 @@ memo of term-pair products, `Engine.combine` and `substitute` as folds
 of filtered sums instead of one dict that deletes cancelled terms in place, sparse table
 sums through a dense loop over every key pair instead of the in-place
 accumulation of `_table_apply`, the wide class's V-parts through a
-`Graph` per edge multiset instead of tests on the pairs alone, the
+named `Graph` per edge multiset and the edge scans instead of the
+successor index of its pairs, the
 glued module's labelled-space images by recognising each pair row's
 generator names instead of extending generator images linearly, graph
-queries by scanning every edge instead of reading the out-edge index,
+queries by scanning every edge instead of reading the successor index,
 the forced-zero presolve on dense rows instead of each row's support
 listed once, the sweep's canonical edge tuples by renaming every pair
 of every multiset under every permutation instead of through images
@@ -37,7 +38,7 @@ from corrkit.exactlinalg import is_psd, solve, sort_key, vec_repr
 from corrkit.graphs import Graph
 from corrkit.labelled import (label_set, relative_range, sink_set,
                               truncate_space)
-from corrkit.obstruction import LOOP_VERTEX, SINKS, Candidate, _canonical, _renamings
+from corrkit.obstruction import LOOP_VERTEX, SINKS, _canonical, _renamings
 from corrkit.reports import Report
 from corrkit.setexpr import SetExpr, atoms as atom_set, tail
 
@@ -636,18 +637,10 @@ def row_name_sum_images(cfg, rsum, eng: Engine):
 
 # ------------------------------------------------- graph queries by scan
 
-def scan_out_edges(g: Graph, v: str) -> list:
-    return [e for e in g.edges if g.src[e] == v]
-
-
-def scan_sinks(g: Graph) -> list:
-    emitting = {g.src[e] for e in g.edges}
-    return [v for v in g.vertices if v not in emitting]
-
-
-def scan_regular_vertices(g: Graph) -> list:
-    emitting = {g.src[e] for e in g.edges}
-    return [v for v in g.vertices if v in emitting]
+def scan_successors(g: Graph, v: str) -> list:
+    """The targets of the edges from `v`, one per entry of `g.edges`, in
+    edge order; `g.succ[v]` must equal it."""
+    return [g.dst[e] for e in g.edges if g.src[e] == v]
 
 
 def scan_hereditary_closure(g: Graph, seed) -> frozenset:
@@ -736,7 +729,7 @@ def permutation_canonical(pairs, movable: tuple, forward: bool = False) -> tuple
 
 
 def graph_v_parts_wide(extra: tuple, budget: int) -> list[tuple]:
-    """`obstruction._v_parts_wide` as it was: one `Graph` per edge
+    """`obstruction._v_parts_wide` as it was: one named `Graph` per edge
     multiset, tested with the edge-scan closure and acyclicity queries."""
     v_nodes = (LOOP_VERTEX,) + extra + SINKS
     slots = [(s, d) for s in (LOOP_VERTEX,) + extra for d in v_nodes if d != LOOP_VERTEX]
@@ -748,7 +741,7 @@ def graph_v_parts_wide(extra: tuple, budget: int) -> list[tuple]:
             if not set(extra) <= {s for s, _ in combo}:
                 continue
             pairs = (loop,) + combo
-            g = Candidate(v_nodes, pairs).graph()
+            g = Graph(v_nodes, [(f"e{i}", s, d) for i, (s, d) in enumerate(pairs)])
             if scan_hereditary_closure(g, [LOOP_VERTEX]) != frozenset(v_nodes):
                 continue
             if not scan_is_acyclic_among(g, frozenset(v_nodes) - {LOOP_VERTEX}):

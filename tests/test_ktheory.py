@@ -4,8 +4,8 @@ import random
 import pytest
 
 import corrkit.ktheory
-from corrkit.graphs import Graph
-from corrkit.ktheory import (_forced_zero_presolve, k0_class_membership, k_theory,
+from corrkit.graphs import Graph, successors
+from corrkit.ktheory import (_forced_zero_presolve, _presentation, k0_class_membership, k_theory,
                              presentation_matrix)
 from corrkit.obstruction import enumerate_candidates
 from corrkit.smith import integer_solve
@@ -74,20 +74,20 @@ def test_torsion_example():
 
 def test_class_membership_loop():
     g = _loop()
-    ok, cert = k0_class_membership(g, {"v1": 1})
+    ok, cert = k0_class_membership(g.vertices, g.succ, {"v1": 1})
     assert not ok and cert is None
-    ok, cert = k0_class_membership(g, {})
+    ok, cert = k0_class_membership(g.vertices, g.succ, {})
     assert ok and cert == {}
 
 
 def test_class_membership_disc():
     g = build_disc_graph(SphereConfig(1))
     # the class of v2 vanishes: the v1 relation column reads (0, 1)
-    ok, cert = k0_class_membership(g, {"v2": 1})
+    ok, cert = k0_class_membership(g.vertices, g.succ, {"v2": 1})
     assert ok
     # certificate re-verified inside; here just confirm it names regular vertices
     assert set(cert) <= {"v1"}
-    ok, cert = k0_class_membership(g, {"v1": 1})
+    ok, cert = k0_class_membership(g.vertices, g.succ, {"v1": 1})
     assert not ok and cert is None
 
 
@@ -98,8 +98,8 @@ def test_sink_only_graph():
     assert not res.k0_torsion
     assert res.k1_free_rank == 0
     # no regular vertex, so no relation: only the zero class vanishes
-    assert k0_class_membership(g, {"v1": 0}) == (True, {})
-    assert k0_class_membership(g, {"v2": 1}) == (False, None)
+    assert k0_class_membership(g.vertices, g.succ, {"v1": 0}) == (True, {})
+    assert k0_class_membership(g.vertices, g.succ, {"v2": 1}) == (False, None)
 
 
 # -- membership through the forced-zero reduction and a shared memo ---------
@@ -107,9 +107,8 @@ def test_sink_only_graph():
 SINK_PAIR = {"w1": 1, "w2": 1}
 
 
-def _solves(g, target, cert):
+def _solves(pres, target, cert):
     """Does the certificate satisfy M x = b on the full presentation?"""
-    pres = presentation_matrix(g)
     x = [cert.get(v, 0) for v in pres.col_labels]
     return all(sum(a * c for a, c in zip(row, x)) == target.get(v, 0)
                for v, row in zip(pres.row_labels, pres.entries))
@@ -120,16 +119,16 @@ def test_membership_matches_the_full_system_solve(max_vertices, wide):
     memo = {}
     cands = enumerate_candidates(max_vertices, wide=wide)
     for c in cands:
-        g = c.graph()
-        pres = presentation_matrix(g)
+        succ = successors(c.vertices, c.pairs)
+        pres = _presentation(c.vertices, succ)
         b = [SINK_PAIR.get(v, 0) for v in pres.row_labels]
         want = integer_solve(pres.as_lists(), b) is not None
         for shared in (None, memo):
-            ok, cert = k0_class_membership(g, SINK_PAIR, memo=shared)
+            ok, cert = k0_class_membership(c.vertices, succ, SINK_PAIR, memo=shared)
             assert ok == want, c.pairs
             assert (cert is not None) == ok
             if ok:
-                assert _solves(g, SINK_PAIR, cert), c.pairs
+                assert _solves(pres, SINK_PAIR, cert), c.pairs
     # the narrow candidates share a handful of reduced systems
     assert 0 < len(memo) <= 10 < len(cands)
 
@@ -145,7 +144,8 @@ def test_memo_factors_each_reduced_system_once(monkeypatch):
     monkeypatch.setattr(corrkit.ktheory, "integer_solve", counted)
     memo = {}
     for c in enumerate_candidates(5):
-        assert k0_class_membership(c.graph(), SINK_PAIR, memo=memo)[0]
+        assert k0_class_membership(c.vertices, successors(c.vertices, c.pairs), SINK_PAIR,
+                                   memo=memo)[0]
     assert len(calls) == len(memo) == 10
 
 
@@ -154,7 +154,7 @@ def test_presolve_keeps_a_source_with_target_weight():
     g = Graph(("s", "w"), [("e", "s", "w")])
     pres = presentation_matrix(g)
     assert _forced_zero_presolve(pres.entries, [1, -1]) == ([0, 1], [0])
-    assert k0_class_membership(g, {"s": 1, "w": -1}, memo={}) == (True, {"s": -1})
+    assert k0_class_membership(g.vertices, g.succ, {"s": 1, "w": -1}, memo={}) == (True, {"s": -1})
 
 
 def test_presolve_drops_a_chain_of_sources_in_turn():
@@ -164,8 +164,8 @@ def test_presolve_drops_a_chain_of_sources_in_turn():
     pres = presentation_matrix(g)
     assert _forced_zero_presolve(pres.entries, [1, 0, 0, 0]) == ([0], [])
     assert _forced_zero_presolve(pres.entries, [0, 0, 0, 0]) == ([], [])
-    assert k0_class_membership(g, {"w": 1}, memo={}) == (False, None)
-    assert k0_class_membership(g, {"w": 1, "t1": -1}, memo={})[0]
+    assert k0_class_membership(g.vertices, g.succ, {"w": 1}, memo={}) == (False, None)
+    assert k0_class_membership(g.vertices, g.succ, {"w": 1, "t1": -1}, memo={})[0]
 
 
 def test_presolve_to_an_empty_system():
@@ -173,9 +173,9 @@ def test_presolve_to_an_empty_system():
     pres = presentation_matrix(g)
     assert _forced_zero_presolve(pres.entries, [0]) == ([], [0])
     memo = {}
-    assert k0_class_membership(g, {}, memo=memo) == (True, {})
-    assert k0_class_membership(g, {}, memo=memo) == (True, {})
-    assert k0_class_membership(g, {"v1": 1}, memo=memo) == (False, None)
+    assert k0_class_membership(g.vertices, g.succ, {}, memo=memo) == (True, {})
+    assert k0_class_membership(g.vertices, g.succ, {}, memo=memo) == (True, {})
+    assert k0_class_membership(g.vertices, g.succ, {"v1": 1}, memo=memo) == (False, None)
 
 
 def test_presolve_on_a_sink_only_graph():
@@ -183,18 +183,19 @@ def test_presolve_on_a_sink_only_graph():
     pres = presentation_matrix(g)
     assert _forced_zero_presolve(pres.entries, [0, 1]) == ([1], [])
     memo = {}
-    assert k0_class_membership(g, {"v1": 0}, memo=memo) == (True, {})
-    assert k0_class_membership(g, {"v2": 1}, memo=memo) == (False, None)
+    assert k0_class_membership(g.vertices, g.succ, {"v1": 0}, memo=memo) == (True, {})
+    assert k0_class_membership(g.vertices, g.succ, {"v2": 1}, memo=memo) == (False, None)
 
 
 def test_corrupted_memo_entry_raises_and_gives_no_verdict():
-    cands = enumerate_candidates(4)
+    c = enumerate_candidates(4)[0]
+    succ = successors(c.vertices, c.pairs)
     memo = {}
-    assert k0_class_membership(cands[0].graph(), SINK_PAIR, memo=memo)[0]
+    assert k0_class_membership(c.vertices, succ, SINK_PAIR, memo=memo)[0]
     for key, sol in memo.items():
         memo[key] = (0,) * len(sol)
     with pytest.raises(AssertionError, match="lifted K0 solution fails M x = b"):
-        k0_class_membership(cands[0].graph(), SINK_PAIR, memo=memo)
+        k0_class_membership(c.vertices, succ, SINK_PAIR, memo=memo)
 
 
 def _chain_system(rng: random.Random) -> tuple[list, list]:

@@ -6,7 +6,8 @@ from itertools import combinations_with_replacement, product
 
 import pytest
 
-from corrkit.graphs import from_edge_pairs
+import corrkit.graphs
+from corrkit.graphs import successors
 from corrkit.obstruction import (LOOP_VERTEX, SINKS, _arborescences, _canonical, _h_parts,
                                  _renamings, _structural_ok, _v_parts_wide, enumerate_candidates,
                                  sweep)
@@ -76,6 +77,24 @@ def test_candidates_at_five_vertices_are_pairwise_non_isomorphic():
                 reps.append(g)
         classes += len(reps)
     assert len(cands) == classes == 806
+
+
+@pytest.mark.parametrize("max_vertices, wide, count", [(5, False, 806), (4, True, 1212)],
+                         ids=["narrow5", "wide4"])
+def test_sweep_builds_no_graph(monkeypatch, max_vertices, wide, count):
+    """The sweep reads each candidate's successor index and never builds
+    a named `Graph`: with `Graph.__init__` raising it checks the same
+    candidates and prints the same report lines as without."""
+    want = sweep(max_vertices, wide=wide)
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("the sweep built a Graph")
+
+    monkeypatch.setattr(corrkit.graphs.Graph, "__init__", refuse)
+    got = sweep(max_vertices, wide=wide)
+    assert got.candidates_checked == want.candidates_checked == count
+    assert got.violations == want.violations
+    assert got.report.render().splitlines() == want.report.render().splitlines()
 
 
 @pytest.mark.parametrize("extra", [(), ("x1",), ("x1", "x2")], ids=["0", "1", "2"])
@@ -198,21 +217,22 @@ def test_structural_rejection_reasons_are_pinned(name):
     message, in both classes; a filter that the wide class skips passes
     there.  Where no narrow verdict is listed the two classes agree."""
     vertices, pairs, wide, narrow = _REJECTIONS[name]
-    g = from_edge_pairs(vertices, pairs)
-    assert _structural_ok(g, True) == wide
-    assert _structural_ok(g, False) == (wide if narrow is None else narrow)
+    succ = successors(vertices, pairs)
+    assert _structural_ok(vertices, succ, True) == wide
+    assert _structural_ok(vertices, succ, False) == (wide if narrow is None else narrow)
 
 
 def test_structural_filters_run_in_a_fixed_order():
     """A graph failing several filters is rejected by the first of them:
     here an extra sink, a second loop and an edge into w0 all at once."""
-    g = from_edge_pairs(("w0", "w1", "w2", "x1", "x2"),
-                        _BASE + [("w0", "w0"), ("x1", "w0"), ("w0", "x1")])
+    vertices = ("w0", "w1", "w2", "x1", "x2")
+    succ = successors(vertices, _BASE + [("w0", "w0"), ("x1", "w0"), ("w0", "x1")])
     for wide in (True, False):
-        assert _structural_ok(g, wide) == (
+        assert _structural_ok(vertices, succ, wide) == (
             False, "sinks are ['w1', 'w2', 'x2'], need exactly ['w1', 'w2']")
-    g = from_edge_pairs(("w0", "w1", "w2", "x1"), _BASE + [("w0", "w0"), ("w0", "x1"), ("x1", "w0")])
-    assert _structural_ok(g, False) == (False, "need exactly one loop, at w0")
+    vertices = ("w0", "w1", "w2", "x1")
+    succ = successors(vertices, _BASE + [("w0", "w0"), ("w0", "x1"), ("x1", "w0")])
+    assert _structural_ok(vertices, succ, False) == (False, "need exactly one loop, at w0")
 
 
 def test_enumeration_peak_memory_stays_small():
