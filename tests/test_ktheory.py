@@ -133,20 +133,114 @@ def test_membership_matches_the_full_system_solve(max_vertices, wide):
     assert 0 < len(memo) <= 10 < len(cands)
 
 
-def test_memo_factors_each_reduced_system_once(monkeypatch):
+def _count_calls(monkeypatch, name):
+    """Replace `corrkit.ktheory.<name>` by a wrapper that counts its calls."""
     calls = []
-    real = corrkit.ktheory.integer_solve
+    real = getattr(corrkit.ktheory, name)
 
-    def counted(m, b):
+    def counted(*args):
         calls.append(1)
-        return real(m, b)
+        return real(*args)
 
-    monkeypatch.setattr(corrkit.ktheory, "integer_solve", counted)
+    monkeypatch.setattr(corrkit.ktheory, name, counted)
+    return calls
+
+
+def test_memo_factors_each_reduced_system_once(monkeypatch):
+    calls = _count_calls(monkeypatch, "integer_solve")
     memo = {}
     for c in enumerate_candidates(5):
         assert k0_class_membership(c.vertices, successors(c.vertices, c.pairs), SINK_PAIR,
                                    memo=memo)[0]
     assert len(calls) == len(memo) == 10
+
+
+# -- a guessed certificate, checked on the graph's own system ---------------
+
+def _wrong_guesses(cert, regular):
+    """Guesses that do not solve the sink-pair system, given a certificate
+    `cert` that does and the graph's regular vertices."""
+    first = next(iter(cert))
+    return [
+        dict.fromkeys(regular, 0),  # all zeros, while b is not
+        {**cert, first: cert[first] + 1},  # one entry perturbed
+        {**cert, "w1": 0},  # a key on a sink
+        {**cert, "zz": 0},  # a key on an unlisted vertex
+        {**cert, "zz": 1},
+    ]
+
+
+@pytest.mark.parametrize("max_vertices, wide", [(4, False), (4, True)], ids=["narrow4", "wide4"])
+def test_a_wrong_guess_gives_the_guess_free_verdict(monkeypatch, max_vertices, wide):
+    """A guess that fails M x = b, or names a sink or an unlisted vertex,
+    is a miss: the call builds the matrix and answers as without a guess,
+    a "no" included, and never raises."""
+    pres_calls = _count_calls(monkeypatch, "_presentation")
+    cands = enumerate_candidates(max_vertices, wide=wide)
+    checked = 0
+    for c in cands:
+        succ = successors(c.vertices, c.pairs)
+        want = k0_class_membership(c.vertices, succ, SINK_PAIR)
+        regular = [v for v in c.vertices if succ[v]]
+        cert = want[1] or {regular[0]: 1}
+        for guess in _wrong_guesses(cert, regular):
+            del pres_calls[:]
+            assert k0_class_membership(c.vertices, succ, SINK_PAIR, guess=guess) == want, c.pairs
+            assert len(pres_calls) == 1
+            checked += 1
+    assert checked == 5 * len(cands)
+
+
+def test_a_wrong_guess_cannot_turn_a_no_into_a_yes():
+    g = _loop()
+    for guess in ({}, {"v1": 1}, {"v1": -1}, {"v2": 1}):
+        assert k0_class_membership(g.vertices, g.succ, {"v1": 1}, guess=guess) == (False, None)
+    g = Graph(("v1", "v2"), [])  # no regular vertex, so no guess key can be one
+    assert k0_class_membership(g.vertices, g.succ, {"v2": 1}, guess={"v1": 1}) == (False, None)
+    assert k0_class_membership(g.vertices, g.succ, {}, guess={"v1": 0}) == (True, {})
+    # an edge from an unlisted source is in `succ` but not in the system
+    vertices = ("a", "b")
+    succ = successors(vertices, [("a", "b"), ("z", "b")])
+    assert k0_class_membership(vertices, succ, {"b": 1}, guess={"z": 1}) == (False, None)
+
+
+@pytest.mark.parametrize("max_vertices, wide", [(5, False), (4, True)], ids=["narrow5", "wide4"])
+def test_the_previous_certificate_as_guess_keeps_every_verdict(max_vertices, wide):
+    """With the certificate of the previous member, on whatever vertices,
+    as the guess, every verdict is the guess-free one and every
+    certificate passes the dense M x = b test."""
+    prev = None
+    hits = 0
+    for c in enumerate_candidates(max_vertices, wide=wide):
+        succ = successors(c.vertices, c.pairs)
+        pres = _presentation(c.vertices, succ)
+        want = k0_class_membership(c.vertices, succ, SINK_PAIR)
+        got = k0_class_membership(c.vertices, succ, SINK_PAIR, guess=prev)
+        assert got[0] == want[0], c.pairs
+        if got[0]:
+            assert _solves(pres, SINK_PAIR, got[1]), c.pairs
+            hits += got[1] == prev
+            prev = got[1]
+        else:
+            assert got == want == (False, None)
+    assert hits > 0
+
+
+def test_a_correct_guess_builds_no_matrix_and_solves_nothing(monkeypatch):
+    c = next(c for c in enumerate_candidates(5) if "x1" in c.vertices and "t1" in c.vertices)
+    succ = successors(c.vertices, c.pairs)
+    ok, cert = k0_class_membership(c.vertices, succ, SINK_PAIR)
+    # the narrow-class lemma's certificate (`obstruction` docstring)
+    assert ok and cert == {"w0": 1, "x1": 1}
+    pres_calls = _count_calls(monkeypatch, "_presentation")
+    solve_calls = _count_calls(monkeypatch, "integer_solve")
+    memo = {}
+    for guess in (cert, {**cert, "t1": 0}):  # a zero on a regular vertex is no miss
+        assert k0_class_membership(c.vertices, succ, SINK_PAIR, memo=memo,
+                                   guess=guess) == (True, cert)
+    assert pres_calls == solve_calls == [] and memo == {}
+    assert k0_class_membership(c.vertices, succ, SINK_PAIR, memo=memo, guess={}) == (True, cert)
+    assert len(pres_calls) == len(solve_calls) == len(memo) == 1
 
 
 def test_presolve_keeps_a_source_with_target_weight():

@@ -7,6 +7,8 @@ from itertools import combinations_with_replacement, product
 import pytest
 
 import corrkit.graphs
+import corrkit.ktheory
+import corrkit.obstruction
 from corrkit.graphs import successors
 from corrkit.obstruction import (LOOP_VERTEX, SINKS, _arborescences, _canonical, _h_parts,
                                  _renamings, _structural_ok, _v_parts_wide, enumerate_candidates,
@@ -94,6 +96,35 @@ def test_sweep_builds_no_graph(monkeypatch, max_vertices, wide, count):
     got = sweep(max_vertices, wide=wide)
     assert got.candidates_checked == want.candidates_checked == count
     assert got.violations == want.violations
+    assert got.report.render().splitlines() == want.report.render().splitlines()
+
+
+def test_sweep_reuses_the_last_certificate_on_each_vertex_tuple(monkeypatch):
+    """`sweep(5)` solves a system only for the first candidate on each of
+    its six vertex tuples, and the memo leaves 3 of those to
+    `integer_solve`; without the guess it calls it 10 times, and the
+    report lines are the same either way."""
+    calls = []
+    real_solve = corrkit.ktheory.integer_solve
+
+    def counted(m, b):
+        calls.append(1)
+        return real_solve(m, b)
+
+    monkeypatch.setattr(corrkit.ktheory, "integer_solve", counted)
+    got = sweep(5)
+    assert len(calls) == 3
+    real_membership = corrkit.obstruction.k0_class_membership
+
+    def no_guess(vertices, succ, target, *, memo=None, guess=None):
+        return real_membership(vertices, succ, target, memo=memo)
+
+    monkeypatch.setattr(corrkit.obstruction, "k0_class_membership", no_guess)
+    del calls[:]
+    want = sweep(5)
+    assert len(calls) == 10
+    assert got.candidates_checked == want.candidates_checked == 806
+    assert got.violations == want.violations == []
     assert got.report.render().splitlines() == want.report.render().splitlines()
 
 
