@@ -8,8 +8,8 @@ membership, `express` over generators, and the dense-matrix `solve` and
 `nullspace` (which feed it the matrix columns) all go through it.
 Dense helpers remain for `mat_mul`, `det` and the LDL^T test `is_psd`;
 `mat_mul` keeps the entry type (integer matrices multiply in `int`s)
-and `det` is Bareiss's fraction-free elimination, so the Smith-form
-check that calls them never builds a `Fraction` on integer input.
+and `det` is Bareiss's fraction-free elimination, so on integer input
+the Smith-form check builds one `Fraction` per `det`: its result.
 
 Sparse sums have one accumulation primitive, the in-place `_axpy`;
 `_table_apply` folds it over a linear or bilinear table and is the one
@@ -253,11 +253,22 @@ def express(target: Vec, gens: Sequence[Vec]) -> list[Fraction] | None:
 # ------------------------------------------------------------- dense matrices
 
 
+def _shape(a: Sequence[Sequence]) -> str:
+    """`a`'s shape for an error message: rows x columns, or the row
+    lengths of a ragged matrix."""
+    lens = sorted({len(row) for row in a})
+    return f"{len(a)}x{lens[0] if len(lens) == 1 else lens}" if a else "0x0"
+
+
 def mat_mul(a: Sequence[Sequence], b: Sequence[Sequence]) -> list[list]:
     """Exact matrix product that keeps the entry type: the accumulators
     start at int 0 and the entries are multiplied as given, so `int`
-    matrices give `int` entries and `Fraction` entries stay exact."""
+    matrices give `int` entries and `Fraction` entries stay exact.
+    Raises `ValueError` unless every row of `a` has one entry per row of
+    `b` and the rows of `b` have one length."""
     m = len(b[0]) if b else 0
+    if any(len(ai) != len(b) for ai in a) or any(len(bt) != m for bt in b):
+        raise ValueError(f"mat_mul: cannot multiply a {_shape(a)} matrix by a {_shape(b)} matrix")
     out = []
     for ai in a:
         oi = [0] * m
@@ -309,17 +320,23 @@ def is_psd(g: Sequence[Sequence]) -> bool:
 def det(a: Sequence[Sequence]) -> Fraction:
     """Exact determinant of a square matrix of `int`s and `Fraction`s.
 
-    Each row is scaled to integers by the lcm of its denominators (an
-    `int` has denominator 1, so integer rows are taken as they are), and
-    Bareiss's fraction-free elimination (Math. Comp. 22, 1968) runs on
-    the integer matrix: every division by the previous pivot is exact,
-    so no `Fraction` is formed until the result, the last pivot over the
-    product of the row scales.
+    A row of `int`s is taken as it is; any other row is scaled to
+    integers by the lcm of its denominators.  Bareiss's fraction-free
+    elimination (Math. Comp. 22, 1968) then runs on the integer matrix:
+    every division by the previous pivot is exact, so no `Fraction` is
+    formed until the result, the last pivot over the product of the row
+    scales (a one-argument `Fraction`, with no gcd, when no row was
+    scaled).  Raises `ValueError` unless every row has one entry per row.
     """
     n = len(a)
     m = []
     scale = 1
     for row in a:
+        if len(row) != n:
+            raise ValueError(f"det: a {_shape(a)} matrix is not square")
+        if all(type(x) is int for x in row):
+            m.append(list(row))
+            continue
         d = lcm(*(x.denominator for x in row))
         m.append([x.numerator * (d // x.denominator) for x in row])
         scale *= d
@@ -339,4 +356,4 @@ def det(a: Sequence[Sequence]) -> Fraction:
             for j in range(c + 1, n):
                 mi[j] = (p * mi[j] - f * mc[j]) // prev
         prev = p
-    return Fraction(sign * prev, scale)
+    return Fraction(sign * prev) if scale == 1 else Fraction(sign * prev, scale)

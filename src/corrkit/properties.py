@@ -7,16 +7,18 @@ small branchy concrete graph whose shared label forces genuinely
 labelled behaviour, and the indexed mirror-sphere space whose tail sets
 exercise the infinite side.  One pair of engines is built per run and
 shared by the three engine suites, so each run stands alone and the
-product memo of each engine fills once.  All scalars are rational, so
-every comparison is exact.
+product memo of each engine fills once.  A random element is a sum of
+scaled generator words accumulated in one dict through `_axpy`, as
+`Engine.combine` does, so no partial sum is copied on the way.  All
+scalars are rational, so every comparison is exact.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from random import Random
 
-from .engine import Engine
-from .exactlinalg import det, mat_mul
+from .engine import Element, Engine
+from .exactlinalg import _axpy, det, mat_mul
 from .labelled import (LabelledGraph, build_space, concrete_graph,
                        label_instances, relative_range)
 from .reports import Report
@@ -73,11 +75,14 @@ _COEFFS = [Fraction(c, d) for c in (-3, -2, -1, 1, 2, 3) for d in (1, 2, 3)]
 
 
 def _random_element(rng: Random, eng, pool, terms=3):
-    out = eng.zero()
+    """A sum of 1 to `terms` scaled random words, accumulated in one dict
+    as `Engine.combine` does: the same terms, coefficients and key order
+    as the fold `out = out + word * c`, without a copy per step."""
+    out: dict = {}
     for _ in range(rng.randint(1, terms)):
         c = _COEFFS[rng.randrange(len(_COEFFS))]  # the seeded streams draw it before the word
-        out = out + _random_word(rng, pool) * c
-    return out
+        _axpy(out, c, _random_word(rng, pool).terms)
+    return Element._of(eng, out)
 
 
 def associativity_suite(engines: list, cases: int = DEFAULT_CASES,

@@ -16,7 +16,11 @@ intersection and difference are all closed on this representation.
 Each value has one canonical object, kept in a module-level unique
 table: `atoms`, `tail`, `union_all` and the Boolean operations return
 it, while the bare `SetExpr(...)` constructor stays a plain value
-constructor.  Each of `union`, `intersect`, `difference` and
+constructor.  The leaves `atoms(*vs)` and `tail(base, k)` look their
+arguments up first, each in its own leaf table (so the argument tuple
+of one can never answer for the other), and build a `SetExpr` only on
+a miss; a call that raises `ValueError` stores nothing, so it raises
+again on every call.  Each of `union`, `intersect`, `difference` and
 `is_subset` looks its operand pair up in its own computed table before
 doing the work, and stores the canonical operands with the canonical
 answer (the unique and computed tables of a BDD package: Brace, Rudell
@@ -26,9 +30,10 @@ so each answer is a pure function of the two operand values; no result
 depends on which of two equal objects is used.  Storing only canonical
 objects keeps one object per value alive, not one per query.  The
 tables live as long as the process and are small: after
-`verify-sphere --n 12 --trunc 14` they hold 71 sets and at most 1357
-pairs (`intersect`), and after `properties --cases 3000` 270 sets and
-at most 1171 pairs (`is_subset`).
+`verify-sphere --n 12 --trunc 14` they hold 71 sets, at most 1357
+pairs (`intersect`) and 27 `atoms` and 16 `tail` leaves, and after
+`properties --cases 3000 --seed 1` 270 sets, at most 1171 pairs
+(`is_subset`) and 24 and 9 leaves.
 """
 from __future__ import annotations
 
@@ -194,6 +199,10 @@ _UNION: dict[tuple, SetExpr] = {}
 _INTERSECT: dict[tuple, SetExpr] = {}
 _DIFFERENCE: dict[tuple, SetExpr] = {}
 _SUBSET: dict[tuple, bool] = {}
+# leaf tables: the arguments of `atoms` (the tuple of vertices) and of
+# `tail` (the pair (base, k)) -> the canonical set
+_ATOMS: dict[tuple, SetExpr] = {}
+_TAILS: dict[tuple, SetExpr] = {}
 
 
 def _intern(s: SetExpr) -> SetExpr:
@@ -212,11 +221,18 @@ EMPTY = _intern(SetExpr())
 
 
 def atoms(*vs) -> SetExpr:
-    return _intern(SetExpr(vs))
+    got = _ATOMS.get(vs)
+    if got is None:
+        got = _ATOMS[vs] = _intern(SetExpr(vs))
+    return got
 
 
 def tail(base: str, k: int) -> SetExpr:
-    return _intern(SetExpr((), [(base, k)]))
+    key = (base, k)
+    got = _TAILS.get(key)
+    if got is None:
+        got = _TAILS[key] = _intern(SetExpr((), [key]))
+    return got
 
 
 def union_all(exprs: Iterable[SetExpr]) -> SetExpr:

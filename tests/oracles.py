@@ -11,7 +11,9 @@ index maps,
 compact decompositions through a dense system over every generator pair
 instead of one built from the stored inner entries, engine products reduced pair by pair instead of through the engine's
 memo of term-pair products, `Engine.combine` and `substitute` as folds
-of filtered sums instead of one dict that deletes cancelled terms in place, sparse table
+of filtered sums instead of one dict that deletes cancelled terms in place,
+the property suites' random elements as a fold of `+` over scaled words
+instead of one accumulated dict, sparse table
 sums through a dense loop over every key pair instead of the in-place
 accumulation of `_table_apply`, the wide class's V-parts through a
 named `Graph` per edge multiset and the edge scans instead of the
@@ -39,6 +41,7 @@ from corrkit.graphs import Graph
 from corrkit.labelled import (label_set, relative_range, sink_set,
                               truncate_space)
 from corrkit.obstruction import LOOP_VERTEX, SINKS, _canonical, _renamings
+from corrkit.properties import _COEFFS, _random_word
 from corrkit.reports import Report
 from corrkit.setexpr import SetExpr, atoms as atom_set, tail
 
@@ -528,6 +531,17 @@ def fold_combine(engine: Engine, vec: dict, images: dict) -> Element:
             merged[t] = merged[t] + e if t in merged else e
         out = {t: e for t, e in merged.items() if e}
     return Element(engine, out)
+
+
+def fold_random_element(rng, eng: Engine, pool, terms=3) -> Element:
+    """`properties._random_element` as it was: a fold of `out + word * c`
+    from `eng.zero()`, so each step scales a copy of the word and copies
+    the running sum.  It draws from `rng` as that function does."""
+    out = eng.zero()
+    for _ in range(rng.randint(1, terms)):
+        c = _COEFFS[rng.randrange(len(_COEFFS))]
+        out = out + _random_word(rng, pool) * c
+    return out
 
 
 def fold_substitute(x: Element, dst: Engine, s_images: dict, v_images: dict) -> Element:

@@ -276,6 +276,10 @@ def test_det_matches_sympy_on_rationals():
 
 def test_det_edge_cases():
     assert det([]) == 1 and type(det([])) is Fraction
+    # integer rows skip the rescale, yet every result is still a Fraction
+    for m in ([[0]], [[1, 2], [2, 4]], [[0, 0], [0, 0]], [[1, 2, 3], [4, 5, 6], [7, 8, 9]],
+              [[2, 1], [1, 1]], [[7]]):
+        assert type(det(m)) is Fraction and det(m) == int_det(m), m
     assert det([[1, 0], [2, 0]]) == Fraction(0)
     assert det([[0, 1, 0], [1, 0, 0], [0, 0, 1]]) == -1
     assert det([[Fraction(1, 2), 1], [3, Fraction(2, 3)]]) == Fraction(-8, 3)
@@ -369,3 +373,44 @@ def test_solve_and_nullspace_match_sympy(a, b):
         return
     want = _to_fractions(sol.subs({p: 0 for p in params}))
     assert solve(a, b) == want
+
+
+@pytest.mark.parametrize("a,shape", [([[1, 2, 3], [4, 5, 6]], "2x3"), ([[1, 2]], "1x2"),
+                                     ([[1], [2]], "2x1"), ([[1, 2], [3]], r"2x\[1, 2\]")])
+def test_det_refuses_a_matrix_that_is_not_square(a, shape):
+    with pytest.raises(ValueError, match=f"det: a {shape} matrix is not square"):
+        det(a)
+
+
+@pytest.mark.parametrize("a,b,shapes", [
+    ([[1, 2, 3]], [[1], [2]], "1x3 matrix by a 2x1"),
+    ([[1]], [[1, 2], [3, 4]], "1x1 matrix by a 2x2"),
+    ([[1, 2]], [[1], [2, 3]], r"1x2 matrix by a 2x\[1, 2\]"),
+])
+def test_mat_mul_refuses_shapes_that_do_not_fit(a, b, shapes):
+    with pytest.raises(ValueError, match="mat_mul: cannot multiply a " + shapes):
+        mat_mul(a, b)
+
+
+def _frac_entry(rng):
+    return Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 10**3))
+
+
+def test_det_on_rows_of_ints_fractions_and_both_matches_sympy():
+    """Each row is all `int`, all `Fraction` or mixed, so the integer
+    rows taken as they are meet scaled rows in one elimination; the
+    input is left as it was."""
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(23)
+    for k in range(150):
+        n = rng.randint(1, 6)
+        m = [[entry(rng) for _ in range(n)]
+             for entry in (rng.choice((_int_entry, _frac_entry, _mixed_entry)) for _ in range(n))]
+        if k % 3 == 1 and n > 1:
+            m[-1] = list(m[0])
+        before = [list(row) for row in m]
+        expect = sympy.Matrix(m).det()
+        got = det(m)
+        assert type(got) is Fraction, m
+        assert got == Fraction(int(sympy.numer(expect)), int(sympy.denom(expect))), m
+        assert m == before and det([tuple(row) for row in m]) == got

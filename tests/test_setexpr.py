@@ -4,7 +4,7 @@ from random import Random
 import pytest
 
 from corrkit import setexpr
-from corrkit.properties import _random_setexpr
+from corrkit.properties import _random_setexpr, run_property_suites
 from corrkit.setexpr import EMPTY, SetExpr, atoms, tail, union_all
 
 
@@ -144,3 +144,54 @@ def test_equal_operands_give_the_identical_result():
         for pair, got in getattr(setexpr, name).items():
             assert all(setexpr._UNIQUE[s] is s for s in pair)
             assert isinstance(got, bool) or setexpr._UNIQUE[got] is got
+
+
+# ------------------------------------------------------------ leaf tables
+
+LEAF_TABLES = ("_ATOMS", "_TAILS")
+
+
+@pytest.mark.parametrize("cold", [True, False])
+def test_a_repeated_leaf_call_returns_the_canonical_object(monkeypatch, cold):
+    if cold:
+        for name in LEAF_TABLES:
+            monkeypatch.setattr(setexpr, name, {})
+    first = atoms("x9", ("y", 2))
+    assert atoms("x9", ("y", 2)) is first is setexpr._intern(SetExpr(["x9", ("y", 2)]))
+    first = tail("y", 7)
+    assert tail("y", 7) is first is setexpr._intern(SetExpr((), [("y", 7)]))
+    assert setexpr._ATOMS[("x9", ("y", 2))] is atoms("x9", ("y", 2))
+    assert setexpr._TAILS[("y", 7)] is tail("y", 7)
+
+
+def test_a_refused_leaf_is_refused_on_every_call_and_never_stored():
+    for _ in range(3):
+        with pytest.raises(ValueError):
+            tail("v", 0)
+        with pytest.raises(ValueError):
+            atoms(("v", 0))
+    assert ("v", 0) not in setexpr._TAILS
+    assert (("v", 0),) not in setexpr._ATOMS
+
+
+@pytest.mark.parametrize("base,atoms_first", [("za", True), ("zb", False)])
+def test_atoms_and_tail_keys_never_collide(base, atoms_first):
+    """`atoms(base, 3)` has the same argument tuple as `tail(base, 3)`;
+    each function keeps its own table, so neither answers for the other,
+    whichever is called first.  The bases are used by no other test, so
+    the first call of each misses its table."""
+    calls = [lambda: atoms(base, 3), lambda: atoms(base, 3, None), lambda: tail(base, 3)]
+    got = [call() for call in (calls if atoms_first else calls[::-1])]
+    if not atoms_first:
+        got.reverse()
+    pair, triple, ray = got
+    assert pair == SetExpr([base, 3]) and triple == SetExpr([base, 3, None])
+    assert ray == SetExpr((), [(base, 3)])
+    assert ray != pair and ray != triple
+
+
+def test_a_second_property_run_adds_no_leaf_or_unique_entry():
+    run_property_suites(300, 1)
+    sizes = {name: len(getattr(setexpr, name)) for name in ("_UNIQUE",) + LEAF_TABLES}
+    run_property_suites(300, 1)
+    assert {name: len(getattr(setexpr, name)) for name in sizes} == sizes
