@@ -1,4 +1,12 @@
-"""Finite directed graphs with named vertices and edges."""
+"""Finite directed graphs with named vertices and edges.
+
+Every query reads a successor index built by `successors`:
+`hereditary_closure` by a search from the seed, `topological_order` and
+`is_acyclic_among` by one Kahn peel.  An acyclic verdict comes with its
+certificate, the order, which a caller can check on a later graph in
+one pass over its edges (`obstruction._structural_ok` does so for the
+candidates on one vertex tuple, and peels again only when it fails).
+"""
 from __future__ import annotations
 
 from functools import lru_cache
@@ -84,27 +92,39 @@ def hereditary_closure(succ: dict, seed: Iterable[str]) -> frozenset:
     return frozenset(seen)
 
 
-def is_acyclic_among(succ: dict, verts: frozenset) -> bool:
-    """No directed cycle of the successor index `succ` visits only `verts`.
+def topological_order(succ: dict, verts: frozenset) -> list | None:
+    """The keys of the successor index `succ` that lie in `verts`, in the
+    order Kahn's peel takes them, or None when a directed cycle visits
+    only `verts`.  Every edge among the listed vertices goes forward in
+    the order, so it certifies acyclicity: a caller may keep it and check
+    it against another graph edge by edge instead of peeling again.
 
-    Peels the vertices of `verts` that no remaining edge enters; a vertex
-    on a cycle is never peeled.  Only a vertex that emits an edge can lie
-    on a cycle, so the keys of `succ` are the candidates."""
+    The peel removes the vertices of `verts` that no remaining edge
+    enters; a vertex on a cycle is never peeled.  Only a vertex that
+    emits an edge can lie on a cycle, so the keys of `succ` are the
+    candidates.  It keeps no call stack, so depth is no limit."""
     indeg = {v: 0 for v in succ if v in verts}
     for v in indeg:
         for w in succ[v]:
             if w in indeg:
                 indeg[w] += 1
     ready = [v for v, k in indeg.items() if not k]
-    peeled = 0
+    order = []
     while ready:
-        peeled += 1
-        for w in succ[ready.pop()]:
+        v = ready.pop()
+        order.append(v)
+        for w in succ[v]:
             if w in indeg:
                 indeg[w] -= 1
                 if not indeg[w]:
                     ready.append(w)
-    return peeled == len(indeg)
+    return order if len(order) == len(indeg) else None
+
+
+def is_acyclic_among(succ: dict, verts: frozenset) -> bool:
+    """No directed cycle of the successor index `succ` visits only `verts`
+    (`topological_order` finds an order)."""
+    return topological_order(succ, verts) is not None
 
 
 def canonical_encoding(vertices: Iterable[str], pairs: Iterable[tuple[str, str]]) -> tuple:

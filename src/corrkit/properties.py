@@ -10,7 +10,10 @@ shared by the three engine suites, so each run stands alone and the
 product memo of each engine fills once.  A random element is a sum of
 scaled generator words accumulated in one dict through `_axpy`, as
 `Engine.combine` does, so no partial sum is copied on the way.  All
-scalars are rational, so every comparison is exact.
+scalars are rational, so every comparison is exact.  Every draw from a
+sequence is `rng.choice(seq)`, which consumes the generator exactly as
+`seq[rng.randrange(len(seq))]` does (both draw `_randbelow(len(seq))`),
+so a seed gives the same cases either way.
 """
 from __future__ import annotations
 
@@ -63,9 +66,9 @@ def _factor_pool(eng, labels, sets):
 
 
 def _random_word(rng: Random, pool):
-    el = pool[rng.randrange(len(pool))]
+    el = rng.choice(pool)
     for _ in range(rng.randrange(0, 3)):
-        nxt = el * pool[rng.randrange(len(pool))]
+        nxt = el * rng.choice(pool)
         if nxt.terms:
             el = nxt
     return el
@@ -80,7 +83,7 @@ def _random_element(rng: Random, eng, pool, terms=3):
     as the fold `out = out + word * c`, without a copy per step."""
     out: dict = {}
     for _ in range(rng.randint(1, terms)):
-        c = _COEFFS[rng.randrange(len(_COEFFS))]  # the seeded streams draw it before the word
+        c = rng.choice(_COEFFS)  # the seeded streams draw it before the word
         _axpy(out, c, _random_word(rng, pool).terms)
     return Element._of(eng, out)
 
@@ -205,9 +208,9 @@ def range_cocycle_suite(cases: int = DEFAULT_CASES,
         labels = sorted(label_instances(g, _MATERIALIZE_TO))
         edges = _finite_edges(g, _MATERIALIZE_TO)
         for _ in range(cases // 2):
-            a = pool[rng.randrange(len(pool))]
-            b = pool[rng.randrange(len(pool))]
-            lab = labels[rng.randrange(len(labels))]
+            a = rng.choice(pool)
+            b = rng.choice(pool)
+            lab = rng.choice(labels)
             ra, rb = relative_range(g, a, lab), relative_range(g, b, lab)
             ru = relative_range(g, a.union(b), lab)
             want = ra.union(rb)
@@ -219,7 +222,7 @@ def range_cocycle_suite(cases: int = DEFAULT_CASES,
             if not bad_meet and not rm.is_subset(ra.intersect(rb)):
                 bad_meet = f"A={a!r} B={b!r} label={lab}"
 
-            word = [labels[rng.randrange(len(labels))]
+            word = [rng.choice(labels)
                     for _ in range(rng.randint(1, 3))]
             sym = a
             fin = frozenset(v for v in a.truncate(_MATERIALIZE_TO))

@@ -2,7 +2,8 @@
 import random
 
 from corrkit.exactlinalg import sort_key
-from corrkit.graphs import Graph, canonical_encoding, hereditary_closure, is_acyclic_among, successors
+from corrkit.graphs import (Graph, canonical_encoding, hereditary_closure, is_acyclic_among, successors,
+                            topological_order)
 
 from oracles import scan_hereditary_closure, scan_is_acyclic_among, scan_successors
 
@@ -52,8 +53,10 @@ def test_acyclicity_on_a_path_deeper_than_the_recursion_limit():
     verts = [f"v{i}" for i in range(n)]
     path = [(f"e{i}", verts[i], verts[i + 1]) for i in range(n - 1)]
     assert is_acyclic_among(Graph(verts, path).succ, frozenset(verts))
+    assert topological_order(Graph(verts, path).succ, frozenset(verts)) == verts
     closed = Graph(verts, path + [("back", verts[-1], verts[0])]).succ
     assert not is_acyclic_among(closed, frozenset(verts))
+    assert topological_order(closed, frozenset(verts)) is None
     assert is_acyclic_among(closed, frozenset(verts[1:]))
 
 
@@ -148,3 +151,49 @@ def test_index_queries_match_the_edge_scans():
             verts = frozenset(rng.sample(g.vertices, rng.randint(0, len(g.vertices))))
             assert is_acyclic_among(g.succ, verts) == scan_is_acyclic_among(g, verts)
         assert is_acyclic_among(g.succ, frozenset(g.vertices)) is False  # the self-loop
+
+
+def _assert_order_certifies(g: Graph, verts: frozenset) -> None:
+    """`topological_order` lists exactly the keys of the index in
+    `verts`, each once, with every edge among them going forward, and
+    returns None exactly when the depth-first oracle finds a cycle."""
+    order = topological_order(g.succ, verts)
+    if not scan_is_acyclic_among(g, verts):
+        assert order is None
+        return
+    assert order is not None and sorted(order) == sorted(v for v in g.succ if v in verts)
+    pos = {v: i for i, v in enumerate(order)}
+    for e in g.edges:
+        if g.src[e] in pos and g.dst[e] in pos:
+            assert pos[g.src[e]] < pos[g.dst[e]], e
+
+
+def _random_mostly_forward_graph(rng: random.Random) -> Graph:
+    """Up to 7 vertices and 10 edges, no loop, each edge going from a
+    lower to a higher index except now and then one going back, so
+    about half of these graphs are acyclic."""
+    n = rng.randint(2, 7)
+    verts = [f"u{i}" for i in range(n)]
+    edges = []
+    for i in range(rng.randint(0, 10)):
+        a, b = sorted(rng.sample(range(n), 2))
+        if rng.random() < 0.1:
+            a, b = b, a
+        edges.append((f"e{i}", verts[a], verts[b]))
+    return Graph(verts, edges)
+
+
+def test_topological_order_matches_the_scan_oracle():
+    """On the seeded random multigraphs of the index test above
+    (dangling edges, loops and parallel edges) and on seeded random
+    mostly forward graphs, over all their vertices and over random
+    subsets."""
+    rng = random.Random(2904)
+    verdicts = []
+    for _ in range(300):
+        for g in (_random_multigraph(rng), _random_mostly_forward_graph(rng)):
+            for k in (len(g.vertices), rng.randint(0, len(g.vertices))):
+                verts = frozenset(rng.sample(g.vertices, k))
+                _assert_order_certifies(g, verts)
+                verdicts.append(scan_is_acyclic_among(g, verts))
+    assert verdicts.count(True) > 300 and verdicts.count(False) > 300

@@ -9,10 +9,10 @@ import pytest
 import corrkit.graphs
 import corrkit.ktheory
 import corrkit.obstruction
-from corrkit.graphs import successors
-from corrkit.obstruction import (LOOP_VERTEX, SINKS, _arborescences, _canonical, _h_parts,
-                                 _renamings, _structural_ok, _v_parts_wide, enumerate_candidates,
-                                 sweep)
+from corrkit.graphs import hereditary_closure, successors, topological_order
+from corrkit.obstruction import (LOOP_VERTEX, SINKS, Candidate, _arborescences, _canonical,
+                                 _h_parts, _renamings, _structural_ok, _TupleRecord,
+                                 _v_parts_wide, enumerate_candidates, sweep)
 from oracles import graph_v_parts_wide, permutation_canonical
 
 
@@ -251,6 +251,128 @@ def test_structural_rejection_reasons_are_pinned(name):
     succ = successors(vertices, pairs)
     assert _structural_ok(vertices, succ, True) == wide
     assert _structural_ok(vertices, succ, False) == (wide if narrow is None else narrow)
+
+
+def _own_order_and_closure(vertices, succ):
+    """A topological order of the vertices other than w0 (their listed
+    order when there is none) and the hereditary closure of w0."""
+    rest = frozenset(vertices) - {LOOP_VERTEX}
+    order = topological_order(succ, rest) or [v for v in vertices if v in rest]
+    return order, hereditary_closure(succ, [LOOP_VERTEX])
+
+
+def _wrong_certificates(vertices, succ) -> dict:
+    """name -> (order, closure) offered to `_structural_ok` for the graph
+    on `vertices` with index `succ`; none is its own certificate, save
+    where the graph makes a wrong guess coincide with the right one."""
+    order, closure = _own_order_and_closure(vertices, succ)
+    in_class_vertices, in_class_pairs = _REJECTIONS["in-class"][:2]
+    in_class = _own_order_and_closure(in_class_vertices,
+                                      successors(in_class_vertices, in_class_pairs))
+    rest = sorted(closure - {LOOP_VERTEX})
+    return {
+        "in-class": in_class,
+        "reversed-order": (order[::-1], closure),
+        "order-missing-a-vertex": (order[:-1], closure),
+        "order-ending-at-w0": (order + [LOOP_VERTEX], closure),
+        "order-then-reversed": (order + order[::-1], closure),
+        "V-too-large": (order, closure | set(vertices) | {"zz"}),
+        "V-too-small": (order, frozenset([LOOP_VERTEX])),
+        "V-not-closed": (order, closure - set(rest[-1:])),
+        "V-without-w0": (order, closure - {LOOP_VERTEX}),
+        "V-empty": (order, frozenset()),
+    }
+
+
+def _assert_holds_a_certificate(rec, vertices, succ):
+    """The record's order is forward on every edge between vertices
+    other than w0, and its closure is the hereditary closure of w0."""
+    assert rec.closure == hereditary_closure(succ, [LOOP_VERTEX])
+    for s in vertices:
+        for d in succ[s]:
+            if LOOP_VERTEX not in (s, d):
+                assert d in rec.after[s], (s, d)
+
+
+@pytest.mark.parametrize("name", list(_REJECTIONS))
+def test_wrong_certificates_change_no_verdict(name):
+    """Every pinned graph keeps its exact verdict and message in both
+    classes whatever order and V it is offered, and a pass leaves a
+    true certificate in the record (computed afresh where the offered
+    one failed)."""
+    vertices, pairs, wide, narrow = _REJECTIONS[name]
+    succ = successors(vertices, pairs)
+    want = {True: wide, False: wide if narrow is None else narrow}
+    offers = _wrong_certificates(vertices, succ)
+    offers["own"] = _own_order_and_closure(vertices, succ)
+    for offer, (order, closure) in offers.items():
+        for in_wide in (True, False):
+            rec = _TupleRecord(order, closure)
+            assert _structural_ok(vertices, succ, in_wide, rec) == want[in_wide], offer
+            if want[in_wide][0]:
+                _assert_holds_a_certificate(rec, vertices, succ)
+
+
+@pytest.mark.parametrize("pairs, why", [
+    ([("w0", "w0"), ("w0", "x1"), ("x1", "w1"), ("x1", "w2"), ("x1", "t1"), ("t1", "x1")],
+     "second cycle outside the loop"),
+    ([("w0", "w0"), ("w0", "x1"), ("x1", "w1"), ("x1", "w2"), ("w0", "w1"), ("t1", "w1")],
+     "w1 receives 2 edges from V (need exactly 1)"),
+    ([("w0", "w0"), ("w0", "x1"), ("x1", "w1"), ("x1", "w2"), ("t1", "w0")],
+     "edge into w0 from elsewhere"),
+    ([("w0", "w0"), ("w0", "w1"), ("w0", "w2"), ("x1", "w1"), ("t1", "x1"), ("w1", "t1")],
+     "sinks are ['w2'], need exactly ['w1', 'w2']"),
+], ids=["second-cycle", "double-feed", "edge-into-w0", "w1-emits"])
+def test_an_out_of_class_graph_after_certified_members_still_fails(monkeypatch, pairs, why):
+    """An out-of-class graph slipped into the enumeration right after
+    the last member on its vertex tuple meets that member's certificate
+    and still stops the sweep with the message it gets alone."""
+    vertices = ("w0", "x1", "w1", "w2", "t1")
+    bad = Candidate(vertices, tuple(sorted(pairs)))
+    assert _structural_ok(vertices, successors(vertices, bad.pairs), False) == (False, why)
+    cands = enumerate_candidates(5)
+    at = max(i for i, c in enumerate(cands) if c.vertices == vertices) + 1
+    assert sum(c.vertices == vertices for c in cands) > 100
+    cands.insert(at, bad)
+    monkeypatch.setattr(corrkit.obstruction, "enumerate_candidates", lambda *a, **kw: cands)
+    with pytest.raises(AssertionError) as err:
+        sweep(5)
+    assert str(err.value) == f"enumerator produced out-of-class candidate: {why}: {bad.pairs}"
+
+
+@pytest.mark.parametrize("max_vertices, wide, fallbacks", [(5, False, 13), (6, False, 26),
+                                                           (4, True, 6)],
+                         ids=["narrow5", "narrow6", "wide4"])
+def test_structural_certificates_change_no_report_line(monkeypatch, max_vertices, wide,
+                                                       fallbacks):
+    """With the certificates reused the sweep peels (`topological_order`)
+    and searches (`hereditary_closure`) afresh only where the offered
+    ones fail, 26 times each on 6 vertices; with them suppressed it does
+    so on every candidate.  The report lines are the same.  The
+    enumerator runs before the counting starts, so its own calls are
+    left out."""
+    cands = enumerate_candidates(max_vertices, wide=wide)
+    monkeypatch.setattr(corrkit.obstruction, "enumerate_candidates", lambda *a, **kw: cands)
+    calls = {"topological_order": 0, "hereditary_closure": 0}
+    for fn in calls:
+        def counted(*args, _real=getattr(corrkit.obstruction, fn), _fn=fn):
+            calls[_fn] += 1
+            return _real(*args)
+        monkeypatch.setattr(corrkit.obstruction, fn, counted)
+    got = sweep(max_vertices, wide=wide)
+    assert calls == dict.fromkeys(calls, fallbacks)
+    real_check = corrkit.obstruction._structural_ok
+
+    def no_certificate(vertices, succ, in_wide, cert=None):
+        return real_check(vertices, succ, in_wide)
+
+    monkeypatch.setattr(corrkit.obstruction, "_structural_ok", no_certificate)
+    calls.update(dict.fromkeys(calls, 0))
+    want = sweep(max_vertices, wide=wide)
+    assert calls == dict.fromkeys(calls, len(cands))
+    assert got.candidates_checked == want.candidates_checked == len(cands)
+    assert got.violations == want.violations
+    assert got.report.render().splitlines() == want.report.render().splitlines()
 
 
 def test_structural_filters_run_in_a_fixed_order():

@@ -67,3 +67,18 @@ def test_random_elements_match_the_fold_of_sums():
                     assert list(got.terms.items()) == list(want.terms.items()), seed
                     assert all(type(c) is Fraction and c for c in got.terms.values())
                     assert got.engine is eng and rng.getstate() == ref.getstate()
+
+
+def test_choice_draws_as_randrange_of_the_length():
+    """The suites draw from a sequence by `rng.choice(seq)`; the seeded
+    cases stay those of `seq[rng.randrange(len(seq))]` only while the
+    two consume the generator alike.  For seeds 0-49 and lengths 1-40,
+    a run of draws each way gives equal items and equal states."""
+    for seed in range(50):
+        for n in range(1, 41):
+            seq = list(range(n))
+            by_choice, by_index = Random(seed), Random(seed)
+            got = [by_choice.choice(seq) for _ in range(8)]
+            want = [seq[by_index.randrange(len(seq))] for _ in range(8)]
+            assert got == want, (seed, n)
+            assert by_choice.getstate() == by_index.getstate(), (seed, n)
