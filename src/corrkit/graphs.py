@@ -1,9 +1,9 @@
 """Finite directed graphs with named vertices and edges.
 
 Every query reads a successor index built by `successors`:
-`hereditary_closure` by a search from the seed, `topological_order` and
-`is_acyclic_among` by one Kahn peel.  An acyclic verdict comes with its
-certificate, the order, which a caller can check on a later graph in
+`hereditary_closure` by a search from the seed, `topological_order` by
+one Kahn peel.  The peel answers acyclicity with its certificate, the
+order (None on a cycle), which a caller can check on a later graph in
 one pass over its edges (`obstruction._structural_ok` does so for the
 candidates on one vertex tuple, and peels again only when it fails).
 """
@@ -119,12 +119,6 @@ def topological_order(succ: dict, verts: frozenset) -> list | None:
                 if not indeg[w]:
                     ready.append(w)
     return order if len(order) == len(indeg) else None
-
-
-def is_acyclic_among(succ: dict, verts: frozenset) -> bool:
-    """No directed cycle of the successor index `succ` visits only `verts`
-    (`topological_order` finds an order)."""
-    return topological_order(succ, verts) is not None
 
 
 def canonical_encoding(vertices: Iterable[str], pairs: Iterable[tuple[str, str]]) -> tuple:

@@ -15,32 +15,11 @@ integer solution.  A caller may pass a `guess`, a map from regular
 vertices to integers, for instance the certificate of a graph it checked
 before.  It is tried first, on the graph's own system read straight off
 the successor index (`_satisfies`), and if it solves M x = b it is the
-certificate, with no matrix built.  `obstruction.sweep` passes the certificate of the last
-member on the same vertex tuple, which holds on 7686 of the 7696 graphs
-on 6 vertices (the narrow-class lemma in `obstruction`).  A guess that
-fails leaves the verdict to the path below.
-
-Forced-zero lemma: if row i has b[i] = 0 and its only nonzero entry
-among the remaining columns is +-1 at column j, then x[j] = 0 in every
-solution, so row i and column j can both go; a zero row with b[i] = 0
-goes as well.  Repeating this until nothing changes gives a reduced
-system (M', b') whose integer solutions are exactly the restrictions of
-the solutions of M x = b, and a solution of (M', b') lifted with zeros
-solves M x = b.  The reduced system does not depend on the order in
-which rows are visited: dropping a column only makes rows sparser, so a
-row that qualifies once qualifies for good, and every order drops the
-same rows and columns.  In graph terms the reduction peels away regular
-vertices without target weight that receive no edge from a remaining
-regular vertex; on the obstruction sweep's narrow class that is every
-vertex outside the hereditary closure of w0, and the 7696 graphs on 6
-vertices share 20 reduced systems.  So a caller may pass a `memo` that
-maps each reduced system to one of its solutions; `obstruction.sweep`
-keeps one for the length of one sweep, and there is no module-level
-cache.  With the guesses above, the sweep on 6 vertices reaches the memo
-10 times and factors 4 of the reduced systems.  Every verdict is still
-checked on the graph's own full system: a guess, and a shared solution
-lifted with zeros, must satisfy M x = b, and a "no" always comes from
-`integer_solve(M, b)` with its dual witness.
+certificate, with no matrix built.  `obstruction.sweep` passes the
+certificate of the last member on the same vertex tuple, which holds on
+7686 of the 7696 graphs on 6 vertices (the narrow-class lemma in
+`obstruction`).  Otherwise the verdict is `integer_solve(M, b)` on the
+full system: a solution for a "yes", its dual witness behind a "no".
 """
 from __future__ import annotations
 
@@ -113,35 +92,7 @@ def k_theory(g: Graph) -> KTheoryResult:
     return KTheoryResult(rows - rk, torsion, cols - rk, pres, diag)
 
 
-def _forced_zero_presolve(m, b: list) -> tuple[list, list]:
-    """Indices of the rows and columns of M x = b left once the
-    forced-zero rows (module docstring) and their columns are dropped,
-    repeated until nothing changes; both lists keep the original order.
-    Each pass rescans every kept row with b[i] = 0 over the kept columns."""
-    rows = list(range(len(m)))
-    cols = list(range(len(m[0]) if m else 0))
-    shrinking = True
-    while shrinking:
-        shrinking = False
-        kept = []
-        for i in rows:
-            if not b[i]:
-                row = m[i]
-                nonzero = [j for j in cols if row[j]]
-                if not nonzero:
-                    shrinking = True
-                    continue
-                if len(nonzero) == 1 and row[nonzero[0]] in (1, -1):
-                    cols.remove(nonzero[0])
-                    shrinking = True
-                    continue
-            kept.append(i)
-        rows = kept
-    return rows, cols
-
-
 def k0_class_membership(vertices: tuple, succ: dict, target: dict, *,
-                        memo: dict | None = None,
                         guess: dict | None = None) -> tuple[bool, dict | None]:
     """Is sum_v target[v]*[p_v] zero in K0 of the graph on the tuple
     `vertices` with successor index `succ` (`graphs.successors`)?
@@ -151,27 +102,26 @@ def k0_class_membership(vertices: tuple, succ: dict, target: dict, *,
     certificate maps regular vertices to integer coefficients.  Both
     verdicts are certified on the graph's own full system: a "yes" by
     M x = b, a "no" by the dual witness of `integer_solve(M, b)`.
+    `ValueError` is raised, naming the key or the value, when `target`
+    names a vertex that is not listed in `vertices` or maps one to a
+    value that is not an `int`.
 
     `guess`, a map from regular vertices to integers, is tried first: if
     it satisfies M x = b, read off `succ` (`_satisfies`), it is the
-    certificate, and no matrix, presolve or memo key is built.  A guess
-    that fails, or names a vertex that is not a listed regular vertex,
-    changes nothing: the call goes on as without one.
-
-    `memo`, one dict shared by the graphs of one sweep, maps a system
-    reduced by the forced-zero lemma (module docstring), as tuples, to
-    one of its solutions.  A stored solution is lifted with zeros and
-    must satisfy M x = b, or `AssertionError` is raised and no verdict
-    given.  A graph whose reduced system is not stored is solved on its
-    full system, and its solution restricted to the kept columns, which
-    solves the reduced system by the lemma, is stored.  Without a memo
-    the call runs the same path with an empty one.
+    certificate, and no matrix is built.  A guess that fails, or names a
+    vertex that is not a listed regular vertex, changes nothing: the
+    verdict is `integer_solve(M, b)`'s, as without one.
     """
-    b = [int(target.get(v, 0)) for v in vertices]
+    for v, c in target.items():
+        if v not in vertices:
+            raise ValueError(f"target vertex {v!r} is not a listed vertex")
+        if not isinstance(c, int):
+            raise ValueError(f"target coefficient {c!r} of vertex {v!r} is not an integer")
+    b = [target.get(v, 0) for v in vertices]
     if guess is not None and _satisfies(vertices, succ, b, guess):
         return True, {v: c for v, c in guess.items() if c != 0}
     pres = _presentation(vertices, succ)
-    x = _shared_solve(pres, succ, b, {} if memo is None else memo)
+    x = integer_solve(pres.as_lists(), b)
     if x is None:
         return False, None
     return True, {v: c for v, c in zip(pres.col_labels, x) if c != 0}
@@ -194,20 +144,3 @@ def _satisfies(vertices: tuple, succ: dict, b: list, x: dict) -> bool:
             r[d] += c
     return all(r[v] == bi for v, bi in zip(vertices, b))
 
-
-def _shared_solve(pres: IntMatrix, succ: dict, b: list, memo: dict) -> list | None:
-    m = pres.entries
-    rows, cols = _forced_zero_presolve(m, b)
-    key = (tuple([tuple([m[i][j] for j in cols]) for i in rows]), tuple([b[i] for i in rows]))
-    y = memo.get(key)
-    if y is None:
-        x = integer_solve(pres.as_lists(), b)
-        if x is not None:
-            memo[key] = tuple([x[j] for j in cols])
-        return x
-    x = [0] * len(pres.col_labels)
-    for j, c in zip(cols, y):
-        x[j] = c
-    if not _satisfies(pres.row_labels, succ, b, dict(zip(pres.col_labels, x))):
-        raise AssertionError("internal: lifted K0 solution fails M x = b")
-    return x

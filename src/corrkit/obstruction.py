@@ -30,11 +30,14 @@ that number is 1, since every vertex of V receives exactly one edge
 from V (w0 its loop); so entry v is 1 at w1 and w2 and 0 at every other
 vertex of V.  For v outside V (an h-vertex) it is 0, since V is
 hereditary, and v carries 0 in x; so entry v is 0.  The solution is
-also the only one: the h-vertex columns are forced to zero (the
-`ktheory` presolve), and if y solves the homogeneous system on V, the
-row of a child c of a regular vertex w reads y_w = y_c, with y_c read as
-0 at a sink, so y vanishes from the deepest regular vertices of the
-arborescence up to w0.
+also the only one.  Take the h-vertices in topological order (the part
+outside V is acyclic).  No edge enters an h-vertex t from V, so its row
+reads -x_t plus the x of the earlier h-vertices with an edge into t, and
+b is 0 there; so x_t = 0 in turn, in every solution.  With those zeros
+the rows of V read only the columns of V, and if y solves the
+homogeneous system on V, the row of a child c of a regular vertex w
+reads y_w = y_c, with y_c read as 0 at a sink, so y vanishes from the
+deepest regular vertices of the arborescence up to w0.
 
 The enumerator builds the vertex tuple as w0, the x_i, w1, w2 and then
 the h-vertices, and the V-part spans exactly the first four groups, so
@@ -76,8 +79,7 @@ from dataclasses import dataclass
 from itertools import chain, combinations_with_replacement, islice, permutations, product
 
 from .errors import BudgetError
-from .graphs import (canonical_encoding, hereditary_closure, is_acyclic_among, successors,
-                     topological_order)
+from .graphs import canonical_encoding, hereditary_closure, successors, topological_order
 from .ktheory import k0_class_membership
 from .reports import Report
 
@@ -286,7 +288,7 @@ def _rooted_and_acyclic(v_nodes: tuple, pairs) -> bool:
     The loop at w0 changes neither, so it may be left out."""
     succ = successors(v_nodes, pairs)
     return (len(hereditary_closure(succ, [LOOP_VERTEX])) == len(v_nodes)
-            and is_acyclic_among(succ, frozenset(v_nodes) - {LOOP_VERTEX}))
+            and topological_order(succ, frozenset(v_nodes) - {LOOP_VERTEX}) is not None)
 
 
 def _v_parts_wide(extra: tuple, budget: int) -> list[tuple]:
@@ -426,11 +428,10 @@ def sweep(max_vertices: int, max_edges: int = 10, wide: bool = False) -> SweepRe
     the certificate of the last member on the same vertex tuple as its
     `guess`; on the narrow class that holds on every candidate but the
     first on each tuple (the module's narrow-class lemma), so 7686 of the
-    7696 graphs on 6 vertices need no matrix.  The others share one memo
-    of reduced K0 systems (see `ktheory`), so each distinct reduced
-    system is factored once per sweep, 4 times on 6 vertices.  Every
-    verdict is still checked on the candidate's own system: a "yes" by
-    M x = b, a "no" by `integer_solve`'s dual witness.
+    7696 graphs on 6 vertices need no matrix, and `integer_solve` runs
+    once per vertex tuple.  Every verdict is checked on the candidate's
+    own system: a "yes" by M x = b, a "no" by `integer_solve`'s dual
+    witness.
 
     One `_TupleRecord` per vertex tuple holds what the last accepted
     member on it proved: its K0 certificate, topological order and V.
@@ -442,7 +443,6 @@ def sweep(max_vertices: int, max_edges: int = 10, wide: bool = False) -> SweepRe
     rep = Report(f"obstruction sweep ({'wide' if wide else 'default'} class, "
                  f"<= {max_vertices} vertices, <= {max_edges} edges)")
     violations = []
-    memo: dict = {}  # reduced K0 system -> one of its solutions, for this sweep only
     records: dict = {}  # vertex tuple -> _TupleRecord of the last accepted member on it
     target = {SINKS[0]: 1, SINKS[1]: 1}
     for c in cands:
@@ -453,7 +453,7 @@ def sweep(max_vertices: int, max_edges: int = 10, wide: bool = False) -> SweepRe
         ok, why = _structural_ok(c.vertices, succ, wide, rec)
         if not ok:
             raise AssertionError(f"enumerator produced out-of-class candidate: {why}: {c.pairs}")
-        member, cert = k0_class_membership(c.vertices, succ, target, memo=memo, guess=rec.k0)
+        member, cert = k0_class_membership(c.vertices, succ, target, guess=rec.k0)
         if member:
             rec.k0 = cert
         else:

@@ -21,18 +21,18 @@ successor index of its pairs, the
 glued module's labelled-space images by recognising each pair row's
 generator names instead of extending generator images linearly, graph
 queries by scanning every edge instead of reading the successor index,
-the forced-zero presolve on dense rows instead of each row's support
-listed once, the sweep's canonical edge tuples by renaming every pair
-of every multiset under every permutation instead of through images
-built once per call, and a handful of presentation matrices frozen from
-hand reduction.
+K0 class membership by comparing sympy's Smith forms of M and [M | b]
+instead of solving M x = b, the sweep's canonical edge tuples by
+renaming every pair of every multiset under every permutation instead
+of through images built once per call, and a handful of presentation
+matrices frozen from hand reduction.
 """
 from __future__ import annotations
 
 import random
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, islice, permutations
-from math import gcd
+from math import gcd, prod
 
 from corrkit.correspondences import FiniteRankOp
 from corrkit.engine import Element, Engine
@@ -688,36 +688,25 @@ def scan_is_acyclic_among(g: Graph, verts: frozenset) -> bool:
     return all(color[v] == 2 or dfs(v) for v in order)
 
 
-# ------------------------------------- support-listing forced-zero presolve
+# ------------------------------------- lattice membership by Smith forms
 
-def support_listing_forced_zero_presolve(m, b: list) -> tuple[list, list]:
-    """`ktheory._forced_zero_presolve` reading each row's nonzero columns
-    from M once, on its first visit; later passes only drop the columns
-    gone since."""
-    cols = list(range(len(m[0]) if m else 0))
-    support: dict = {}  # row with b[i] = 0 -> its nonzero columns still kept
-    rows = list(range(len(m)))
-    shrinking = True
-    while shrinking:
-        shrinking = False
-        kept = []
-        for i in rows:
-            if not b[i]:
-                if i in support:
-                    nonzero = support[i] = [j for j in support[i] if j in cols]
-                else:
-                    row = m[i]
-                    nonzero = support[i] = [j for j in cols if row[j]]
-                if not nonzero:
-                    shrinking = True
-                    continue
-                if len(nonzero) == 1 and m[i][nonzero[0]] in (1, -1):
-                    cols.remove(nonzero[0])
-                    shrinking = True
-                    continue
-            kept.append(i)
-        rows = kept
-    return rows, cols
+def smith_form_lies_in_image(m: list, b: list) -> bool:
+    """Does b lie in the image of the integer matrix M over Z?  Exactly
+    when M and [M | b] have the same rank and the same product of nonzero
+    invariant factors (sympy's `smith_normal_form`): the image of M lies
+    in that of [M | b], and when the ranks agree that product is each
+    image's index in the integer points of their common span."""
+    from sympy import ZZ, Matrix
+    from sympy.matrices.normalforms import smith_normal_form
+
+    def rank_and_product(rows: list) -> tuple[int, int]:
+        if not rows or not rows[0]:
+            return 0, 1
+        snf = smith_normal_form(Matrix(rows), domain=ZZ)
+        factors = [abs(int(snf[i, i])) for i in range(min(snf.shape)) if snf[i, i]]
+        return len(factors), prod(factors)
+
+    return rank_and_product(m) == rank_and_product([row + [bi] for row, bi in zip(m, b)])
 
 
 # ------------------------------------------------- sweep canonical forms

@@ -347,10 +347,9 @@ def test_obstruction_wide_json_stream_is_pinned(capsys):
 
 
 # (exit code, sha256 of the `obstruction --max-vertices 5 --format json`
-# stream), recorded at commit c758f05, before the K0 systems were reduced
-# and shared across a sweep.  All 806 candidates of the narrow class are
-# members; a change to the reduction or its memo that alters one verdict,
-# or the candidate list, shows here.
+# stream), recorded at commit c758f05.  All 806 candidates of the narrow
+# class are members; a change to the K0 membership test or its guess that
+# alters one verdict, or the candidate list, shows here.
 OBSTRUCTION_V5_JSON = (0, "d31e7090fffdd825b28995469fcfe85b63c5b92d94ee7d6e82bffc93dcb4f59c")
 
 

@@ -1,17 +1,14 @@
 """K-theory of graph algebras against hand-reduced Smith forms."""
-import random
-
 import pytest
 
 import corrkit.ktheory
 from corrkit.graphs import Graph, successors
-from corrkit.ktheory import (_forced_zero_presolve, _presentation, k0_class_membership, k_theory,
-                             presentation_matrix)
-from corrkit.obstruction import enumerate_candidates
+from corrkit.ktheory import _presentation, k0_class_membership, k_theory, presentation_matrix
+from corrkit.obstruction import enumerate_candidates, sweep
 from corrkit.smith import integer_solve
 from corrkit.spheres import SphereConfig, build_disc_graph, build_z_graph
 
-from oracles import HAND_SMITH, support_listing_forced_zero_presolve
+from oracles import HAND_SMITH, smith_form_lies_in_image
 
 
 def _loop():
@@ -102,7 +99,7 @@ def test_sink_only_graph():
     assert k0_class_membership(g.vertices, g.succ, {"v2": 1}) == (False, None)
 
 
-# -- membership through the forced-zero reduction and a shared memo ---------
+# -- membership on the full system ------------------------------------------
 
 SINK_PAIR = {"w1": 1, "w2": 1}
 
@@ -116,21 +113,16 @@ def _solves(pres, target, cert):
 
 @pytest.mark.parametrize("max_vertices, wide", [(5, False), (4, True)], ids=["narrow5", "wide4"])
 def test_membership_matches_the_full_system_solve(max_vertices, wide):
-    memo = {}
-    cands = enumerate_candidates(max_vertices, wide=wide)
-    for c in cands:
+    for c in enumerate_candidates(max_vertices, wide=wide):
         succ = successors(c.vertices, c.pairs)
         pres = _presentation(c.vertices, succ)
         b = [SINK_PAIR.get(v, 0) for v in pres.row_labels]
         want = integer_solve(pres.as_lists(), b) is not None
-        for shared in (None, memo):
-            ok, cert = k0_class_membership(c.vertices, succ, SINK_PAIR, memo=shared)
-            assert ok == want, c.pairs
-            assert (cert is not None) == ok
-            if ok:
-                assert _solves(pres, SINK_PAIR, cert), c.pairs
-    # the narrow candidates share a handful of reduced systems
-    assert 0 < len(memo) <= 10 < len(cands)
+        ok, cert = k0_class_membership(c.vertices, succ, SINK_PAIR)
+        assert ok == want, c.pairs
+        assert (cert is not None) == ok
+        if ok:
+            assert _solves(pres, SINK_PAIR, cert), c.pairs
 
 
 def _count_calls(monkeypatch, name):
@@ -144,15 +136,6 @@ def _count_calls(monkeypatch, name):
 
     monkeypatch.setattr(corrkit.ktheory, name, counted)
     return calls
-
-
-def test_memo_factors_each_reduced_system_once(monkeypatch):
-    calls = _count_calls(monkeypatch, "integer_solve")
-    memo = {}
-    for c in enumerate_candidates(5):
-        assert k0_class_membership(c.vertices, successors(c.vertices, c.pairs), SINK_PAIR,
-                                   memo=memo)[0]
-    assert len(calls) == len(memo) == 10
 
 
 # -- a guessed certificate, checked on the graph's own system ---------------
@@ -234,99 +217,80 @@ def test_a_correct_guess_builds_no_matrix_and_solves_nothing(monkeypatch):
     assert ok and cert == {"w0": 1, "x1": 1}
     pres_calls = _count_calls(monkeypatch, "_presentation")
     solve_calls = _count_calls(monkeypatch, "integer_solve")
-    memo = {}
     for guess in (cert, {**cert, "t1": 0}):  # a zero on a regular vertex is no miss
-        assert k0_class_membership(c.vertices, succ, SINK_PAIR, memo=memo,
-                                   guess=guess) == (True, cert)
-    assert pres_calls == solve_calls == [] and memo == {}
-    assert k0_class_membership(c.vertices, succ, SINK_PAIR, memo=memo, guess={}) == (True, cert)
-    assert len(pres_calls) == len(solve_calls) == len(memo) == 1
+        assert k0_class_membership(c.vertices, succ, SINK_PAIR, guess=guess) == (True, cert)
+    assert pres_calls == solve_calls == []
+    assert k0_class_membership(c.vertices, succ, SINK_PAIR, guess={}) == (True, cert)
+    assert len(pres_calls) == len(solve_calls) == 1
 
+
+# -- small systems: a weighted source, a chain, no relation, no column ------
 
 def test_presolve_keeps_a_source_with_target_weight():
     # s -> w: [p_s] = [p_w], so [p_s] - [p_w] = 0 needs the row of s
     g = Graph(("s", "w"), [("e", "s", "w")])
-    pres = presentation_matrix(g)
-    assert _forced_zero_presolve(pres.entries, [1, -1]) == ([0, 1], [0])
-    assert k0_class_membership(g.vertices, g.succ, {"s": 1, "w": -1}, memo={}) == (True, {"s": -1})
+    assert k0_class_membership(g.vertices, g.succ, {"s": 1, "w": -1}) == (True, {"s": -1})
 
 
 def test_presolve_drops_a_chain_of_sources_in_turn():
-    # t1 -> t2 -> t3 -> w, listed against the chain so each pass frees the next source
+    # t1 -> t2 -> t3 -> w, listed against the chain
     g = Graph(("w", "t3", "t2", "t1"),
               [("a", "t1", "t2"), ("b", "t2", "t3"), ("c", "t3", "w")])
-    pres = presentation_matrix(g)
-    assert _forced_zero_presolve(pres.entries, [1, 0, 0, 0]) == ([0], [])
-    assert _forced_zero_presolve(pres.entries, [0, 0, 0, 0]) == ([], [])
-    assert k0_class_membership(g.vertices, g.succ, {"w": 1}, memo={}) == (False, None)
-    assert k0_class_membership(g.vertices, g.succ, {"w": 1, "t1": -1}, memo={})[0]
+    assert k0_class_membership(g.vertices, g.succ, {"w": 1}) == (False, None)
+    assert k0_class_membership(g.vertices, g.succ, {"w": 1, "t1": -1})[0]
 
 
 def test_presolve_to_an_empty_system():
     g = _loop()
-    pres = presentation_matrix(g)
-    assert _forced_zero_presolve(pres.entries, [0]) == ([], [0])
-    memo = {}
-    assert k0_class_membership(g.vertices, g.succ, {}, memo=memo) == (True, {})
-    assert k0_class_membership(g.vertices, g.succ, {}, memo=memo) == (True, {})
-    assert k0_class_membership(g.vertices, g.succ, {"v1": 1}, memo=memo) == (False, None)
+    assert k0_class_membership(g.vertices, g.succ, {}) == (True, {})
+    assert k0_class_membership(g.vertices, g.succ, {}) == (True, {})
+    assert k0_class_membership(g.vertices, g.succ, {"v1": 1}) == (False, None)
 
 
 def test_presolve_on_a_sink_only_graph():
     g = Graph(("v1", "v2"), [])
-    pres = presentation_matrix(g)
-    assert _forced_zero_presolve(pres.entries, [0, 1]) == ([1], [])
-    memo = {}
-    assert k0_class_membership(g.vertices, g.succ, {"v1": 0}, memo=memo) == (True, {})
-    assert k0_class_membership(g.vertices, g.succ, {"v2": 1}, memo=memo) == (False, None)
+    assert k0_class_membership(g.vertices, g.succ, {"v1": 0}) == (True, {})
+    assert k0_class_membership(g.vertices, g.succ, {"v2": 1}) == (False, None)
 
 
-def test_corrupted_memo_entry_raises_and_gives_no_verdict():
-    c = enumerate_candidates(4)[0]
-    succ = successors(c.vertices, c.pairs)
-    memo = {}
-    assert k0_class_membership(c.vertices, succ, SINK_PAIR, memo=memo)[0]
-    for key, sol in memo.items():
-        memo[key] = (0,) * len(sol)
-    with pytest.raises(AssertionError, match="lifted K0 solution fails M x = b"):
-        k0_class_membership(c.vertices, succ, SINK_PAIR, memo=memo)
+# -- the target is checked -------------------------------------------------
+
+def test_a_target_on_an_unlisted_vertex_raises():
+    vertices = ("a", "b")
+    succ = successors(vertices, [("a", "b")])
+    with pytest.raises(ValueError, match="target vertex 'zz' is not a listed vertex"):
+        k0_class_membership(vertices, succ, {"zz": 1})
+    # a source named by an edge but not listed is no vertex of the system
+    succ = successors(vertices, [("a", "b"), ("z", "b")])
+    with pytest.raises(ValueError, match="target vertex 'z' is not a listed vertex"):
+        k0_class_membership(vertices, succ, {"b": 1, "z": 0}, guess={"a": 1})
 
 
-def _chain_system(rng: random.Random) -> tuple[list, list]:
-    """A small integer system M x = b holding a forced-zero chain: link
-    k has b = 0, +-1 at column c_k and otherwise entries only at
-    c_1..c_{k-1}, so it qualifies once the links before it have dropped
-    their columns.  The links are listed last first, against the drop
-    order, so each pass of the presolve frees one more; random rows with
-    random targets follow."""
-    n_cols = rng.randint(1, 6)
-    cols = rng.sample(range(n_cols), n_cols)
-    m, b = [], []
-    for k in range(rng.randint(0, n_cols)):
-        row = [0] * n_cols
-        row[cols[k]] = rng.choice((1, -1))
-        for j in cols[:k]:
-            row[j] = rng.choice((0, 0, 1, -1, 2, -3))
-        m.insert(0, row)
-        b.insert(0, 0)
-    for _ in range(rng.randint(0 if m else 1, 4)):
-        m.append([rng.choice((0, 0, 0, 1, -1, 2)) for _ in range(n_cols)])
-        b.append(rng.choice((0, 0, 1, -1)))
-    return m, b
+@pytest.mark.parametrize("value", [1.5, 1.0, "1", None], ids=["half", "float", "str", "none"])
+def test_a_non_integer_target_coefficient_raises(value):
+    vertices = ("a", "b")
+    succ = successors(vertices, [("a", "b")])
+    with pytest.raises(ValueError, match=f"target coefficient {value!r} of vertex 'a' is not an integer"):
+        k0_class_membership(vertices, succ, {"a": value})
+    # integer coefficients pass
+    assert k0_class_membership(vertices, succ, {"a": 1, "b": -1}) == (True, {"a": -1})
 
 
-def test_presolve_matches_the_support_listing_in_any_row_order():
-    """The dense rescan gives the rows and columns that listing each
-    row's support once gives; shuffling the rows drops the same ones (the
-    module docstring's order argument)."""
-    rng = random.Random(2982)
-    longest = 0
-    for _ in range(500):
-        m, b = _chain_system(rng)
-        rows, cols = _forced_zero_presolve(m, b)
-        assert (rows, cols) == support_listing_forced_zero_presolve(m, b)
-        longest = max(longest, len(m[0]) - len(cols))
-        perm = rng.sample(range(len(m)), len(m))
-        p_rows, p_cols = _forced_zero_presolve([m[i] for i in perm], [b[i] for i in perm])
-        assert sorted(perm[i] for i in p_rows) == rows and p_cols == cols
-    assert longest == 6  # some chain ran through every column
+# -- "no" verdicts against an independent oracle ---------------------------
+
+def test_sweep_violations_are_the_smith_form_non_members():
+    """On every candidate of the wide class at 4 vertices, the sweep's
+    verdict is the one sympy's Smith forms give (`oracles`): b lies in the
+    image of M exactly when M and [M | b] have the same rank and product
+    of nonzero invariant factors.  Every "no" comes from `integer_solve`
+    alone, so this is its check by a second route."""
+    pytest.importorskip("sympy")
+    cands = enumerate_candidates(4, wide=True)
+    outside = []
+    for c in cands:
+        pres = _presentation(c.vertices, successors(c.vertices, c.pairs))
+        b = [SINK_PAIR.get(v, 0) for v in pres.row_labels]
+        if not smith_form_lies_in_image(pres.as_lists(), b):
+            outside.append(c)
+    assert sweep(4, wide=True).violations == outside
+    assert (len(cands), len(outside)) == (1212, 1173)

@@ -100,10 +100,10 @@ def test_sweep_builds_no_graph(monkeypatch, max_vertices, wide, count):
 
 
 def test_sweep_reuses_the_last_certificate_on_each_vertex_tuple(monkeypatch):
-    """`sweep(5)` solves a system only for the first candidate on each of
-    its six vertex tuples, and the memo leaves 3 of those to
-    `integer_solve`; without the guess it calls it 10 times, and the
-    report lines are the same either way."""
+    """`sweep(5)` calls `integer_solve` once for each of its six vertex
+    tuples, for the first candidate on it; without the guess it calls it
+    once per candidate, 806 times, and the report lines are the same
+    either way."""
     calls = []
     real_solve = corrkit.ktheory.integer_solve
 
@@ -113,16 +113,16 @@ def test_sweep_reuses_the_last_certificate_on_each_vertex_tuple(monkeypatch):
 
     monkeypatch.setattr(corrkit.ktheory, "integer_solve", counted)
     got = sweep(5)
-    assert len(calls) == 3
+    assert len(calls) == len({c.vertices for c in enumerate_candidates(5)}) == 6
     real_membership = corrkit.obstruction.k0_class_membership
 
-    def no_guess(vertices, succ, target, *, memo=None, guess=None):
-        return real_membership(vertices, succ, target, memo=memo)
+    def no_guess(vertices, succ, target, *, guess=None):
+        return real_membership(vertices, succ, target)
 
     monkeypatch.setattr(corrkit.obstruction, "k0_class_membership", no_guess)
     del calls[:]
     want = sweep(5)
-    assert len(calls) == 10
+    assert len(calls) == 806
     assert got.candidates_checked == want.candidates_checked == 806
     assert got.violations == want.violations == []
     assert got.report.render().splitlines() == want.report.render().splitlines()
