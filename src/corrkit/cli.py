@@ -19,7 +19,8 @@ pass.
 
 With --format json every check becomes one JSON line and a trailing
 summary line carries the counts; the stream is identical for identical
-inputs, and for `obstruction` regardless of --jobs.
+inputs, for `obstruction` regardless of --jobs, and for `properties`
+whether its suites ran in one process or, with two usable CPUs, in two.
 """
 from __future__ import annotations
 

@@ -4,6 +4,7 @@ import gc
 
 import pytest
 
+from corrkit import properties
 from corrkit.obstruction import sweep
 from corrkit.properties import run_property_suites
 from corrkit.spheres import SphereConfig, verify_sphere_suite
@@ -17,7 +18,9 @@ _RUNS = {
 
 
 @pytest.mark.parametrize("name", sorted(_RUNS))
-def test_a_warm_run_leaves_no_cyclic_garbage(name):
+def test_a_warm_run_leaves_no_cyclic_garbage(name, monkeypatch):
+    # one CPU: `properties` runs all six suites in this process
+    monkeypatch.setattr(properties, "_usable_cpus", lambda: 1)
     run = _RUNS[name]
     run()  # warm-up: fills the module-level caches and interned values
     gc.collect()

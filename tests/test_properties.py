@@ -1,8 +1,13 @@
 """Randomized invariant suites: reproducibility and health."""
+import os
 from fractions import Fraction
 from random import Random
 
+import pytest
+
+from corrkit import cli, properties
 from corrkit.engine import Engine
+from corrkit.errors import BudgetError
 from corrkit.properties import (DEFAULT_SEED, _engines, _factor_pool, _random_element,
                                 run_property_suites)
 from oracles import fold_random_element
@@ -82,3 +87,103 @@ def test_choice_draws_as_randrange_of_the_length():
             want = [seq[by_index.randrange(len(seq))] for _ in range(8)]
             assert got == want, (seed, n)
             assert by_choice.getstate() == by_index.getstate(), (seed, n)
+
+
+def _cpus(monkeypatch, n):
+    """Make `run_property_suites` see `n` usable CPUs, and count forks."""
+    monkeypatch.setattr(properties, "_usable_cpus", lambda: n)
+    forks = []
+    fork = os.fork
+
+    def counted():
+        forks.append(n)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted)
+    return forks
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("seed", [1, 5, 77])
+def test_serial_and_forked_runs_print_the_same_stream(seed, monkeypatch, capsys):
+    streams = []
+    for cpus in (1, 2):
+        forks = _cpus(monkeypatch, cpus)
+        assert cli.main(["properties", "--cases", "120", "--seed", str(seed),
+                         "--format", "json"]) == 0
+        streams.append(capsys.readouterr().out)
+        assert len(forks) == cpus - 1
+        _assert_no_child_left()
+    assert streams[0] == streams[1]
+
+
+def _raise(exc):
+    def suite(*args):
+        raise exc
+    return suite
+
+
+@pytest.mark.parametrize("exc, code, err", [
+    (BudgetError("closure budget of 7 exhausted"), cli.EXIT_BUDGET,
+     "error: closure budget of 7 exhausted\n"),
+    (AssertionError("x y != y x for x=s_l"), cli.EXIT_INTERNAL,
+     "error: internal: AssertionError: x y != y x for x=s_l\n"),
+])
+def test_a_child_side_exception_is_raised_as_in_a_serial_run(exc, code, err, monkeypatch,
+                                                             capsys):
+    monkeypatch.setattr(properties, "associativity_suite", _raise(exc))
+    for cpus in (1, 2):
+        forks = _cpus(monkeypatch, cpus)
+        with pytest.raises(type(exc)) as info:
+            properties.run_property_suites(40, 3)
+        assert str(info.value) == str(exc)
+        _assert_no_child_left()
+        assert cli.main(["properties", "--cases", "40", "--seed", "3"]) == code
+        assert capsys.readouterr() == ("", err)
+        assert len(forks) == 2 * (cpus - 1)
+        _assert_no_child_left()
+
+
+@pytest.mark.parametrize("child_suite, parent_suite, first", [
+    ("associativity_suite", "involution_suite", "child"),
+    ("range_cocycle_suite", "grading_suite", "parent"),
+    ("setexpr_truncation_suite", "snf_selfcheck_suite", "child"),
+])
+def test_the_earliest_failing_suite_in_report_order_wins(child_suite, parent_suite, first,
+                                                         monkeypatch):
+    monkeypatch.setattr(properties, child_suite, _raise(BudgetError("child")))
+    monkeypatch.setattr(properties, parent_suite, _raise(AssertionError("parent")))
+    for cpus in (1, 2):
+        _cpus(monkeypatch, cpus)
+        with pytest.raises((BudgetError, AssertionError)) as info:
+            properties.run_property_suites(40, 3)
+        assert str(info.value) == first
+        _assert_no_child_left()
+
+
+def test_a_child_that_ends_without_a_result_is_an_internal_error(monkeypatch, capsys):
+    monkeypatch.setattr(properties, "range_cocycle_suite", lambda *args: os._exit(3))
+    _cpus(monkeypatch, 2)
+    assert cli.main(["properties", "--cases", "40", "--seed", "3"]) == cli.EXIT_INTERNAL
+    assert capsys.readouterr() == ("", "error: internal: RuntimeError: property suite child "
+                                       "process ended without a result (exit status 3)\n")
+    _assert_no_child_left()
+
+
+@pytest.mark.parametrize("seed", [1, 2, 5])
+def test_a_sample_too_small_for_products_says_so(seed, capsys):
+    """`--cases 2` may draw no nonzero product at all: the check still
+    fails, and its detail gives the count, the threshold and a case count
+    that passes at the same seed."""
+    assert cli.main(["properties", "--cases", "2", "--seed", str(seed)]) == cli.EXIT_FAIL
+    failed = [line.strip() for line in capsys.readouterr().out.splitlines()
+              if line.strip().startswith("[FAIL]")]
+    assert failed == ["[FAIL] product associativity / nonzero products seen: sample too "
+                      "small to exercise products: 0 nontrivial cases, need more than "
+                      "cases // 10 = 0; --cases 4 passes at this seed"]
+    rep = properties.run_property_suites(4, seed)
+    assert [c.ok for c in rep.checks if c.name.endswith("nonzero products seen")] == [True]

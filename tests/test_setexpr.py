@@ -3,7 +3,7 @@ from random import Random
 
 import pytest
 
-from corrkit import setexpr
+from corrkit import properties, setexpr
 from corrkit.properties import _random_setexpr, run_property_suites
 from corrkit.setexpr import EMPTY, SetExpr, atoms, tail, union_all
 
@@ -190,7 +190,9 @@ def test_atoms_and_tail_keys_never_collide(base, atoms_first):
     assert ray != pair and ray != triple
 
 
-def test_a_second_property_run_adds_no_leaf_or_unique_entry():
+def test_a_second_property_run_adds_no_leaf_or_unique_entry(monkeypatch):
+    # one CPU: all six suites run in this process, none in a forked child
+    monkeypatch.setattr(properties, "_usable_cpus", lambda: 1)
     run_property_suites(300, 1)
     sizes = {name: len(getattr(setexpr, name)) for name in ("_UNIQUE",) + LEAF_TABLES}
     run_property_suites(300, 1)
