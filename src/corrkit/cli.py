@@ -207,7 +207,7 @@ def build_parser() -> argparse.ArgumentParser:
     lc.add_argument("--trunc", type=_at_least(1), default=None, metavar="N",
                     help="closure horizon override (default: file value or 8)")
     lc.add_argument("--budget", type=_at_least(1), default=10000,
-                    help="closure iteration budget")
+                    help="most set-family members the closure may hold (exit 4 past it)")
     _add_format(lc)
     lc.set_defaults(func=cmd_labelled_check)
 

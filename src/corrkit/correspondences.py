@@ -217,11 +217,6 @@ def theta(x: Vec, y: Vec) -> FiniteRankOp:
     return FiniteRankOp(((_ONE, dict(x), dict(y)),))
 
 
-def ops_agree(corr: Correspondence, a: FiniteRankOp, b: FiniteRankOp) -> bool:
-    return all(a.apply(corr, corr.gen(g)) == b.apply(corr, corr.gen(g))
-               for g in corr.gens)
-
-
 def compact_decomposition(corr: Correspondence, a):
     """Rank-one decomposition of the left action of `a`, or None.
 

@@ -292,7 +292,9 @@ def build_space(g: LabelledGraph, generators=(), horizon: int = 8,
     Seeds are the given generators, the full ranges r(a) of every label,
     and the sink singletons.  Produced sets whose indices exceed the
     horizon are dropped; a concrete graph is closed exactly and
-    `horizon` only bounds nothing.
+    `horizon` bounds nothing.  `budget` counts set-family members, not
+    closure steps: BudgetError is raised once the family holds more than
+    `budget` members before the next one is closed.
     """
     labels = label_instances(g, horizon)
     seeds: list[tuple[SetExpr, str]] = []

@@ -1,4 +1,14 @@
-"""Command-line interface: phrases, formats, exit codes."""
+"""Command-line interface: phrases, formats, exit codes.
+
+Tests run the CLI in this process through the `cli_run` fixture
+(`conftest.py`).  Eight child interpreters remain, where the process is
+the subject: one per hash seed (0 and 1) runs every stream of
+`test_data_stream_is_pinned` and `test_properties_json_stream_is_pinned`,
+since only a fresh interpreter takes a hash seed; one runs
+`test_entry_point_prints_the_pinned_stream` through `python -m corrkit`;
+and five have their stdout closed under them in
+`test_closed_stdout_is_not_an_internal_error`.
+"""
 import hashlib
 import json
 import os
@@ -9,6 +19,8 @@ import sys
 
 import pytest
 
+from corrkit.cli import EXIT_BUDGET, EXIT_INTERNAL, EXIT_PARSE, EXIT_VALIDATION
+
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 DATA = ROOT / "data"
 # the child interpreter finds the package the way the test process does,
@@ -17,66 +29,47 @@ ENV = {**os.environ,
        "PYTHONPATH": os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
 
 
-def run(*args, expect=0):
-    proc = subprocess.run(
-        [sys.executable, "-m", "corrkit", *map(str, args)],
-        capture_output=True, text=True, env=ENV)
-    assert proc.returncode == expect, (proc.returncode, proc.stdout, proc.stderr)
-    return proc
+def test_ktheory_text(cli_run):
+    rc, out, _ = cli_run("ktheory", DATA / "m1_graph.json")
+    assert rc == 0 and "K0 = Z, K1 = 0" in out and "SNF diagonal" in out
 
 
-def main_out(capsys, *args, expect=0):
-    """Run the CLI in this process; its stdout, once the exit code is checked."""
-    from corrkit.cli import main
-
-    assert main([*map(str, args)]) == expect
-    return capsys.readouterr().out
-
-
-def test_ktheory_text(capsys):
-    out = main_out(capsys, "ktheory", DATA / "m1_graph.json")
-    assert "K0 = Z, K1 = 0" in out
-    assert "SNF diagonal" in out
-
-
-def test_ktheory_json_records(capsys):
-    out = main_out(capsys, "ktheory", DATA / "loop_graph.json", "--format", "json")
+def test_ktheory_json_records(cli_run):
+    rc, out, _ = cli_run("ktheory", DATA / "loop_graph.json", "--format", "json")
+    assert rc == 0
     lines = [json.loads(l) for l in out.splitlines() if l.strip()]
     recs = [r for r in lines if r.get("record") == "ktheory"]
     assert recs and recs[0]["K0"] == "Z" and recs[0]["K1"] == "Z"
     assert any(r.get("summary") for r in lines)
 
 
-def test_labelled_check(capsys):
-    out = main_out(capsys, "labelled-check", DATA / "en_labelled_n2.json")
+def test_labelled_check(cli_run):
+    rc, out, _ = cli_run("labelled-check", DATA / "en_labelled_n2.json")
+    assert rc == 0 and "closure:" in out
     assert "not left-resolving; weakly left-resolving: true" in out
-    assert "closure:" in out
 
 
-def test_verify_sphere_smallest(capsys):
-    out = main_out(capsys, "verify-sphere", "--n", 1)
-    assert "all passed" in out or "PASS" in out or "ok" in out.lower()
+def test_verify_sphere_smallest(cli_run):
+    rc, out, _ = cli_run("verify-sphere", "--n", 1)
+    assert rc == 0 and ("all passed" in out or "PASS" in out or "ok" in out.lower())
 
 
-def test_obstruction_headline(capsys):
-    from corrkit.cli import main
-
-    assert main(["obstruction", "--max-vertices", "4"]) == 0
-    assert "0 counterexamples among 39 candidates" in capsys.readouterr().out
+def test_obstruction_headline(cli_run):
+    rc, out, _ = cli_run("obstruction", "--max-vertices", 4)
+    assert rc == 0 and "0 counterexamples among 39 candidates" in out
 
 
-def test_corr_check_failure_exit():
-    proc = run("corr-check", DATA / "hilbert_morphism.json", expect=1)
-    assert "(C4): FAIL" in proc.stdout
-    assert "(C1): PASS" in proc.stdout
+def test_corr_check_failure_exit(cli_run):
+    rc, out, err = cli_run("corr-check", DATA / "hilbert_morphism.json")
+    assert rc == 1 and "(C4): FAIL" in out and "(C1): PASS" in out, err
 
 
-def test_corr_check_single_ok():
-    proc = run("corr-check", DATA / "hilbert_1dim.json")
-    assert "FAIL" not in proc.stdout
+def test_corr_check_single_ok(cli_run):
+    rc, out, err = cli_run("corr-check", DATA / "hilbert_1dim.json")
+    assert rc == 0 and "FAIL" not in out, err
 
 
-def test_corr_check_asymmetric_algebra_exits_3(tmp_path):
+def test_corr_check_asymmetric_algebra_exits_3(tmp_path, cli_run):
     """A mult table whose (q,u) entry is an explicit `"out": []` while
     (u,q) is u is not commutative; without the zero it would be a valid
     algebra with u under q, and the correspondence over it would pass."""
@@ -93,19 +86,19 @@ def test_corr_check_asymmetric_algebra_exits_3(tmp_path):
     corr["left"].append({"alg": "q", "gen": "e", "out": [["e", "1"]]})
     bad = tmp_path / "asym.json"
     bad.write_text(json.dumps(doc))
-    proc = run("corr-check", bad, expect=3)
-    assert "table not symmetric at (u,q)" in proc.stderr
+    rc, _, err = cli_run("corr-check", bad)
+    assert rc == 3 and "table not symmetric at (u,q)" in err
 
 
-def test_exit_parse_error():
-    proc = run("ktheory", DATA / "no_such_file.json", expect=2)
-    assert "error:" in proc.stderr
+def test_exit_parse_error(cli_run):
+    rc, _, err = cli_run("ktheory", DATA / "no_such_file.json")
+    assert rc == 2 and "error:" in err
 
 
-def test_exit_validation_error(tmp_path):
+def test_exit_validation_error(tmp_path, cli_run):
     doc = tmp_path / "dup.json"
     doc.write_text('{"vertices": ["a", "a"], "edges": []}')
-    run("ktheory", doc, expect=3)
+    assert cli_run("ktheory", doc)[0] == 3
 
 
 def _mutated(tmp_path, source, path, value):
@@ -126,11 +119,10 @@ def _mutated(tmp_path, source, path, value):
     (("families", 0, "from"), "one"),
     (("B", 2, "tail"), [1]),
 ], ids=["offset", "horizon", "from", "tail"])
-def test_malformed_integer_field_exits_3(tmp_path, path, value):
+def test_malformed_integer_field_exits_3(tmp_path, cli_run, path, value):
     bad = _mutated(tmp_path, "en_labelled_n2.json", path, value)
-    proc = run("labelled-check", bad, expect=3)
-    assert "Traceback" not in proc.stderr
-    assert "is not an integer" in proc.stderr
+    rc, _, err = cli_run("labelled-check", bad)
+    assert rc == 3 and "Traceback" not in err and "is not an integer" in err
 
 
 @pytest.mark.parametrize("command, source, path, value, message", [
@@ -161,11 +153,11 @@ def test_malformed_integer_field_exits_3(tmp_path, path, value):
 ], ids=["edges", "families", "B", "vertex_bases", "vertex_base", "inner", "right", "left",
         "correspondence", "generators", "generator", "basis_symbol", "graph_vertex",
         "graph_vertex_int", "tail_base"])
-def test_malformed_list_field_exits_3(tmp_path, command, source, path, value, message):
+def test_malformed_list_field_exits_3(tmp_path, cli_run, command, source, path, value,
+                                      message):
     bad = _mutated(tmp_path, source, path, value)
-    proc = run(command, bad, expect=3)
-    assert "Traceback" not in proc.stderr
-    assert message in proc.stderr
+    rc, _, err = cli_run(command, bad)
+    assert rc == 3 and "Traceback" not in err and message in err
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -194,55 +186,46 @@ def test_malformed_list_field_exits_3(tmp_path, command, source, path, value, me
         "trunc-zero", "trunc-negative", "sphere-n-zero", "sphere-n-negative",
         "sphere-trunc-one", "sphere-trunc-zero", "cases-not-int", "budget-negative",
         "budget-zero", "jobs-negative", "jobs-zero"])
-def test_flag_below_its_floor_is_a_usage_error(capsys, argv, message):
+def test_flag_below_its_floor_is_a_usage_error(cli_run, argv, message):
     """A budget that leaves nothing to check is refused at the parser
     instead of passing vacuously: exit 2 and one `error:` line that names
     the flag and its floor."""
-    from corrkit.cli import EXIT_PARSE, main
-
-    with pytest.raises(SystemExit) as info:
-        main(argv)
-    assert info.value.code == EXIT_PARSE == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    errors = [line for line in captured.err.splitlines() if "error:" in line]
-    assert len(errors) == 1 and errors[0].endswith(f"error: {message}"), captured.err
+    rc, out, err = cli_run(*argv)
+    assert rc == EXIT_PARSE == 2 and out == ""
+    errors = [line for line in err.splitlines() if "error:" in line]
+    assert len(errors) == 1 and errors[0].endswith(f"error: {message}"), err
 
 
-def test_smallest_flag_values_are_accepted(capsys):
-    from corrkit.cli import main
-
-    assert main(["obstruction", "--max-vertices", "3", "--max-edges", "3"]) == 0
-    assert capsys.readouterr().out.startswith("0 counterexamples among 1 candidates\n")
-    assert main(["labelled-check", str(DATA / "en_labelled_n2.json"), "--trunc", "1"]) == 0
-    assert "(horizon 1)" in capsys.readouterr().out
+def test_smallest_flag_values_are_accepted(cli_run):
+    rc, out, _ = cli_run("obstruction", "--max-vertices", 3, "--max-edges", 3)
+    assert rc == 0 and out.startswith("0 counterexamples among 1 candidates\n")
+    rc, out, _ = cli_run("labelled-check", DATA / "en_labelled_n2.json", "--trunc", 1)
+    assert rc == 0 and "(horizon 1)" in out
 
 
 @pytest.mark.parametrize("seed, message", [
     ({"atoms": [["v", 0]]}, "vertex index 0 is below 1"),
     ({"base": "v", "tail": 0}, "tail index 0 is below 1"),
 ], ids=["atom", "tail"])
-def test_seed_index_below_one_exits_3(tmp_path, seed, message):
+def test_seed_index_below_one_exits_3(tmp_path, cli_run, seed, message):
     """A family seed below the first index is inconsistent input, not an
     internal error."""
     bad = _mutated(tmp_path, "en_labelled_n2.json", ("B", 2), seed)
-    proc = run("labelled-check", bad, expect=3)
-    assert "Traceback" not in proc.stderr and "internal" not in proc.stderr
-    assert proc.stderr == f"error: B: seed {seed!r}: {message}\n"
+    rc, _, err = cli_run("labelled-check", bad)
+    assert rc == 3 and "Traceback" not in err and "internal" not in err
+    assert err == f"error: B: seed {seed!r}: {message}\n"
 
 
 @pytest.mark.parametrize("horizon", [0, -1])
-def test_file_horizon_below_one_exits_3(tmp_path, capsys, horizon):
-    from corrkit.cli import EXIT_VALIDATION, main
-
+def test_file_horizon_below_one_exits_3(tmp_path, cli_run, horizon):
     bad = _mutated(tmp_path, "en_labelled_n2.json", ("horizon",), horizon)
-    assert main(["labelled-check", str(bad)]) == EXIT_VALIDATION == 3
-    err = capsys.readouterr().err
+    rc, _, err = cli_run("labelled-check", bad)
+    assert rc == EXIT_VALIDATION == 3
     assert err == f"error: labelled space: horizon {horizon} is below 1\n"
 
 
-def test_exit_budget_error():
-    run("labelled-check", DATA / "en_labelled_n2.json", "--budget", 2, expect=4)
+def test_exit_budget_error(cli_run):
+    assert cli_run("labelled-check", DATA / "en_labelled_n2.json", "--budget", 2)[0] == 4
 
 
 @pytest.mark.parametrize("limit, value, message", [
@@ -253,47 +236,39 @@ def test_exit_budget_error():
     ("TERM_BUDGET", 1,
      r"equality test of \d+ and \d+ terms: difference grew to \d+ terms, past 1"),
 ])
-def test_engine_budget_errors_name_operation_size_and_limit(monkeypatch, capsys, limit, value,
+def test_engine_budget_errors_name_operation_size_and_limit(monkeypatch, cli_run, limit, value,
                                                             message):
     import corrkit.engine
-    from corrkit.cli import EXIT_BUDGET, main
 
     monkeypatch.setattr(corrkit.engine, limit, value)
-    assert main(["verify-sphere", "--n", "1"]) == EXIT_BUDGET == 4
-    err = capsys.readouterr().err
-    assert re.fullmatch(f"error: {message}\n", err), err
+    rc, _, err = cli_run("verify-sphere", "--n", 1)
+    assert rc == EXIT_BUDGET == 4 and re.fullmatch(f"error: {message}\n", err), err
 
 
-def test_internal_error_exits_5_without_traceback(monkeypatch, capsys):
+def test_internal_error_exits_5_without_traceback(monkeypatch, cli_run):
     import corrkit.ktheory
-    from corrkit.cli import EXIT_INTERNAL, main
 
     def broken_solve(m, b):
         raise AssertionError("SNF verification: U*M*V != S")
 
     monkeypatch.setattr(corrkit.ktheory, "integer_solve", broken_solve)
-    assert main(["obstruction", "--max-vertices", "3"]) == EXIT_INTERNAL == 5
-    err = capsys.readouterr().err
-    assert "Traceback" not in err
+    rc, _, err = cli_run("obstruction", "--max-vertices", 3)
+    assert rc == EXIT_INTERNAL == 5 and "Traceback" not in err
     assert err == "error: internal: AssertionError: SNF verification: U*M*V != S\n"
 
 
-def test_json_deterministic_across_jobs(capsys):
-    from corrkit.cli import main
-
-    assert main(["obstruction", "--max-vertices", "4", "--jobs", "1", "--format", "json"]) == 0
-    a = capsys.readouterr().out
-    assert main(["obstruction", "--max-vertices", "4", "--jobs", "3", "--format", "json"]) == 0
-    b = capsys.readouterr().out
-    assert a == b
+def test_json_deterministic_across_jobs(cli_run):
+    argv = ("obstruction", "--max-vertices", 4, "--format", "json")
+    rc, a, _ = cli_run(*argv, "--jobs", 1)
+    assert rc == 0 and cli_run(*argv, "--jobs", 3)[:2] == (0, a)
     for line in a.splitlines():
         json.loads(line)
 
 
-def test_verify_sphere_rejects_jobs():
+def test_verify_sphere_rejects_jobs(cli_run):
     # only `obstruction` takes --jobs; the sphere suite has no parallel path
-    proc = run("verify-sphere", "--n", 1, "--jobs", 2, expect=2)
-    assert "unrecognized arguments: --jobs 2" in proc.stderr
+    rc, _, err = cli_run("verify-sphere", "--n", 1, "--jobs", 2)
+    assert rc == 2 and "unrecognized arguments: --jobs 2" in err
 
 
 # n -> (trunc, sha256 of the `verify-sphere --n n --trunc trunc --format json`
@@ -318,13 +293,10 @@ VERIFY_SPHERE_JSON_SHA256 = {
 
 
 @pytest.mark.parametrize("n", sorted(VERIFY_SPHERE_JSON_SHA256))
-def test_verify_sphere_json_stream_is_pinned(n, capsys):
-    from corrkit.cli import main
-
+def test_verify_sphere_json_stream_is_pinned(n, cli_run):
     trunc, digest = VERIFY_SPHERE_JSON_SHA256[n]
-    assert main(["verify-sphere", "--n", str(n), "--trunc", str(trunc), "--format", "json"]) == 0
-    out = capsys.readouterr().out
-    assert hashlib.sha256(out.encode()).hexdigest() == digest
+    rc, out, _ = cli_run("verify-sphere", "--n", n, "--trunc", trunc, "--format", "json")
+    assert (rc, hashlib.sha256(out.encode()).hexdigest()) == (0, digest)
 
 
 # (exit code, sha256 of the `obstruction --max-vertices 4 --wide --format json`
@@ -337,13 +309,9 @@ def test_verify_sphere_json_stream_is_pinned(n, capsys):
 OBSTRUCTION_WIDE_JSON = (0, "8c7945584f9ac205528e453bec7e7feeacddc486cbb5269e8198333793c08b4d")
 
 
-def test_obstruction_wide_json_stream_is_pinned(capsys):
-    from corrkit.cli import main
-
-    code, digest = OBSTRUCTION_WIDE_JSON
-    assert main(["obstruction", "--max-vertices", "4", "--wide", "--format", "json"]) == code
-    out = capsys.readouterr().out
-    assert hashlib.sha256(out.encode()).hexdigest() == digest
+def test_obstruction_wide_json_stream_is_pinned(cli_run):
+    rc, out, _ = cli_run("obstruction", "--max-vertices", 4, "--wide", "--format", "json")
+    assert (rc, hashlib.sha256(out.encode()).hexdigest()) == OBSTRUCTION_WIDE_JSON
 
 
 # (exit code, sha256 of the `obstruction --max-vertices 5 --format json`
@@ -353,27 +321,9 @@ def test_obstruction_wide_json_stream_is_pinned(capsys):
 OBSTRUCTION_V5_JSON = (0, "d31e7090fffdd825b28995469fcfe85b63c5b92d94ee7d6e82bffc93dcb4f59c")
 
 
-def test_obstruction_narrow_json_stream_is_pinned(capsys):
-    from corrkit.cli import main
-
-    code, digest = OBSTRUCTION_V5_JSON
-    assert main(["obstruction", "--max-vertices", "5", "--format", "json"]) == code
-    out = capsys.readouterr().out
-    assert hashlib.sha256(out.encode()).hexdigest() == digest
-
-
-# sha256 of the `properties --cases 300 --seed 1 --format json` stream,
-# recorded at commit 815ec75.  Its "nontrivial cases" and "nonzero pairs"
-# counts depend on every engine product, so a change to how products are
-# reduced or memoised that alters any of them shows here.
-PROPERTIES_JSON_SHA256 = "727b8e40b3d64cdb1e4399c9e1f208b53df8842de91f650ec9a50116b7c26fc7"
-
-
-@pytest.mark.parametrize("hash_seed", ["0", "1"])
-def test_properties_json_stream_is_pinned(hash_seed, monkeypatch):
-    monkeypatch.setitem(ENV, "PYTHONHASHSEED", hash_seed)
-    out = run("properties", "--cases", 300, "--seed", 1, "--format", "json").stdout
-    assert hashlib.sha256(out.encode()).hexdigest() == PROPERTIES_JSON_SHA256
+def test_obstruction_narrow_json_stream_is_pinned(cli_run):
+    rc, out, _ = cli_run("obstruction", "--max-vertices", 5, "--format", "json")
+    assert (rc, hashlib.sha256(out.encode()).hexdigest()) == OBSTRUCTION_V5_JSON
 
 
 # (command, data file, format) -> (exit code, sha256 of stdout), recorded at
@@ -408,13 +358,62 @@ DATA_STREAMS = {
 }
 
 
+# sha256 of the `properties --cases 300 --seed 1 --format json` stream,
+# recorded at commit 815ec75.  Its "nontrivial cases" and "nonzero pairs"
+# counts depend on every engine product, so a change to how products are
+# reduced or memoised that alters any of them shows here.
+PROPERTIES_JSON_SHA256 = "727b8e40b3d64cdb1e4399c9e1f208b53df8842de91f650ec9a50116b7c26fc7"
+PROPERTIES_ARGV = ("properties", "--cases", "300", "--seed", "1", "--format", "json")
+
+# every stream compared under both hash seeds, in the order one child runs them
+HASH_SEED_STREAMS = [(command, str(DATA / source), "--format", fmt)
+                     for command, source, fmt in sorted(DATA_STREAMS)] + [PROPERTIES_ARGV]
+
+_HASH_SEED_SCRIPT = """
+import hashlib, json, sys
+sys.path.insert(0, sys.argv[1])
+from conftest import cli_run
+print(json.dumps([[rc, hashlib.sha256(out.encode()).hexdigest()]
+                  for rc, out, _ in (cli_run(*argv) for argv in json.loads(sys.argv[2]))]))
+"""
+
+
+@pytest.fixture(scope="module")
+def hash_seed_streams():
+    """hash seed -> {argv: (exit code, sha256 of stdout)} over
+    HASH_SEED_STREAMS, each seed's streams run by one fresh interpreter;
+    the two interpreters run side by side."""
+    children = {hash_seed: subprocess.Popen(
+        [sys.executable, "-c", _HASH_SEED_SCRIPT, str(ROOT / "tests"),
+         json.dumps(HASH_SEED_STREAMS)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        env={**ENV, "PYTHONHASHSEED": hash_seed}) for hash_seed in ("0", "1")}
+    streams = {}
+    for hash_seed, child in children.items():
+        out, err = child.communicate(timeout=300)
+        assert child.returncode == 0, err
+        streams[hash_seed] = dict(zip(HASH_SEED_STREAMS, map(tuple, json.loads(out))))
+    return streams
+
+
+@pytest.mark.parametrize("hash_seed", ["0", "1"])
+def test_properties_json_stream_is_pinned(hash_seed, hash_seed_streams):
+    assert hash_seed_streams[hash_seed][PROPERTIES_ARGV] == (0, PROPERTIES_JSON_SHA256)
+
+
 @pytest.mark.parametrize("hash_seed", ["0", "1"])
 @pytest.mark.parametrize("command, source, fmt", sorted(DATA_STREAMS))
-def test_data_stream_is_pinned(command, source, fmt, hash_seed, monkeypatch):
-    monkeypatch.setitem(ENV, "PYTHONHASHSEED", hash_seed)
-    code, digest = DATA_STREAMS[command, source, fmt]
-    out = run(command, DATA / source, "--format", fmt, expect=code).stdout
-    assert hashlib.sha256(out.encode()).hexdigest() == digest
+def test_data_stream_is_pinned(command, source, fmt, hash_seed, hash_seed_streams):
+    argv = (command, str(DATA / source), "--format", fmt)
+    assert hash_seed_streams[hash_seed][argv] == DATA_STREAMS[command, source, fmt]
+
+
+def test_entry_point_prints_the_pinned_stream():
+    """`python -m corrkit` itself, once: exit 0 and the pinned bytes."""
+    proc = subprocess.run([sys.executable, "-m", "corrkit", "ktheory", str(DATA / "m1_graph.json"),
+                           "--format", "json"], capture_output=True, text=True, env=ENV)
+    assert ((proc.returncode, hashlib.sha256(proc.stdout.encode()).hexdigest())
+            == DATA_STREAMS["ktheory", "m1_graph.json", "json"]), proc.stderr
 
 
 @pytest.mark.parametrize("args, unbuffered", [
@@ -443,9 +442,8 @@ def test_closed_stdout_is_not_an_internal_error(args, unbuffered):
     assert err == b""
 
 
-def test_properties_subcommand_seeded(capsys):
+def test_properties_subcommand_seeded(cli_run):
     """The second run meets the vertex-set tables the first one filled,
     and prints the same bytes."""
-    a = main_out(capsys, "properties", "--cases", 40, "--seed", 5, "--format", "json")
-    b = main_out(capsys, "properties", "--cases", 40, "--seed", 5, "--format", "json")
-    assert a == b
+    a = cli_run("properties", "--cases", 40, "--seed", 5, "--format", "json")
+    assert a[0] == 0 and cli_run("properties", "--cases", 40, "--seed", 5, "--format", "json") == a

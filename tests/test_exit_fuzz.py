@@ -1,9 +1,7 @@
 """The exit-code contract under fuzzed input: whatever a `data/`
 document's fields are set to, `ktheory`, `labelled-check` and
 `corr-check` exit 0-4 and never report an internal error."""
-import contextlib
 import copy
-import io
 import json
 import pathlib
 
@@ -11,8 +9,6 @@ import pytest
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
-
-from corrkit.cli import main  # noqa: E402
 
 DATA = pathlib.Path(__file__).resolve().parent.parent / "data"
 COMMANDS = {"m1_graph.json": "ktheory", "loop_graph.json": "ktheory",
@@ -48,7 +44,7 @@ def test_every_data_document_has_a_command():
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(st.data())
-def test_fuzzed_documents_keep_the_exit_code_contract(tmp_path_factory, data):
+def test_fuzzed_documents_keep_the_exit_code_contract(tmp_path_factory, cli_run, data):
     """One to four fields of one document set to stray values, in order:
     the command exits 0-4 and stderr names no internal error."""
     source = data.draw(st.sampled_from(sorted(COMMANDS)), label="document")
@@ -61,8 +57,6 @@ def test_fuzzed_documents_keep_the_exit_code_contract(tmp_path_factory, data):
             container[key] = copy.deepcopy(value)
     bad = tmp_path_factory.getbasetemp() / source
     bad.write_text(json.dumps(doc))
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        rc = main([COMMANDS[source], str(bad)])
-    assert rc in {0, 1, 2, 3, 4}, err.getvalue()
-    assert "internal" not in err.getvalue() and "Traceback" not in err.getvalue()
+    rc, _, err = cli_run(COMMANDS[source], bad)
+    assert rc in {0, 1, 2, 3, 4}, err
+    assert "internal" not in err and "Traceback" not in err

@@ -109,13 +109,13 @@ def _assert_no_child_left():
 
 
 @pytest.mark.parametrize("seed", [1, 5, 77])
-def test_serial_and_forked_runs_print_the_same_stream(seed, monkeypatch, capsys):
+def test_serial_and_forked_runs_print_the_same_stream(seed, monkeypatch, cli_run):
     streams = []
     for cpus in (1, 2):
         forks = _cpus(monkeypatch, cpus)
-        assert cli.main(["properties", "--cases", "120", "--seed", str(seed),
-                         "--format", "json"]) == 0
-        streams.append(capsys.readouterr().out)
+        rc, out, _ = cli_run("properties", "--cases", 120, "--seed", seed, "--format", "json")
+        assert rc == 0
+        streams.append(out)
         assert len(forks) == cpus - 1
         _assert_no_child_left()
     assert streams[0] == streams[1]
@@ -134,7 +134,7 @@ def _raise(exc):
      "error: internal: AssertionError: x y != y x for x=s_l\n"),
 ])
 def test_a_child_side_exception_is_raised_as_in_a_serial_run(exc, code, err, monkeypatch,
-                                                             capsys):
+                                                             cli_run):
     monkeypatch.setattr(properties, "associativity_suite", _raise(exc))
     for cpus in (1, 2):
         forks = _cpus(monkeypatch, cpus)
@@ -142,8 +142,7 @@ def test_a_child_side_exception_is_raised_as_in_a_serial_run(exc, code, err, mon
             properties.run_property_suites(40, 3)
         assert str(info.value) == str(exc)
         _assert_no_child_left()
-        assert cli.main(["properties", "--cases", "40", "--seed", "3"]) == code
-        assert capsys.readouterr() == ("", err)
+        assert cli_run("properties", "--cases", 40, "--seed", 3) == (code, "", err)
         assert len(forks) == 2 * (cpus - 1)
         _assert_no_child_left()
 
@@ -165,22 +164,23 @@ def test_the_earliest_failing_suite_in_report_order_wins(child_suite, parent_sui
         _assert_no_child_left()
 
 
-def test_a_child_that_ends_without_a_result_is_an_internal_error(monkeypatch, capsys):
+def test_a_child_that_ends_without_a_result_is_an_internal_error(monkeypatch, cli_run):
     monkeypatch.setattr(properties, "range_cocycle_suite", lambda *args: os._exit(3))
     _cpus(monkeypatch, 2)
-    assert cli.main(["properties", "--cases", "40", "--seed", "3"]) == cli.EXIT_INTERNAL
-    assert capsys.readouterr() == ("", "error: internal: RuntimeError: property suite child "
-                                       "process ended without a result (exit status 3)\n")
+    assert cli_run("properties", "--cases", 40, "--seed", 3) == (
+        cli.EXIT_INTERNAL, "", "error: internal: RuntimeError: property suite child "
+                               "process ended without a result (exit status 3)\n")
     _assert_no_child_left()
 
 
 @pytest.mark.parametrize("seed", [1, 2, 5])
-def test_a_sample_too_small_for_products_says_so(seed, capsys):
+def test_a_sample_too_small_for_products_says_so(seed, cli_run):
     """`--cases 2` may draw no nonzero product at all: the check still
     fails, and its detail gives the count, the threshold and a case count
     that passes at the same seed."""
-    assert cli.main(["properties", "--cases", "2", "--seed", str(seed)]) == cli.EXIT_FAIL
-    failed = [line.strip() for line in capsys.readouterr().out.splitlines()
+    rc, out, _ = cli_run("properties", "--cases", 2, "--seed", seed)
+    assert rc == cli.EXIT_FAIL
+    failed = [line.strip() for line in out.splitlines()
               if line.strip().startswith("[FAIL]")]
     assert failed == ["[FAIL] product associativity / nonzero products seen: sample too "
                       "small to exercise products: 0 nontrivial cases, need more than "
